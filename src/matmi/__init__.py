@@ -3,9 +3,9 @@ acoustic-source data for a planar conductivity, and reconstruct the
 conductivity from that data by a fixed-point iteration of field and
 transport solves."""
 
-from .mesh import Mesh, build_mesh, triangle_geometry
+from .mesh import Mesh, build_mesh
 from .fem import (
-    ScalarField, VectorField, SparseSystem, SolverError,
+    ScalarField, VectorField, SolverError,
     constant_field, interpolate, l2_norm, l2_inner, l2_norm_vec,
     assemble_weighted_stiffness, assemble_weak_divergence_rhs,
     solve_neumann, solve_dirichlet,

@@ -56,7 +56,6 @@ class RunConfig:
     y_max: float = 1.0
     background: float = 0.2
     collar_width: float = 0.15
-    taper: str = "smoothstep"
     bumps: tuple[Bump, ...] = (Bump((0.4, 0.6), 0.1, 0.12),)
     max_iterations: int = 200
     tolerance_update: float = 1e-8
@@ -70,20 +69,25 @@ class RunConfig:
     amplitude_scales: tuple[float, ...] = ()
     output_dir: str = "out"
     write_vtk: bool = False
-    seed: int = 0
 
     def phantom_spec(self, amplitude_scale: float = 1.0) -> PhantomSpec:
         bumps = tuple(
             Bump(b.center, b.amplitude * amplitude_scale, b.width) for b in self.bumps
         )
         return PhantomSpec(
-            background=self.background, bumps=bumps,
-            collar_width=self.collar_width, taper=self.taper,
+            background=self.background, bumps=bumps, collar_width=self.collar_width,
         )
 
     def build_mesh(self, n: int | None = None) -> Mesh:
         n = self.mesh_n if n is None else n
         return build_mesh(n, n, (self.x_min, self.x_max, self.y_min, self.y_max))
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_bumps(text: str) -> tuple[Bump, ...]:
@@ -92,7 +96,7 @@ def _parse_bumps(text: str) -> tuple[Bump, ...]:
         part = part.strip()
         if not part:
             continue
-        numbers = [float(v) for v in part.split()]
+        numbers = [_parse_float(v) for v in part.split()]
         if len(numbers) != 4:
             raise ValueError(f"bump needs 4 numbers (cx cy amplitude width), got {part!r}")
         bumps.append(Bump((numbers[0], numbers[1]), numbers[2], numbers[3]))
@@ -117,17 +121,16 @@ def _parse_bool(text: str) -> bool:
 # key -> (attribute, parser, formatter)
 _KEYS = {
     "mesh.n": ("mesh_n", int, str),
-    "domain.x_min": ("x_min", float, lambda v: f"{v:.17g}"),
-    "domain.x_max": ("x_max", float, lambda v: f"{v:.17g}"),
-    "domain.y_min": ("y_min", float, lambda v: f"{v:.17g}"),
-    "domain.y_max": ("y_max", float, lambda v: f"{v:.17g}"),
-    "phantom.background": ("background", float, lambda v: f"{v:.17g}"),
-    "phantom.collar_width": ("collar_width", float, lambda v: f"{v:.17g}"),
-    "phantom.taper": ("taper", str, str),
+    "domain.x_min": ("x_min", _parse_float, lambda v: f"{v:.17g}"),
+    "domain.x_max": ("x_max", _parse_float, lambda v: f"{v:.17g}"),
+    "domain.y_min": ("y_min", _parse_float, lambda v: f"{v:.17g}"),
+    "domain.y_max": ("y_max", _parse_float, lambda v: f"{v:.17g}"),
+    "phantom.background": ("background", _parse_float, lambda v: f"{v:.17g}"),
+    "phantom.collar_width": ("collar_width", _parse_float, lambda v: f"{v:.17g}"),
     "phantom.bumps": ("bumps", _parse_bumps, _format_bumps),
     "recon.max_iterations": ("max_iterations", int, str),
-    "recon.tolerance_update": ("tolerance_update", float, lambda v: f"{v:.17g}"),
-    "recon.tolerance_misfit": ("tolerance_misfit", float, lambda v: f"{v:.17g}"),
+    "recon.tolerance_update": ("tolerance_update", _parse_float, lambda v: f"{v:.17g}"),
+    "recon.tolerance_misfit": ("tolerance_misfit", _parse_float, lambda v: f"{v:.17g}"),
     "recon.initial_model": ("initial_model", str, str),
     "data.source": ("data_source", str, str),
     "data.file": ("data_file", str, str),
@@ -138,12 +141,11 @@ _KEYS = {
         lambda v: " ".join(str(x) for x in v),
     ),
     "study.amplitude_scales": (
-        "amplitude_scales", lambda s: tuple(float(v) for v in s.split()),
+        "amplitude_scales", lambda s: tuple(_parse_float(v) for v in s.split()),
         lambda v: " ".join(f"{x:.17g}" for x in v),
     ),
     "output.dir": ("output_dir", str, str),
     "output.vtk": ("write_vtk", _parse_bool, lambda v: "true" if v else "false"),
-    "seed": ("seed", int, str),
 }
 
 _CHOICES = {
@@ -207,8 +209,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("recon tolerances must be positive")
     if any(n < 1 for n in config.mesh_sizes):
         raise ConfigError("study.mesh_sizes must be positive")
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative")
     if config.data_source == "file" and not config.data_file:
         raise ConfigError("data.source = file requires data.file")
 
@@ -251,6 +251,10 @@ def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
         )
     if not np.allclose(data[:, :2], mesh.nodes, atol=1e-12):
         raise ConfigError(f"{path}: node coordinates do not match the mesh")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ConfigError(f"{path}: non-finite value in data row {row + 1}")
     return ScalarField(mesh, data[:, 2].copy())
 
 
@@ -341,6 +345,24 @@ def _truth_field(config: RunConfig, mesh: Mesh) -> ScalarField:
     return make_phantom(config.phantom_spec(), mesh)
 
 
+def _reconstruct(
+    config: RunConfig, g: ScalarField, sigma0: ScalarField, truth: ScalarField
+) -> tuple[ScalarField, ReconReport, float, float]:
+    """Reconstruct from ``g``; the fitted factor and its R^2 are NaN when
+    the report has too few usable errors to fit."""
+    rc = ReconConfig(
+        sigma0=sigma0, max_iterations=config.max_iterations,
+        tolerance_update=config.tolerance_update,
+        tolerance_misfit=config.tolerance_misfit, truth=truth,
+    )
+    sigma, report = recon.reconstruct(g, rc)
+    try:
+        c, r2 = recon.fit_convergence_factor(report)
+    except ValueError:
+        c, r2 = float("nan"), float("nan")
+    return sigma, report, c, r2
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -381,12 +403,7 @@ def cmd_invert(config: RunConfig) -> None:
         sigma0 = make_phantom(config.phantom_spec(), mesh)
     else:
         sigma0 = fem.constant_field(mesh, config.background)
-    rc = ReconConfig(
-        sigma0=sigma0, max_iterations=config.max_iterations,
-        tolerance_update=config.tolerance_update,
-        tolerance_misfit=config.tolerance_misfit, truth=truth,
-    )
-    sigma, report = recon.reconstruct(g, rc)
+    sigma, report, c, r2 = _reconstruct(config, g, sigma0, truth)
     out = config.output_dir
     write_scalar_csv(os.path.join(out, "sigma_reconstructed.csv"), sigma)
     write_report_csv(os.path.join(out, "report.csv"), report)
@@ -396,14 +413,9 @@ def cmd_invert(config: RunConfig) -> None:
         "final_misfit": report.misfits[-1],
         "final_rel_error": report.rel_errors[-1],
         "final_abs_error": report.abs_errors[-1],
+        "fitted_c": c,
+        "fit_r_squared": r2,
     }
-    try:
-        c, r2 = recon.fit_convergence_factor(report)
-        summary["fitted_c"] = c
-        summary["fit_r_squared"] = r2
-    except ValueError:
-        summary["fitted_c"] = float("nan")
-        summary["fit_r_squared"] = float("nan")
     _write_keyvalue_csv(os.path.join(out, "summary.csv"), summary)
     if config.write_vtk:
         write_vtk(os.path.join(out, "invert.vtk"), {
@@ -431,17 +443,9 @@ def cmd_study(config: RunConfig) -> None:
                     result.data if config.data_mode == "in-crime"
                     else synthesize_data(replace(run_cfg, data_truth="phantom"), mesh, truth)
                 )
-                rc = ReconConfig(
-                    sigma0=fem.constant_field(mesh, config.background),
-                    max_iterations=config.max_iterations,
-                    tolerance_update=config.tolerance_update,
-                    tolerance_misfit=config.tolerance_misfit, truth=truth,
+                _, report, c, r2 = _reconstruct(
+                    config, g, fem.constant_field(mesh, config.background), truth
                 )
-                sigma, report = recon.reconstruct(g, rc)
-                try:
-                    c, r2 = recon.fit_convergence_factor(report)
-                except ValueError:
-                    c, r2 = float("nan"), float("nan")
                 row += [
                     fem.gradient_sup(truth), report.n_iterations,
                     report.rel_errors[-1], report.abs_errors[-1], c, r2,
@@ -499,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the key-value config file")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
-    parser.add_argument("--seed", type=int, help="random seed (overrides seed)")
     args = parser.parse_args(argv)
 
     try:
@@ -513,9 +516,6 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, command=args.command)
         if args.out is not None:
             config = replace(config, output_dir=args.out)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        _validate(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,10 +19,10 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 
 __all__ = [
-    "ScalarField", "VectorField", "SparseSystem", "SolverError",
+    "ScalarField", "VectorField", "SolverError",
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
-    "mass_matrix", "lumped_mass", "neumann_system", "dirichlet_system",
+    "mass_matrix", "lumped_mass", "dirichlet_system",
     "solve_neumann", "solve_dirichlet",
     "l2_norm", "l2_inner", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
@@ -111,9 +111,11 @@ def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix
     ``sigma`` is evaluated per element as the vertex average.  Raises
     ``ValueError`` if any nodal coefficient is non-positive.
     """
-    _check_same_mesh(sigma, ScalarField(mesh, sigma.values))
-    if np.any(sigma.values <= 0.0):
-        bad = int(np.argmax(sigma.values <= 0.0))
+    if sigma.mesh is not mesh:
+        raise ValueError("fields live on different meshes")
+    nonpositive = ~(sigma.values > 0.0)
+    if np.any(nonpositive):
+        bad = int(np.argmax(nonpositive))
         raise ValueError(
             f"conductivity must be positive, node {bad} has value {sigma.values[bad]}"
         )
@@ -183,49 +185,26 @@ def w1inf_norm(field: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sparse systems and solvers
-
-NEUMANN_KIND = "symmetric-singular-neumann"
-DIRICHLET_KIND = "nonsymmetric-dirichlet"
+# sparse solvers
 
 #: relative residual demanded from every linear solve
 SOLVER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SparseSystem:
-    """Assembled sparse operator, right-hand side and boundary metadata."""
-
-    mesh: Mesh
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    kind: str
-    dirichlet_nodes: np.ndarray | None = None
-
-
-def neumann_system(mesh: Mesh, matrix: sp.csr_matrix, rhs: np.ndarray) -> SparseSystem:
-    """Wrap a singular symmetric system; the mean of the rhs is projected out."""
-    rhs = rhs - rhs.mean()
-    return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs, kind=NEUMANN_KIND)
-
-
 def dirichlet_system(
-    mesh: Mesh,
     matrix: sp.csr_matrix,
     rhs: np.ndarray,
     dirichlet_nodes: np.ndarray,
     dirichlet_values: np.ndarray,
-) -> SparseSystem:
+) -> tuple[sp.csr_matrix, np.ndarray]:
     """Replace the given rows by unit rows carrying the prescribed values."""
-    mat = matrix.tolil()
-    mat[dirichlet_nodes, :] = 0.0
-    mat[dirichlet_nodes, dirichlet_nodes] = 1.0
+    keep = np.ones(matrix.shape[0])
+    keep[dirichlet_nodes] = 0.0
+    mat = (sp.diags(keep) @ matrix + sp.diags(1.0 - keep)).tocsr()
+    mat.eliminate_zeros()
     rhs = rhs.copy()
     rhs[dirichlet_nodes] = dirichlet_values
-    return SparseSystem(
-        mesh=mesh, matrix=mat.tocsr(), rhs=rhs,
-        kind=DIRICHLET_KIND, dirichlet_nodes=dirichlet_nodes,
-    )
+    return mat, rhs
 
 
 def _projected_pcg(
@@ -269,32 +248,36 @@ def _projected_pcg(
     )
 
 
-def solve_neumann(system: SparseSystem, tol: float = SOLVER_TOL) -> ScalarField:
-    """Solve the singular Neumann system, returning the zero-mean representative."""
-    if system.kind != NEUMANN_KIND:
-        raise ValueError(f"expected a {NEUMANN_KIND} system, got {system.kind}")
-    max_iter = 10 * system.rhs.shape[0]
-    x, _ = _projected_pcg(system.matrix, system.rhs, tol, max_iter)
-    return ScalarField(system.mesh, x)
+def solve_neumann(mesh: Mesh, matrix: sp.csr_matrix, rhs: np.ndarray) -> ScalarField:
+    """Solve the singular Neumann system, returning the zero-mean representative.
+
+    The mean of the rhs is projected out first, which makes the system
+    consistent.
+    """
+    rhs = rhs - rhs.mean()
+    x, _ = _projected_pcg(matrix, rhs, SOLVER_TOL, 10 * rhs.shape[0])
+    return ScalarField(mesh, x)
 
 
-def solve_dirichlet(system: SparseSystem, tol: float = SOLVER_TOL) -> ScalarField:
+def solve_dirichlet(
+    mesh: Mesh,
+    matrix: sp.csr_matrix,
+    rhs: np.ndarray,
+    dirichlet_nodes: np.ndarray,
+) -> ScalarField:
     """Direct sparse solve of a Dirichlet-reduced system; checks the residual."""
-    if system.kind != DIRICHLET_KIND:
-        raise ValueError(f"expected a {DIRICHLET_KIND} system, got {system.kind}")
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            x = spla.spsolve(system.matrix.tocsc(), system.rhs)
+            x = spla.spsolve(matrix.tocsc(), rhs)
         except (RuntimeError, spla.MatrixRankWarning) as exc:
             raise SolverError(f"direct solve failed: {exc}", [np.inf]) from exc
-    b_norm = np.linalg.norm(system.rhs)
-    rel = np.linalg.norm(system.matrix @ x - system.rhs) / max(b_norm, 1e-300)
-    if not np.isfinite(rel) or (b_norm > 0.0 and rel > tol):
-        raise SolverError(f"direct solve residual {rel:.3e} exceeds {tol}", [rel])
-    if system.dirichlet_nodes is not None:
-        # unit rows make these exact; enforce bit-exact equality anyway
-        x[system.dirichlet_nodes] = system.rhs[system.dirichlet_nodes]
-    return ScalarField(system.mesh, x)
+    b_norm = np.linalg.norm(rhs)
+    rel = np.linalg.norm(matrix @ x - rhs) / max(b_norm, 1e-300)
+    if not np.isfinite(rel) or (b_norm > 0.0 and rel > SOLVER_TOL):
+        raise SolverError(f"direct solve residual {rel:.3e} exceeds {SOLVER_TOL}", [rel])
+    # unit rows make these exact; enforce bit-exact equality anyway
+    x[dirichlet_nodes] = rhs[dirichlet_nodes]
+    return ScalarField(mesh, x)

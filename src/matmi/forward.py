@@ -30,21 +30,10 @@ from .fem import ScalarField, VectorField
 from .mesh import Mesh, build_mesh
 
 __all__ = [
-    "ModelConstants", "MODEL", "ForwardResult",
+    "ForwardResult",
     "rotate", "gauge_field", "compute_field", "forward_map", "simulate",
     "divergence_identity_error",
 ]
-
-
-@dataclass(frozen=True)
-class ModelConstants:
-    """Directions of the static and pulsed magnetic fields (out of plane)."""
-
-    b0: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    b1: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-
-MODEL = ModelConstants()
 
 
 def rotate(values: np.ndarray) -> np.ndarray:
@@ -97,7 +86,7 @@ def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> Forwa
     stiffness = fem.assemble_weighted_stiffness(mesh, sigma)
     weighted_gauge = VectorField(mesh, sigma_e[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
-    u = fem.solve_neumann(fem.neumann_system(mesh, stiffness, rhs))
+    u = fem.solve_neumann(mesh, stiffness, rhs)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     return ForwardResult(potential=u, field=field, field_norm=fem.l2_norm_vec(field))
 

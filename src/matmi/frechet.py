@@ -54,7 +54,7 @@ def frechet_derivative(
     weighted = VectorField(mesh, h_elem[:, None] * base.field.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted)
     stiffness = fem.assemble_weighted_stiffness(mesh, sigma)
-    phi = fem.solve_neumann(fem.neumann_system(mesh, stiffness, rhs))
+    phi = fem.solve_neumann(mesh, stiffness, rhs)
 
     w = VectorField(mesh, forward.rotate(base.field.values))
     delta_w = VectorField(mesh, forward.rotate(fem.gradient_field(phi).values))

@@ -12,34 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mesh", "build_mesh", "triangle_geometry"]
-
-
-def triangle_geometry(coords: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed area and constant P1 basis gradients of one triangle.
-
-    Parameters
-    ----------
-    coords : array, shape (3, 2)
-        Vertex coordinates, counterclockwise.
-
-    Returns
-    -------
-    area : float
-        Signed area (positive for counterclockwise vertices).
-    grads : array, shape (3, 2)
-        Gradient of the nodal basis function attached to each vertex.
-    """
-    coords = np.asarray(coords, dtype=float)
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    twice_area = d1[0] * d2[1] - d1[1] * d2[0]
-    if twice_area <= 0.0:
-        raise ValueError(f"degenerate or clockwise triangle, 2*area={twice_area}")
-    # grad(phi_k) is the inward normal of the opposite edge over twice the area
-    edges = coords[[2, 0, 1]] - coords[[1, 2, 0]]
-    grads = np.column_stack([-edges[:, 1], edges[:, 0]]) / twice_area
-    return 0.5 * twice_area, grads
+__all__ = ["Mesh", "build_mesh"]
 
 
 @dataclass(frozen=True)
@@ -84,11 +57,6 @@ class Mesh:
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = True
-        return mask
 
 
 def build_mesh(

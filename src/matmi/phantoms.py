@@ -36,7 +36,6 @@ class PhantomSpec:
     background: float = 0.2
     bumps: tuple[Bump, ...] = ()
     collar_width: float = 0.15
-    taper: str = "smoothstep"
 
 
 def boundary_distance(mesh: Mesh, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -63,8 +62,6 @@ def make_phantom(spec: PhantomSpec, mesh: Mesh) -> ScalarField:
         raise ValueError(f"collar width must be positive, got {spec.collar_width}")
     if spec.background <= 0.0:
         raise ValueError(f"background must be positive, got {spec.background}")
-    if spec.taper != "smoothstep":
-        raise ValueError(f"unknown taper profile {spec.taper!r}")
     for b in spec.bumps:
         if b.width <= 0.0:
             raise ValueError(f"bump width must be positive, got {b.width}")

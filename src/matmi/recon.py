@@ -46,7 +46,6 @@ class ReconConfig:
     tolerance_update: float = 1e-8
     tolerance_misfit: float = 1e-10
     truth: ScalarField | None = None
-    lambda_floor: float = LAMBDA_FLOOR
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -111,11 +110,11 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
         return diff / truth_norm, diff
 
     for k in range(config.max_iterations + 1):
-        if np.any(sigma.values < config.lambda_floor):
-            bad = int(np.argmin(sigma.values))
+        if np.any(~(sigma.values >= LAMBDA_FLOOR)):
+            bad = int(np.argmin(sigma.values))   # argmin finds a NaN first
             raise AdmissibilityError(
                 f"iterate {k} fell to {sigma.values[bad]:.3e} at node {bad}, "
-                f"below the floor {config.lambda_floor}",
+                f"below the floor {LAMBDA_FLOOR}",
                 report,
             )
         result = forward.compute_field(sigma)

@@ -119,8 +119,7 @@ def transport_solve(
     if g.mesh is not mesh or boundary_value.mesh is not mesh:
         raise ValueError("fields live on a different mesh")
     rhs = fem.lumped_mass(mesh) * g.values
-    system = fem.dirichlet_system(
-        mesh, op.matrix, rhs,
-        mesh.boundary_nodes, boundary_value.values[mesh.boundary_nodes],
+    matrix, rhs = fem.dirichlet_system(
+        op.matrix, rhs, mesh.boundary_nodes, boundary_value.values[mesh.boundary_nodes],
     )
-    return fem.solve_dirichlet(system)
+    return fem.solve_dirichlet(mesh, matrix, rhs, mesh.boundary_nodes)

@@ -44,7 +44,6 @@ data.mode = fine-mesh
 study.mesh_sizes = 8 16 32
 study.amplitude_scales = 1 1.5
 output.vtk = true
-seed = 99
 """
     config = parse_config(text)
     assert config.mesh_n == 24
@@ -81,6 +80,21 @@ def test_numeric_validation():
         parse_config("domain.x_min = 2\ndomain.x_max = 1\n")
     with pytest.raises(ConfigError):
         parse_config("data.source = file\n")  # missing data.file
+
+
+@pytest.mark.parametrize("line", [
+    "phantom.background = nan",
+    "recon.tolerance_update = inf",
+    "phantom.bumps = 0.4 0.6 nan 0.12",
+    "study.amplitude_scales = 1 -inf",
+])
+def test_nonfinite_config_value_rejected(tmp_path, line):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(line + "\n")
+    cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+    out = str(tmp_path / "out")
+    assert main(["phantom", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert not os.path.exists(out)
 
 
 def test_comments_and_blanks_ignored():
@@ -180,6 +194,24 @@ def test_invert_missing_data_file(tmp_path):
     out = str(tmp_path / "out")
     assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
     assert not os.path.exists(out)  # no partial outputs
+
+
+@pytest.mark.parametrize("node", ["boundary", "interior"])
+def test_nonfinite_data_file_rejected(tmp_path, node):
+    mesh = build_mesh(16, 16)
+    values = np.full(mesh.n_nodes, 0.2)
+    nodes = mesh.boundary_nodes if node == "boundary" else mesh.interior_nodes
+    values[nodes[3]] = np.nan
+    data_file = str(tmp_path / "g.csv")
+    from matmi import fem
+    cli.write_scalar_csv(data_file, fem.ScalarField(mesh, values))
+    with pytest.raises(ConfigError, match="non-finite"):
+        cli.read_scalar_csv(data_file, mesh)
+    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert not os.path.exists(out)
 
 
 def test_solver_failure_exit_code(tmp_path):

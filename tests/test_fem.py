@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from matmi import fem
+from matmi import fem, forward, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
+from matmi.phantoms import make_phantom, three_bump_spec
 
 
 def relative_row_sums(a):
@@ -47,6 +49,13 @@ def test_stiffness_symmetry(mesh16):
 def test_stiffness_rejects_nonpositive_sigma(mesh8):
     values = np.ones(mesh8.n_nodes)
     values[17] = 0.0
+    with pytest.raises(ValueError, match="node 17"):
+        fem.assemble_weighted_stiffness(mesh8, ScalarField(mesh8, values))
+
+
+def test_stiffness_rejects_nan_sigma(mesh8):
+    values = np.ones(mesh8.n_nodes)
+    values[17] = np.nan
     with pytest.raises(ValueError, match="node 17"):
         fem.assemble_weighted_stiffness(mesh8, ScalarField(mesh8, values))
 
@@ -130,20 +139,22 @@ def test_scalar_field_shape_checked(mesh8):
 
 def test_neumann_zero_rhs(mesh16):
     a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
-    u = fem.solve_neumann(fem.neumann_system(mesh16, a, np.zeros(mesh16.n_nodes)))
+    u = fem.solve_neumann(mesh16, a, np.zeros(mesh16.n_nodes))
     assert np.all(u.values == 0.0)
 
 
 def test_neumann_system_row_sum_invariant(mesh16):
     rng = np.random.RandomState(5)
     sigma = ScalarField(mesh16, 0.2 + rng.rand(mesh16.n_nodes))
-    system = fem.neumann_system(
-        mesh16,
-        fem.assemble_weighted_stiffness(mesh16, sigma),
-        rng.randn(mesh16.n_nodes),
-    )
-    assert relative_row_sums(system.matrix).max() <= 1e-12
-    assert abs(system.rhs.sum()) <= 1e-12 * np.abs(system.rhs).max()
+    a = fem.assemble_weighted_stiffness(mesh16, sigma)
+    rhs = rng.randn(mesh16.n_nodes)
+    assert relative_row_sums(a).max() <= 1e-12
+    # the solver projects out the rhs mean, so a constant shift of the rhs
+    # changes the solution only by rounding
+    u = fem.solve_neumann(mesh16, a, rhs)
+    shifted = fem.solve_neumann(mesh16, a, rhs + 3.0)
+    np.testing.assert_allclose(shifted.values, u.values, rtol=0.0,
+                               atol=1e-9 * np.abs(u.values).max())
 
 
 def test_neumann_gradient_bound_centered_gauge(mesh64):
@@ -154,7 +165,7 @@ def test_neumann_gradient_bound_centered_gauge(mesh64):
     gauge = gauge_field(mesh64)
     a = fem.assemble_weighted_stiffness(mesh64, fem.constant_field(mesh64, 1.0))
     rhs = fem.assemble_weak_divergence_rhs(mesh64, gauge)
-    u = fem.solve_neumann(fem.neumann_system(mesh64, a, rhs))
+    u = fem.solve_neumann(mesh64, a, rhs)
     grad_norm = fem.l2_norm_vec(fem.gradient_field(u))
     assert grad_norm <= 1.0 / np.sqrt(6.0)
     assert grad_norm <= fem.l2_norm_vec(gauge) * (1.0 + 1e-10)
@@ -165,11 +176,12 @@ def test_neumann_residual_and_mean(mesh32):
     sigma = ScalarField(mesh32, 0.1 + rng.rand(mesh32.n_nodes))
     a = fem.assemble_weighted_stiffness(mesh32, sigma)
     field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
-    system = fem.neumann_system(mesh32, a, fem.assemble_weak_divergence_rhs(mesh32, field))
-    u = fem.solve_neumann(system)
-    r = a @ u.values - system.rhs
+    rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
+    u = fem.solve_neumann(mesh32, a, rhs)
+    b = rhs - rhs.mean()
+    r = a @ u.values - b
     r -= r.mean()
-    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(system.rhs)
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
     assert abs(u.values.mean()) <= 1e-13 * np.abs(u.values).max()
 
 
@@ -177,11 +189,12 @@ def test_neumann_constant_shift_residual(mesh16):
     rng = np.random.RandomState(7)
     a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
     field = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
-    system = fem.neumann_system(mesh16, a, fem.assemble_weak_divergence_rhs(mesh16, field))
-    u = fem.solve_neumann(system)
-    r0 = np.linalg.norm(a @ u.values - system.rhs)
-    r1 = np.linalg.norm(a @ (u.values + 1.0) - system.rhs)
-    assert abs(r1 - r0) <= 1e-12 * np.linalg.norm(system.rhs)
+    rhs = fem.assemble_weak_divergence_rhs(mesh16, field)
+    u = fem.solve_neumann(mesh16, a, rhs)
+    b = rhs - rhs.mean()
+    r0 = np.linalg.norm(a @ u.values - b)
+    r1 = np.linalg.norm(a @ (u.values + 1.0) - b)
+    assert abs(r1 - r0) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_neumann_discrete_energy_estimate():
@@ -192,69 +205,50 @@ def test_neumann_discrete_energy_estimate():
         sigma = ScalarField(m, 0.1 + 9.9 * rng.rand(m.n_nodes))
         field = VectorField(m, rng.randn(m.n_elements, 2))
         a = fem.assemble_weighted_stiffness(m, sigma)
-        system = fem.neumann_system(m, a, fem.assemble_weak_divergence_rhs(m, field))
-        u = fem.solve_neumann(system)
+        u = fem.solve_neumann(m, a, fem.assemble_weak_divergence_rhs(m, field))
         bound = fem.l2_norm_vec(field) / sigma.values.min()
         assert fem.l2_norm_vec(fem.gradient_field(u)) <= bound * (1.0 + 1e-10)
-
-
-def test_neumann_wrong_kind_rejected(mesh8):
-    a = fem.assemble_weighted_stiffness(mesh8, fem.constant_field(mesh8, 1.0))
-    system = fem.dirichlet_system(
-        mesh8, a, np.zeros(mesh8.n_nodes), mesh8.boundary_nodes,
-        np.zeros(len(mesh8.boundary_nodes)),
-    )
-    with pytest.raises(ValueError):
-        fem.solve_neumann(system)
 
 
 def test_neumann_nonconvergence_raises(mesh8):
     a = fem.assemble_weighted_stiffness(mesh8, fem.constant_field(mesh8, 1.0))
     rng = np.random.RandomState(9)
     field = VectorField(mesh8, rng.randn(mesh8.n_elements, 2))
-    system = fem.neumann_system(mesh8, a, fem.assemble_weak_divergence_rhs(mesh8, field))
+    rhs = fem.assemble_weak_divergence_rhs(mesh8, field)
     with pytest.raises(fem.SolverError) as err:
-        fem._projected_pcg(system.matrix, system.rhs, 1e-12, max_iter=2)
+        fem._projected_pcg(a, rhs - rhs.mean(), 1e-12, max_iter=2)
     assert err.value.residuals  # carries the residual history
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet solver
 
-def test_dirichlet_identity_system(mesh8):
-    import scipy.sparse as sp
+NO_NODES = np.array([], dtype=np.int64)
 
+
+def test_dirichlet_identity_system(mesh8):
     rng = np.random.RandomState(10)
     rhs = rng.randn(mesh8.n_nodes)
-    system = fem.SparseSystem(
-        mesh=mesh8, matrix=sp.identity(mesh8.n_nodes, format="csr"),
-        rhs=rhs, kind=fem.DIRICHLET_KIND, dirichlet_nodes=None,
-    )
-    u = fem.solve_dirichlet(system)
+    u = fem.solve_dirichlet(mesh8, sp.identity(mesh8.n_nodes, format="csr"), rhs, NO_NODES)
     np.testing.assert_array_equal(u.values, rhs)
 
 
 def test_dirichlet_rows_are_unit_rows(mesh16):
     a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
-    system = fem.dirichlet_system(
-        mesh16, a, np.zeros(mesh16.n_nodes), mesh16.boundary_nodes,
+    matrix, _ = fem.dirichlet_system(
+        a, np.zeros(mesh16.n_nodes), mesh16.boundary_nodes,
         np.zeros(len(mesh16.boundary_nodes)),
     )
-    sub = system.matrix[mesh16.boundary_nodes, :].toarray()
+    sub = matrix[mesh16.boundary_nodes, :].toarray()
     expected = np.zeros_like(sub)
     expected[np.arange(len(mesh16.boundary_nodes)), mesh16.boundary_nodes] = 1.0
     np.testing.assert_array_equal(sub, expected)
 
 
 def test_dirichlet_singular_system_raises(mesh8):
-    import scipy.sparse as sp
-
-    system = fem.SparseSystem(
-        mesh=mesh8, matrix=sp.csr_matrix((mesh8.n_nodes, mesh8.n_nodes)),
-        rhs=np.ones(mesh8.n_nodes), kind=fem.DIRICHLET_KIND, dirichlet_nodes=None,
-    )
+    singular = sp.csr_matrix((mesh8.n_nodes, mesh8.n_nodes))
     with pytest.raises(fem.SolverError):
-        fem.solve_dirichlet(system)
+        fem.solve_dirichlet(mesh8, singular, np.ones(mesh8.n_nodes), NO_NODES)
 
 
 def test_l2_norm_positive_definite(mesh8):
@@ -271,7 +265,34 @@ def test_dirichlet_boundary_values_bit_exact(mesh16):
     a = fem.assemble_weighted_stiffness(mesh16, sigma)
     a = a + 0.3 * fem.mass_matrix(mesh16)  # make it regular
     bvals = rng.randn(len(mesh16.boundary_nodes))
-    system = fem.dirichlet_system(mesh16, a.tocsr(), rng.randn(mesh16.n_nodes),
-                                  mesh16.boundary_nodes, bvals)
-    u = fem.solve_dirichlet(system)
+    matrix, rhs = fem.dirichlet_system(a.tocsr(), rng.randn(mesh16.n_nodes),
+                                       mesh16.boundary_nodes, bvals)
+    u = fem.solve_dirichlet(mesh16, matrix, rhs, mesh16.boundary_nodes)
     np.testing.assert_array_equal(u.values[mesh16.boundary_nodes], bvals)
+
+
+def test_dirichlet_row_mask_matches_lil_reference(mesh16):
+    # reference: the row replacement written out on a LIL matrix
+    sigma = make_phantom(three_bump_spec(), mesh16)
+    w = VectorField(mesh16, forward.rotate(forward.compute_field(sigma).field.values))
+    op = transport.assemble_advection(mesh16, w)
+    nodes = mesh16.boundary_nodes
+    rhs = fem.lumped_mass(mesh16) * transport.apply_data_operator(op, sigma).values
+    values = sigma.values[nodes]
+
+    ref = op.matrix.tolil()
+    ref[nodes, :] = 0.0
+    ref[nodes, nodes] = 1.0
+    ref = ref.tocsr()
+    ref_rhs = rhs.copy()
+    ref_rhs[nodes] = values
+
+    matrix, out_rhs = fem.dirichlet_system(op.matrix, rhs, nodes, values)
+    assert np.array_equal(matrix.indptr, ref.indptr)
+    assert np.array_equal(matrix.indices, ref.indices)
+    assert np.array_equal(matrix.data, ref.data)
+    assert np.array_equal(out_rhs, ref_rhs)
+    assert np.array_equal(
+        fem.solve_dirichlet(mesh16, matrix, out_rhs, nodes).values,
+        fem.solve_dirichlet(mesh16, ref, ref_rhs, nodes).values,
+    )

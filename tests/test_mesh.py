@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matmi.mesh import build_mesh, triangle_geometry
+from matmi.mesh import build_mesh
 
 
 def test_node_and_element_counts():
@@ -37,17 +37,16 @@ def test_rejects_bad_arguments():
 
 
 def test_triangle_geometry_hand_values():
-    # P1 barycentric gradients on the unit right triangle, by hand
-    area, grads = triangle_geometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert area == pytest.approx(0.5)
-    np.testing.assert_allclose(grads[0], [-1.0, -1.0], atol=1e-14)
-    np.testing.assert_allclose(grads[1], [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(grads[2], [0.0, 1.0], atol=1e-14)
-
-
-def test_triangle_geometry_rejects_degenerate():
-    with pytest.raises(ValueError):
-        triangle_geometry(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    # P1 barycentric gradients on the two triangles of the unit square, by hand:
+    # lower (0,0),(1,0),(1,1) has basis 1-x, x-y, y; upper (0,0),(1,1),(0,1)
+    # has basis 1-y, x, y-x
+    m = build_mesh(1, 1)
+    np.testing.assert_array_equal(m.elements, [[0, 1, 3], [0, 3, 2]])
+    np.testing.assert_allclose(m.element_areas, [0.5, 0.5], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(m.element_gradients[0], [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
+                               atol=1e-14)
+    np.testing.assert_allclose(m.element_gradients[1], [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
+                               atol=1e-14)
 
 
 def test_basis_gradients_partition_of_unity():

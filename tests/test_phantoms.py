@@ -48,8 +48,6 @@ def test_parameter_validation(mesh16):
     with pytest.raises(ValueError):
         make_phantom(PhantomSpec(background=-1.0), mesh16)
     with pytest.raises(ValueError):
-        make_phantom(PhantomSpec(taper="linear"), mesh16)
-    with pytest.raises(ValueError):
         make_phantom(PhantomSpec(bumps=(Bump((0.5, 0.5), -0.3, 0.1),)), mesh16)
     with pytest.raises(ValueError):
         make_phantom(PhantomSpec(bumps=(Bump((0.5, 0.5), 0.1, 0.0),)), mesh16)

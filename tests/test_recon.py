@@ -80,6 +80,15 @@ def test_admissibility_abort(mesh16):
     assert err.value.report.misfits  # partial report attached
 
 
+def test_nan_initial_guess_rejected_before_any_solve(mesh16):
+    values = np.full(mesh16.n_nodes, 0.2)
+    values[40] = np.nan
+    cfg = ReconConfig(sigma0=ScalarField(mesh16, values))
+    with pytest.raises(recon.AdmissibilityError, match="node 40") as err:
+        recon.reconstruct(fem.constant_field(mesh16, 0.2), cfg)
+    assert err.value.report.iterations == []
+
+
 def test_mesh_mismatch(mesh16, mesh32):
     g = fem.constant_field(mesh16, 0.2)
     with pytest.raises(ValueError):
