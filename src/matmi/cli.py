@@ -33,7 +33,7 @@ from .phantoms import Bump, PhantomSpec, make_phantom
 from .recon import AdmissibilityError, ReconConfig, ReconReport
 
 __all__ = [
-    "RunConfig", "ConfigError", "parse_config", "serialize_config",
+    "RunConfig", "ConfigError", "parse_config",
     "cmd_forward", "cmd_invert", "cmd_study", "cmd_phantom", "main",
 ]
 
@@ -48,7 +48,6 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str = ""
     mesh_n: int = 64
     x_min: float = 0.0
     x_max: float = 1.0
@@ -103,13 +102,6 @@ def _parse_bumps(text: str) -> tuple[Bump, ...]:
     return tuple(bumps)
 
 
-def _format_bumps(bumps: tuple[Bump, ...]) -> str:
-    return " ; ".join(
-        f"{b.center[0]:.17g} {b.center[1]:.17g} {b.amplitude:.17g} {b.width:.17g}"
-        for b in bumps
-    )
-
-
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("true", "yes", "1"):
         return True
@@ -118,34 +110,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# key -> (attribute, parser, formatter)
+# key -> (attribute, parser)
 _KEYS = {
-    "mesh.n": ("mesh_n", int, str),
-    "domain.x_min": ("x_min", _parse_float, lambda v: f"{v:.17g}"),
-    "domain.x_max": ("x_max", _parse_float, lambda v: f"{v:.17g}"),
-    "domain.y_min": ("y_min", _parse_float, lambda v: f"{v:.17g}"),
-    "domain.y_max": ("y_max", _parse_float, lambda v: f"{v:.17g}"),
-    "phantom.background": ("background", _parse_float, lambda v: f"{v:.17g}"),
-    "phantom.collar_width": ("collar_width", _parse_float, lambda v: f"{v:.17g}"),
-    "phantom.bumps": ("bumps", _parse_bumps, _format_bumps),
-    "recon.max_iterations": ("max_iterations", int, str),
-    "recon.tolerance_update": ("tolerance_update", _parse_float, lambda v: f"{v:.17g}"),
-    "recon.tolerance_misfit": ("tolerance_misfit", _parse_float, lambda v: f"{v:.17g}"),
-    "recon.initial_model": ("initial_model", str, str),
-    "data.source": ("data_source", str, str),
-    "data.file": ("data_file", str, str),
-    "data.truth": ("data_truth", str, str),
-    "data.mode": ("data_mode", str, str),
-    "study.mesh_sizes": (
-        "mesh_sizes", lambda s: tuple(int(v) for v in s.split()),
-        lambda v: " ".join(str(x) for x in v),
-    ),
+    "mesh.n": ("mesh_n", int),
+    "domain.x_min": ("x_min", _parse_float),
+    "domain.x_max": ("x_max", _parse_float),
+    "domain.y_min": ("y_min", _parse_float),
+    "domain.y_max": ("y_max", _parse_float),
+    "phantom.background": ("background", _parse_float),
+    "phantom.collar_width": ("collar_width", _parse_float),
+    "phantom.bumps": ("bumps", _parse_bumps),
+    "recon.max_iterations": ("max_iterations", int),
+    "recon.tolerance_update": ("tolerance_update", _parse_float),
+    "recon.tolerance_misfit": ("tolerance_misfit", _parse_float),
+    "recon.initial_model": ("initial_model", str),
+    "data.source": ("data_source", str),
+    "data.file": ("data_file", str),
+    "data.truth": ("data_truth", str),
+    "data.mode": ("data_mode", str),
+    "study.mesh_sizes": ("mesh_sizes", lambda s: tuple(int(v) for v in s.split())),
     "study.amplitude_scales": (
         "amplitude_scales", lambda s: tuple(_parse_float(v) for v in s.split()),
-        lambda v: " ".join(f"{x:.17g}" for x in v),
     ),
-    "output.dir": ("output_dir", str, str),
-    "output.vtk": ("write_vtk", _parse_bool, lambda v: "true" if v else "false"),
+    "output.dir": ("output_dir", str),
+    "output.vtk": ("write_vtk", _parse_bool),
 }
 
 _CHOICES = {
@@ -170,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parser, _ = _KEYS[key]
+        attr, parser = _KEYS[key]
         if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
@@ -184,14 +172,6 @@ def parse_config(text: str) -> RunConfig:
     config = RunConfig(**values)
     _validate(config)
     return config
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical text form; parsing it reproduces the config exactly."""
-    lines = []
-    for key, (attr, _, formatter) in _KEYS.items():
-        lines.append(f"{key} = {formatter(getattr(config, attr))}")
-    return "\n".join(lines) + "\n"
 
 
 def _validate(config: RunConfig) -> None:
@@ -244,7 +224,10 @@ def write_scalar_csv(path: str, field: ScalarField) -> None:
 
 
 def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     if data.shape != (mesh.n_nodes, 3):
         raise ConfigError(
             f"{path}: expected {mesh.n_nodes} rows of x,y,value, got shape {data.shape}"
@@ -394,8 +377,6 @@ def cmd_invert(config: RunConfig) -> None:
     mesh = config.build_mesh()
     truth = _truth_field(config, mesh)
     if config.data_source == "file":
-        if not os.path.exists(config.data_file):
-            raise ConfigError(f"data file not found: {config.data_file}")
         g = read_scalar_csv(config.data_file, mesh)
     else:
         g = synthesize_data(config, mesh, truth)
@@ -513,7 +494,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         config = parse_config(text)
-        config = replace(config, command=args.command)
         if args.out is not None:
             config = replace(config, output_dir=args.out)
     except ConfigError as exc:

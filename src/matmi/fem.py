@@ -95,16 +95,6 @@ def _check_same_mesh(a, b) -> Mesh:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _assemble_from_element_matrices(mesh: Mesh, ke: np.ndarray) -> sp.csr_matrix:
-    """Scatter (M, 3, 3) element matrices into a CSR matrix."""
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    mat = sp.coo_matrix(
-        (ke.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    )
-    return mat.tocsr()
-
-
 def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     """Stiffness matrix of ``integral(sigma grad(u) . grad(phi))``.
 
@@ -122,7 +112,10 @@ def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix
     weight = element_means(sigma) * mesh.element_areas       # (M,)
     g = mesh.element_gradients                               # (M, 3, 2)
     ke = weight[:, None, None] * np.einsum("mid,mjd->mij", g, g)
-    return _assemble_from_element_matrices(mesh, ke)
+    matrix = mesh.assemble(ke)
+    # cell-diagonal couplings are exact zeros (right angles sit off the diagonal)
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
@@ -137,21 +130,14 @@ def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
     return rhs
 
 
-_LOCAL_MASS = (np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0)
-
-
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix (the L2 Gram matrix)."""
-    ke = mesh.element_areas[:, None, None] * _LOCAL_MASS
-    return _assemble_from_element_matrices(mesh, ke)
+    """Consistent P1 mass matrix (the L2 Gram matrix), cached read-only on the mesh."""
+    return mesh.mass_matrix
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """Row-sum lumped mass as a diagonal vector."""
-    diag = np.zeros(mesh.n_nodes)
-    contrib = np.repeat(mesh.element_areas / 3.0, 3)
-    np.add.at(diag, mesh.elements.ravel(), contrib)
-    return diag
+    """Row-sum lumped mass as a diagonal vector, cached read-only on the mesh."""
+    return mesh.lumped_mass
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ data-on-the-same-mesh mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, transport
 from .fem import ScalarField, VectorField
@@ -68,6 +69,8 @@ class ForwardResult:
     potential: ScalarField          # zero-mean Neumann potential u
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
+    stiffness: sp.csr_matrix        # sigma-weighted stiffness the potential solved
+    operator: transport.AdvectionOperator  # data operator for velocity E x B0
     data: ScalarField | None = None
     divergence_error: float | None = None
 
@@ -77,7 +80,8 @@ def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> Forwa
 
     The conductivity must be strictly positive at every node.  The returned
     field satisfies ``integral(sigma E . grad(phi)) = 0`` for every P1 test
-    function, to solver tolerance.
+    function, to solver tolerance.  The result also carries the stiffness
+    and the data operator built from this sigma, for callers that reuse them.
     """
     mesh = sigma.mesh
     if gauge is None:
@@ -88,7 +92,11 @@ def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> Forwa
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
     u = fem.solve_neumann(mesh, stiffness, rhs)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
-    return ForwardResult(potential=u, field=field, field_norm=fem.l2_norm_vec(field))
+    operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
+    return ForwardResult(
+        potential=u, field=field, field_norm=fem.l2_norm_vec(field),
+        stiffness=stiffness, operator=operator,
+    )
 
 
 def forward_map(sigma: ScalarField, result: ForwardResult | None = None) -> ScalarField:
@@ -100,10 +108,7 @@ def forward_map(sigma: ScalarField, result: ForwardResult | None = None) -> Scal
     """
     if result is None:
         result = compute_field(sigma)
-    mesh = sigma.mesh
-    w = VectorField(mesh, rotate(result.field.values))
-    op = transport.assemble_advection(mesh, w)
-    return transport.apply_data_operator(op, sigma)
+    return transport.apply_data_operator(result.operator, sigma)
 
 
 def simulate(sigma: ScalarField) -> ForwardResult:
@@ -111,10 +116,7 @@ def simulate(sigma: ScalarField) -> ForwardResult:
     result = compute_field(sigma)
     g = forward_map(sigma, result)
     err = divergence_identity_error(result.field)
-    return ForwardResult(
-        potential=result.potential, field=result.field,
-        field_norm=result.field_norm, data=g, divergence_error=err,
-    )
+    return replace(result, data=g, divergence_error=err)
 
 
 # ---------------------------------------------------------------------------

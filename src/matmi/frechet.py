@@ -41,7 +41,8 @@ def frechet_derivative(
     """Directional derivative of the forward map at ``sigma`` along ``h``.
 
     ``base`` may carry a precomputed ``compute_field(sigma)`` result when many
-    directions are evaluated at the same conductivity.
+    directions are evaluated at the same conductivity; its stiffness and data
+    operator are reused.
     """
     mesh = sigma.mesh
     if h.mesh is not mesh:
@@ -53,13 +54,11 @@ def frechet_derivative(
     h_elem = fem.element_means(h)
     weighted = VectorField(mesh, h_elem[:, None] * base.field.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted)
-    stiffness = fem.assemble_weighted_stiffness(mesh, sigma)
-    phi = fem.solve_neumann(mesh, stiffness, rhs)
+    phi = fem.solve_neumann(mesh, base.stiffness, rhs)
 
-    w = VectorField(mesh, forward.rotate(base.field.values))
+    op = base.operator
     delta_w = VectorField(mesh, forward.rotate(fem.gradient_field(phi).values))
-    op = transport.assemble_advection(mesh, w)
-    d_op = transport.advection_matrix_derivative(mesh, w, delta_w)
+    d_op = transport.advection_matrix_derivative(mesh, op.velocity, delta_w)
     diag = fem.lumped_mass(mesh)
     values = (op.matrix @ h.values + d_op @ sigma.values) / diag
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))

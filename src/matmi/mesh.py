@@ -9,10 +9,15 @@ the node set of the corresponding ``2n`` mesh.  Nodes are numbered row-major,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["Mesh", "build_mesh"]
+
+#: consistent P1 mass matrix of a triangle, divided by its area
+_LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,34 @@ class Mesh:
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
+
+    def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
+        """Scatter (M, 3, 3) element matrices into a CSR matrix."""
+        # int32, as scipy stores them below 2**31 nodes: no int64 copies at the peak
+        elements = self.elements.astype(np.int32)
+        rows = np.repeat(elements, 3, axis=1).ravel()
+        cols = np.tile(elements, (1, 3)).ravel()
+        mat = sp.coo_matrix(
+            (ke.ravel(), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
+        )
+        return mat.tocsr()
+
+    @cached_property
+    def mass_matrix(self) -> sp.csr_matrix:
+        """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
+        matrix = self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS)
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            arr.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def lumped_mass(self) -> np.ndarray:
+        """Row-sum lumped mass as a diagonal vector, built once and read-only."""
+        diag = np.zeros(self.n_nodes)
+        contrib = np.repeat(self.element_areas / 3.0, 3)
+        np.add.at(diag, self.elements.ravel(), contrib)
+        diag.setflags(write=False)
+        return diag
 
 
 def build_mesh(

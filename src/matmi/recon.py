@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, forward, transport
-from .fem import ScalarField, VectorField
+from .fem import ScalarField
 from .phantoms import LAMBDA_FLOOR
 
 __all__ = [
@@ -117,9 +117,8 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
                 f"below the floor {LAMBDA_FLOOR}",
                 report,
             )
-        result = forward.compute_field(sigma)
-        w = VectorField(mesh, forward.rotate(result.field.values))
-        op = transport.assemble_advection(mesh, w)
+        # only the operator is kept: the stiffness is freed before the transport solve
+        op = forward.compute_field(sigma).operator
         predicted = transport.apply_data_operator(op, sigma)
         misfit = fem.l2_norm(ScalarField(mesh, g.values - predicted.values))
         rel_err, abs_err = errors(sigma)

@@ -67,7 +67,7 @@ def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     # row i, column j: area * (w.grad phi_j) * (1/3 + tau * w.grad phi_i)
     test = 1.0 / 3.0 + tau[:, None] * a                  # (M, 3) streamline tests
     ke = area[:, None, None] * test[:, :, None] * a[:, None, :]
-    matrix = fem._assemble_from_element_matrices(mesh, ke)
+    matrix = mesh.assemble(ke)
     matrix = (matrix + sp.diags(fem.lumped_mass(mesh))).tocsr()
     return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, tau=tau)
 
@@ -95,7 +95,7 @@ def advection_matrix_derivative(
     ke = area[:, None, None] * (
         test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
     )
-    return fem._assemble_from_element_matrices(mesh, ke)
+    return mesh.assemble(ke)
 
 
 def apply_data_operator(op: AdvectionOperator, sigma: ScalarField) -> ScalarField:

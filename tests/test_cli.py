@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from matmi import cli
-from matmi.cli import (
-    ConfigError, RunConfig, parse_config, serialize_config, main,
-)
+from matmi.cli import ConfigError, RunConfig, parse_config, main
 from matmi.mesh import build_mesh
 
 
@@ -27,12 +25,6 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
 # ---------------------------------------------------------------------------
 # config parsing
 
-def test_roundtrip_identity():
-    config = parse_config(BASE_CONFIG)
-    again = parse_config(serialize_config(config))
-    assert config == again
-
-
 def test_roundtrip_nondefault_values():
     text = """
 mesh.n = 24
@@ -49,7 +41,6 @@ output.vtk = true
     assert config.mesh_n == 24
     assert len(config.bumps) == 2
     assert config.bumps[1].amplitude == -0.04
-    assert parse_config(serialize_config(config)) == config
 
 
 def test_unknown_key_reports_line():
@@ -194,6 +185,33 @@ def test_invert_missing_data_file(tmp_path):
     out = str(tmp_path / "out")
     assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
     assert not os.path.exists(out)  # no partial outputs
+
+
+def test_data_file_directory_rejected(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_dir}\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert str(data_dir) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_malformed_data_file_rejected(tmp_path, capsys):
+    mesh = build_mesh(16, 16)
+    data_file = tmp_path / "g.csv"
+    from matmi import fem
+    cli.write_scalar_csv(str(data_file), fem.constant_field(mesh, 0.2))
+    lines = data_file.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+    data_file.write_text("\n".join(lines) + "\n")
+    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert str(data_file) in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("node", ["boundary", "interior"])

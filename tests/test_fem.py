@@ -38,6 +38,22 @@ def test_stiffness_linear_in_sigma(mesh8):
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
+def test_stiffness_stores_no_zero(mesh16):
+    sigma = make_phantom(three_bump_spec(), mesh16)
+    a = fem.assemble_weighted_stiffness(mesh16, sigma)
+    assert np.all(a.data != 0.0)
+    # the zero-keeping scatter of the same element matrices
+    weight = fem.element_means(sigma) * mesh16.element_areas
+    g = mesh16.element_gradients
+    ke = weight[:, None, None] * np.einsum("mid,mjd->mij", g, g)
+    rows = np.repeat(mesh16.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh16.elements, (1, 3)).ravel()
+    full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=a.shape).tocsr()
+    assert full.nnz > a.nnz
+    v = np.random.RandomState(5).randn(mesh16.n_nodes)
+    assert np.array_equal(a @ v, full @ v)
+
+
 def test_stiffness_symmetry(mesh16):
     rng = np.random.RandomState(1)
     sigma = ScalarField(mesh16, 0.5 + rng.rand(mesh16.n_nodes))
@@ -104,6 +120,17 @@ def test_mesh_mismatch_rejected(mesh8, mesh16):
 
 # ---------------------------------------------------------------------------
 # norms
+
+def test_mass_operators_cached_read_only(mesh16):
+    assert fem.mass_matrix(mesh16) is fem.mass_matrix(mesh16)
+    assert fem.lumped_mass(mesh16) is fem.lumped_mass(mesh16)
+    with pytest.raises(ValueError):
+        fem.lumped_mass(mesh16)[0] = 1.0
+    m = fem.mass_matrix(mesh16)
+    for arr in (m.data, m.indices, m.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
 
 def test_l2_norm_constant_one(mesh16):
     assert fem.l2_norm(fem.constant_field(mesh16, 1.0)) == pytest.approx(1.0, rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matmi import fem, forward
+from matmi import fem, forward, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, random_bump_spec, single_bump_spec
@@ -65,6 +65,13 @@ def test_deterministic_bit_identical(bump32):
     r2 = forward.compute_field(bump32)
     np.testing.assert_array_equal(r1.field.values, r2.field.values)
     np.testing.assert_array_equal(r1.potential.values, r2.potential.values)
+
+
+def test_forward_map_applies_stored_operator(bump32, mesh32):
+    field = forward.compute_field(bump32).field
+    op = transport.assemble_advection(mesh32, VectorField(mesh32, forward.rotate(field.values)))
+    expected = transport.apply_data_operator(op, bump32)
+    assert np.array_equal(forward.forward_map(bump32).values, expected.values)
 
 
 def test_gauge_independence(bump32, mesh32):

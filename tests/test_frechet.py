@@ -26,6 +26,14 @@ def test_linearity_scaling(bump32, mesh32):
     assert np.abs(df2.value.values - 2.0 * df1.value.values).max() <= 1e-12 * scale
 
 
+def test_precomputed_base_changes_nothing(bump32, mesh32):
+    h = perturbation(mesh32, np.random.RandomState(42))
+    reused = frechet.frechet_derivative(bump32, h, forward.compute_field(bump32))
+    alone = frechet.frechet_derivative(bump32, h)
+    assert np.array_equal(reused.value.values, alone.value.values)
+    assert np.array_equal(reused.potential.values, alone.potential.values)
+
+
 def test_linearity_combination(bump32, mesh32):
     rng = np.random.RandomState(41)
     base = forward.compute_field(bump32)
