@@ -2,9 +2,11 @@
 
 Assembly uses a one-point centroid rule with vertex-averaged coefficients,
 which integrates every product of elementwise constants exactly.  The pure
-Neumann system keeps its constant null space; it is solved by a Jacobi
-preconditioned conjugate gradient iteration that projects the mean out of
-the residual, returning the zero-mean representative.
+Neumann system keeps its constant null space; it is solved by conjugate
+gradients on the mean-zero complement, preconditioned by one geometric
+multigrid V-cycle on the nested coarser meshes (Briggs, Henson & McCormick,
+*A Multigrid Tutorial*, 2nd ed., SIAM 2000), returning the zero-mean
+representative.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
-    "solve_neumann", "solve_dirichlet",
+    "Multigrid", "multigrid", "solve_neumann", "solve_dirichlet",
     "l2_norm", "l2_inner", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
 
@@ -193,11 +195,93 @@ def dirichlet_system(
     return mat, rhs
 
 
+#: damping of the Jacobi smoother, and its sweeps before and after the coarse correction
+SMOOTHER_WEIGHT = 2.0 / 3.0
+SMOOTHER_SWEEPS = 3
+#: coarsening stops once either cell count is odd or at most this
+COARSEST_CELLS = 8
+
+
+def _prolongation(nx: int, ny: int) -> sp.csr_matrix:
+    """Nested P1 interpolation from the ``nx/2 x ny/2`` mesh to the ``nx x ny`` mesh.
+
+    Fine node ``(i, j)`` takes half of coarse nodes ``(i//2, j//2)`` and
+    ``(i//2 + i%2, j//2 + j%2)``: a coarse node copies, an edge midpoint
+    averages its two ends, a cell-diagonal midpoint averages the lower-left
+    and upper-right corners.
+    """
+    jj, ii = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    stride = nx // 2 + 1
+    first = (jj // 2) * stride + ii // 2
+    second = first + (jj % 2) * stride + ii % 2
+    rows = np.concatenate([np.arange(ii.size)] * 2)
+    weights = np.full(rows.size, 0.5)
+    return sp.csr_matrix(
+        (weights, (rows, np.concatenate([first, second]))),
+        shape=(ii.size, stride * (ny // 2 + 1)),
+    )
+
+
+@dataclass(frozen=True)
+class Multigrid:
+    """Geometric multigrid hierarchy of a Neumann stiffness matrix.
+
+    ``matrices[0]`` is the fine matrix; ``matrices[l + 1]`` is the Galerkin
+    operator ``P_l^T matrices[l] P_l``.  The coarsest level is solved by a
+    sparse LU of its matrix with node 0 pinned.
+    """
+
+    matrices: tuple[sp.csr_matrix, ...]
+    prolongations: tuple[sp.csr_matrix, ...]   # level l + 1 -> level l
+    relaxation: tuple[np.ndarray, ...]         # damped inverse diagonals above the coarsest
+    coarse_lu: spla.SuperLU
+
+    def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        """One V(3,3) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
+        if level == len(self.prolongations):
+            x = np.zeros_like(r)
+            x[1:] = self.coarse_lu.solve(r[1:])
+            return x - x.mean()
+        a, relax = self.matrices[level], self.relaxation[level]
+        x = relax * r
+        for _ in range(SMOOTHER_SWEEPS - 1):
+            x += relax * (r - a @ x)
+        coarse_r = self.prolongations[level].T @ (r - a @ x)
+        x += self.prolongations[level] @ self.vcycle(coarse_r - coarse_r.mean(), level + 1)
+        for _ in range(SMOOTHER_SWEEPS):
+            x += relax * (r - a @ x)
+        return x
+
+
+def multigrid(mesh: Mesh, stiffness: sp.csr_matrix) -> Multigrid:
+    """Build the V-cycle hierarchy of a stiffness matrix on the nested meshes.
+
+    The mesh is coarsened while both cell counts are even and above
+    ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh itself.
+    """
+    matrices, prolongations = [stiffness], []
+    nx, ny = mesh.nx, mesh.ny
+    while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) > COARSEST_CELLS:
+        p = _prolongation(nx, ny)
+        prolongations.append(p)
+        matrices.append((p.T @ matrices[-1] @ p).tocsr())
+        nx, ny = nx // 2, ny // 2
+    relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
+    coarse_lu = spla.splu(matrices[-1][1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return Multigrid(
+        matrices=tuple(matrices), prolongations=tuple(prolongations),
+        relaxation=relaxation, coarse_lu=coarse_lu,
+    )
+
+
 def _projected_pcg(
-    a: sp.csr_matrix, b: np.ndarray, tol: float, max_iter: int
+    a: sp.csr_matrix,
+    b: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_iter: int,
 ) -> tuple[np.ndarray, list[float]]:
-    """Jacobi-preconditioned CG on the mean-zero complement of a singular SPD system."""
-    inv_diag = 1.0 / a.diagonal()
+    """Preconditioned CG on the mean-zero complement of a singular SPD system."""
     n = b.shape[0]
 
     def project(v: np.ndarray) -> np.ndarray:
@@ -209,7 +293,7 @@ def _projected_pcg(
     if b_norm == 0.0:
         return x, [0.0]
     r = b.copy()
-    z = project(inv_diag * r)
+    z = project(precondition(r))
     p = z.copy()
     rz = r @ z
     residuals = [1.0]
@@ -220,10 +304,14 @@ def _projected_pcg(
         r -= alpha * ap
         r = project(r)
         rel = np.linalg.norm(r) / b_norm
+        if rel <= tol:
+            # confirm on the true residual, which the recurrence can drift from
+            r = project(b - a @ x)
+            rel = np.linalg.norm(r) / b_norm
         residuals.append(rel)
         if rel <= tol:
             return project(x), residuals
-        z = project(inv_diag * r)
+        z = project(precondition(r))
         rz_next = r @ z
         p = z + (rz_next / rz) * p
         rz = rz_next
@@ -234,14 +322,23 @@ def _projected_pcg(
     )
 
 
-def solve_neumann(mesh: Mesh, matrix: sp.csr_matrix, rhs: np.ndarray) -> ScalarField:
+def solve_neumann(
+    mesh: Mesh,
+    matrix: sp.csr_matrix,
+    rhs: np.ndarray,
+    hierarchy: Multigrid | None = None,
+) -> ScalarField:
     """Solve the singular Neumann system, returning the zero-mean representative.
 
-    The mean of the rhs is projected out first, which makes the system
-    consistent.
+    The mean of the rhs is projected out, which makes the system consistent.
+    CG is preconditioned by one multigrid V-cycle; pass the ``multigrid`` of
+    ``matrix`` to share its set-up between solves.
     """
-    rhs = rhs - rhs.mean()
-    x, _ = _projected_pcg(matrix, rhs, SOLVER_TOL, 10 * rhs.shape[0])
+    if hierarchy is None:
+        hierarchy = multigrid(mesh, matrix)
+    elif hierarchy.matrices[0] is not matrix:
+        raise ValueError("multigrid hierarchy was built for another matrix")
+    x, _ = _projected_pcg(matrix, rhs, hierarchy.vcycle, SOLVER_TOL, 10 * rhs.shape[0])
     return ScalarField(mesh, x)
 
 

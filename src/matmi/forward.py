@@ -70,6 +70,7 @@ class ForwardResult:
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
     stiffness: sp.csr_matrix        # sigma-weighted stiffness the potential solved
+    hierarchy: fem.Multigrid        # V-cycle hierarchy of that stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
     data: ScalarField | None = None
     divergence_error: float | None = None
@@ -80,8 +81,9 @@ def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> Forwa
 
     The conductivity must be strictly positive at every node.  The returned
     field satisfies ``integral(sigma E . grad(phi)) = 0`` for every P1 test
-    function, to solver tolerance.  The result also carries the stiffness
-    and the data operator built from this sigma, for callers that reuse them.
+    function, to solver tolerance.  The result also carries the stiffness,
+    its multigrid hierarchy and the data operator built from this sigma, for
+    callers that reuse them.
     """
     mesh = sigma.mesh
     if gauge is None:
@@ -90,12 +92,13 @@ def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> Forwa
     stiffness = fem.assemble_weighted_stiffness(mesh, sigma)
     weighted_gauge = VectorField(mesh, sigma_e[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
-    u = fem.solve_neumann(mesh, stiffness, rhs)
+    hierarchy = fem.multigrid(mesh, stiffness)
+    u = fem.solve_neumann(mesh, stiffness, rhs, hierarchy)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
     return ForwardResult(
         potential=u, field=field, field_norm=fem.l2_norm_vec(field),
-        stiffness=stiffness, operator=operator,
+        stiffness=stiffness, hierarchy=hierarchy, operator=operator,
     )
 
 

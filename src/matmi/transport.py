@@ -46,53 +46,47 @@ class AdvectionOperator:
     mesh: Mesh
     velocity: VectorField
     matrix: sp.csr_matrix       # advection + lumped-mass reaction, all rows
+    a: np.ndarray               # (M, 3) w . grad(phi_k) per element
+    speed: np.ndarray           # per-element |w|
     tau: np.ndarray             # per-element streamline time scale
-
-
-def _streamline_data(mesh: Mesh, w: np.ndarray):
-    """Shared geometry for the advection assembly and its linearisation."""
-    g = mesh.element_gradients                       # (M, 3, 2)
-    a = np.einsum("md,mkd->mk", w, g)                # w . grad(phi_k)
-    speed = np.hypot(w[:, 0], w[:, 1])
-    tau = mesh.element_diameter / (2.0 * speed + TAU_EPS)
-    return g, a, speed, tau
+    test: np.ndarray            # (M, 3) streamline test values 1/3 + tau * a
 
 
 def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     """Assemble the stabilized advection-reaction operator for velocity ``w``."""
     if w.mesh is not mesh:
         raise ValueError("velocity lives on a different mesh")
-    _, a, _, tau = _streamline_data(mesh, w.values)
-    area = mesh.element_areas
+    a = np.einsum("md,mkd->mk", w.values, mesh.element_gradients)
+    speed = np.hypot(w.values[:, 0], w.values[:, 1])
+    tau = mesh.element_diameter / (2.0 * speed + TAU_EPS)
     # row i, column j: area * (w.grad phi_j) * (1/3 + tau * w.grad phi_i)
-    test = 1.0 / 3.0 + tau[:, None] * a                  # (M, 3) streamline tests
-    ke = area[:, None, None] * test[:, :, None] * a[:, None, :]
+    test = 1.0 / 3.0 + tau[:, None] * a
+    ke = mesh.element_areas[:, None, None] * test[:, :, None] * a[:, None, :]
     matrix = mesh.assemble(ke)
     matrix = (matrix + sp.diags(fem.lumped_mass(mesh))).tocsr()
-    return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, tau=tau)
+    return AdvectionOperator(
+        mesh=mesh, velocity=w, matrix=matrix, a=a, speed=speed, tau=tau, test=test,
+    )
 
 
-def advection_matrix_derivative(
-    mesh: Mesh, w: VectorField, delta_w: VectorField
-) -> sp.csr_matrix:
-    """Exact directional derivative of ``assemble_advection`` in ``delta_w``.
+def advection_matrix_derivative(op: AdvectionOperator, delta_w: VectorField) -> sp.csr_matrix:
+    """Exact derivative of ``assemble_advection`` at ``op``'s velocity in ``delta_w``.
 
     Differentiates both the advection entries and the streamline time scale;
     needed so the data map's linearisation has a quadratic remainder.
     """
-    if w.mesh is not mesh or delta_w.mesh is not mesh:
+    mesh = op.mesh
+    if delta_w.mesh is not mesh:
         raise ValueError("velocity lives on a different mesh")
-    g, a, speed, tau = _streamline_data(mesh, w.values)
-    da = np.einsum("md,mkd->mk", delta_w.values, g)
+    a, speed, tau, test = op.a, op.speed, op.tau, op.test
+    da = np.einsum("md,mkd->mk", delta_w.values, mesh.element_gradients)
     # d|w| = w.dw/|w|; the derivative of tau*a_i*a_j stays bounded as |w| -> 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        dspeed = np.einsum("md,md->m", w.values, delta_w.values) / speed
+        dspeed = np.einsum("md,md->m", op.velocity.values, delta_w.values) / speed
     dspeed[speed == 0.0] = 0.0
     dtau = -2.0 * mesh.element_diameter * dspeed / (2.0 * speed + TAU_EPS) ** 2
-    area = mesh.element_areas
-    test = 1.0 / 3.0 + tau[:, None] * a
     dtest = dtau[:, None] * a + tau[:, None] * da
-    ke = area[:, None, None] * (
+    ke = mesh.element_areas[:, None, None] * (
         test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
     )
     return mesh.assemble(ke)

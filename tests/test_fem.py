@@ -237,14 +237,65 @@ def test_neumann_discrete_energy_estimate():
         assert fem.l2_norm_vec(fem.gradient_field(u)) <= bound * (1.0 + 1e-10)
 
 
-def test_neumann_nonconvergence_raises(mesh8):
-    a = fem.assemble_weighted_stiffness(mesh8, fem.constant_field(mesh8, 1.0))
+def test_neumann_nonconvergence_raises(mesh32):
+    # at n = 8 the coarsest level is the mesh itself and one step converges
+    a = fem.assemble_weighted_stiffness(mesh32, fem.constant_field(mesh32, 1.0))
     rng = np.random.RandomState(9)
-    field = VectorField(mesh8, rng.randn(mesh8.n_elements, 2))
-    rhs = fem.assemble_weak_divergence_rhs(mesh8, field)
+    field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
+    rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
+    vcycle = fem.multigrid(mesh32, a).vcycle
     with pytest.raises(fem.SolverError) as err:
-        fem._projected_pcg(a, rhs - rhs.mean(), 1e-12, max_iter=2)
+        fem._projected_pcg(a, rhs - rhs.mean(), vcycle, 1e-12, max_iter=2)
     assert err.value.residuals  # carries the residual history
+
+
+def test_neumann_multigrid_iterations_bounded():
+    # Jacobi-PCG took 736 iterations here; the V-cycle keeps the count flat in n
+    mesh = build_mesh(128, 128)
+    sigma = make_phantom(three_bump_spec(), mesh)
+    a = fem.assemble_weighted_stiffness(mesh, sigma)
+    field = VectorField(mesh, fem.element_means(sigma)[:, None] * forward.gauge_field(mesh).values)
+    rhs = fem.assemble_weak_divergence_rhs(mesh, field)
+    hierarchy = fem.multigrid(mesh, a)
+    assert [m.shape[0] for m in hierarchy.matrices] == [129**2, 65**2, 33**2, 17**2, 9**2]
+    _, residuals = fem._projected_pcg(a, rhs, hierarchy.vcycle, 1e-12, 1000)
+    assert residuals[-1] <= 1e-12
+    assert len(residuals) - 1 <= 15
+
+
+def test_neumann_odd_mesh_coarsest_level_is_fine():
+    mesh = build_mesh(9, 6, (-1.0, 2.0, 0.5, 1.5))
+    sigma = ScalarField(mesh, 0.5 + np.random.RandomState(11).rand(mesh.n_nodes))
+    a = fem.assemble_weighted_stiffness(mesh, sigma)
+    hierarchy = fem.multigrid(mesh, a)
+    assert len(hierarchy.matrices) == 1 and hierarchy.matrices[0] is a
+    rhs = np.random.RandomState(12).randn(mesh.n_nodes)
+    _, residuals = fem._projected_pcg(a, rhs, hierarchy.vcycle, 1e-12, 10)
+    assert len(residuals) - 1 == 1
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (4, 4, (0.0, 1.0, 0.0, 1.0)), (16, 6, (-1.5, 2.0, 0.25, 1.0)), (10, 24, (2.0, 3.0, -4.0, 1.0)),
+])
+def test_prolongation_interpolates_affine_exactly(nx, ny, bounds):
+    fine = build_mesh(nx, ny, bounds)
+    coarse = build_mesh(nx // 2, ny // 2, bounds)
+
+    def affine(x, y):
+        return 0.3 - 1.7 * x + 2.9 * y
+
+    p = fem._prolongation(nx, ny)
+    assert p.shape == (fine.n_nodes, coarse.n_nodes)
+    expected = fem.interpolate(fine, affine).values
+    got = p @ fem.interpolate(coarse, affine).values
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_neumann_hierarchy_of_other_matrix_rejected(mesh16):
+    a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
+    other = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 2.0))
+    with pytest.raises(ValueError):
+        fem.solve_neumann(mesh16, a, np.ones(mesh16.n_nodes), fem.multigrid(mesh16, other))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,23 @@ def test_precomputed_base_changes_nothing(bump32, mesh32):
     assert np.array_equal(reused.potential.values, alone.potential.values)
 
 
+def test_directions_share_the_base_hierarchy(bump32, mesh32, monkeypatch):
+    base = forward.compute_field(bump32)
+    built = []
+    original = fem.multigrid
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fem, "multigrid", counting)
+    for seed in (46, 47):
+        frechet.frechet_derivative(bump32, perturbation(mesh32, np.random.RandomState(seed)), base)
+    assert built == []
+    frechet.frechet_derivative(bump32, perturbation(mesh32, np.random.RandomState(46)))
+    assert len(built) == 1
+
+
 def test_linearity_combination(bump32, mesh32):
     rng = np.random.RandomState(41)
     base = forward.compute_field(bump32)

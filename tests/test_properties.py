@@ -1,0 +1,107 @@
+"""Property tests of the Neumann solve and the field over random rectangles.
+
+Meshes have ``nx != ny`` in [3, 40] over non-unit bounds, so the multigrid
+hierarchy coarsens zero, one or several times (both counts even and above
+8), with odd counts solved on the fine level directly.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from matmi import fem, forward
+from matmi.fem import ScalarField, VectorField
+from matmi.mesh import build_mesh
+
+#: counts in [3, 40], with multiples of 4 and 8 drawn often enough to coarsen twice
+counts = st.one_of(st.integers(3, 40), st.sampled_from([12, 16, 20, 24, 32, 40]))
+
+
+@st.composite
+def rectangles(draw):
+    nx = draw(counts)
+    ny = draw(counts.filter(lambda n: n != nx))
+    x_min = draw(st.floats(-3.0, 3.0))
+    y_min = draw(st.floats(-3.0, 3.0))
+    width = draw(st.floats(0.2, 5.0))
+    height = draw(st.floats(0.2, 5.0))
+    return build_mesh(nx, ny, (x_min, x_min + width, y_min, y_min + height))
+
+
+def smooth_conductivity(mesh, rng):
+    """Positive nodal field with a contrast of up to about 20 across the domain."""
+    x = (mesh.nodes[:, 0] - mesh.x_min) / (mesh.x_max - mesh.x_min)
+    y = (mesh.nodes[:, 1] - mesh.y_min) / (mesh.y_max - mesh.y_min)
+    a, b, c, d = rng.uniform(-1.0, 1.0, 4)
+    return ScalarField(mesh, np.exp(1.5 * np.sin(3 * a * x + 2 * b * y + c) + 0.5 * d))
+
+
+def jacobi_pcg(a, b, tol=1e-13, max_iter=100_000):
+    """Reference: Jacobi-preconditioned CG on the mean-zero complement."""
+    inv_diag = 1.0 / a.diagonal()
+    b = b - b.mean()
+    b_norm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = inv_diag * r
+    z -= z.mean()
+    p = z.copy()
+    rz = r @ z
+    for _ in range(max_iter):
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        r -= r.mean()
+        if np.linalg.norm(r) <= tol * b_norm:
+            return x - x.mean()
+        z = inv_diag * r
+        z -= z.mean()
+        rz_next = r @ z
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("reference CG did not converge")
+
+
+PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(), seed=st.integers(0, 2**32 - 1))
+@example(mesh=build_mesh(40, 24, (-1.0, 1.5, 2.0, 2.75)), seed=1)   # coarsens twice
+@example(mesh=build_mesh(18, 36, (0.5, 1.0, -2.0, 1.0)), seed=2)    # coarsens once
+@example(mesh=build_mesh(9, 16, (0.0, 3.0, 0.0, 1.0)), seed=3)      # odd: fine level only
+def test_neumann_matches_jacobi_reference(mesh, seed):
+    rng = np.random.RandomState(seed)
+    sigma = smooth_conductivity(mesh, rng)
+    a = fem.assemble_weighted_stiffness(mesh, sigma)
+    rhs = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, rng.randn(mesh.n_elements, 2)))
+    u = fem.solve_neumann(mesh, a, rhs).values
+
+    reference = jacobi_pcg(a, rhs)
+    assert np.abs(u - reference).max() <= 1e-10 * np.abs(reference).max()
+
+    b = rhs - rhs.mean()
+    residual = a @ u - b
+    residual -= residual.mean()
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(), value=st.floats(0.05, 20.0))
+def test_constant_conductivity_gives_constant_data(mesh, value):
+    sigma = fem.constant_field(mesh, value)
+    result = forward.compute_field(sigma)
+    g = forward.forward_map(sigma, result)
+    # exact up to the rounding of each row's sum: its advection terms cancel
+    row_scale = abs(result.operator.matrix) @ np.ones(mesh.n_nodes) / fem.lumped_mass(mesh)
+    assert np.all(np.abs(g.values - value) <= 8 * np.finfo(float).eps * value * row_scale)
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(), seed=st.integers(0, 2**32 - 1))
+def test_compute_field_rerun_bit_identical(mesh, seed):
+    sigma = smooth_conductivity(mesh, np.random.RandomState(seed))
+    first = forward.compute_field(sigma)
+    again = forward.compute_field(sigma)
+    assert np.array_equal(first.potential.values, again.potential.values)
+    assert np.array_equal(first.field.values, again.field.values)

@@ -146,3 +146,33 @@ def test_streamline_scale_bounded():
     speed = np.hypot(w_vals[:, 0], w_vals[:, 1])
     assert np.all(op.tau * speed <= m.element_diameter / 2 + 1e-15)
     assert np.isfinite(op.tau).all()
+
+
+def test_derivative_reads_stored_streamline_data():
+    # the formula as it stood when it rebuilt the streamline data from the velocity
+    m = build_mesh(16, 16)
+    rng = np.random.RandomState(34)
+    w_vals = rng.randn(m.n_elements, 2)
+    w_vals[3] = 0.0
+    dw_vals = rng.randn(m.n_elements, 2)
+    op = transport.assemble_advection(m, VectorField(m, w_vals))
+
+    g = m.element_gradients
+    a = np.einsum("md,mkd->mk", w_vals, g)
+    speed = np.hypot(w_vals[:, 0], w_vals[:, 1])
+    tau = m.element_diameter / (2.0 * speed + transport.TAU_EPS)
+    da = np.einsum("md,mkd->mk", dw_vals, g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dspeed = np.einsum("md,md->m", w_vals, dw_vals) / speed
+    dspeed[speed == 0.0] = 0.0
+    dtau = -2.0 * m.element_diameter * dspeed / (2.0 * speed + transport.TAU_EPS) ** 2
+    test = 1.0 / 3.0 + tau[:, None] * a
+    dtest = dtau[:, None] * a + tau[:, None] * da
+    ke = m.element_areas[:, None, None] * (
+        test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
+    )
+    expected = m.assemble(ke)
+
+    got = transport.advection_matrix_derivative(op, VectorField(m, dw_vals))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(expected, attr))
