@@ -6,7 +6,7 @@ transport solves."""
 from .mesh import Mesh, build_mesh
 from .fem import (
     ScalarField, VectorField, SolverError,
-    constant_field, interpolate, l2_norm, l2_inner, l2_norm_vec,
+    constant_field, interpolate, l2_norm, l2_norm_vec,
     assemble_weighted_stiffness, assemble_weak_divergence_rhs,
     solve_neumann, solve_dirichlet,
 )

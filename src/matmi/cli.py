@@ -210,6 +210,16 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
+#: array rows the writers turn into Python values at a time, which bounds the temporaries
+_WRITE_CHUNK = 4096
+
+
+def _rows(array: np.ndarray):
+    """Rows of ``array`` as Python values (faster to format than numpy scalars)."""
+    for start in range(0, len(array), _WRITE_CHUNK):
+        yield from array[start:start + _WRITE_CHUNK].tolist()
+
+
 def _csv(rows, header: str) -> str:
     lines = [header]
     for row in rows:
@@ -219,8 +229,8 @@ def _csv(rows, header: str) -> str:
 
 def write_scalar_csv(path: str, field: ScalarField) -> None:
     mesh = field.mesh
-    rows = zip(mesh.nodes[:, 0], mesh.nodes[:, 1], field.values)
-    _write_atomic(path, _csv(((float(x), float(y), float(v)) for x, y, v in rows), "x,y,value"))
+    rows = _rows(np.column_stack([mesh.nodes, field.values]))
+    _write_atomic(path, _csv(rows, "x,y,value"))
 
 
 def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
@@ -243,13 +253,8 @@ def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
 
 def write_vector_csv(path: str, field: VectorField) -> None:
     mesh = field.mesh
-    rows = zip(
-        mesh.element_centroids[:, 0], mesh.element_centroids[:, 1],
-        field.values[:, 0], field.values[:, 1],
-    )
-    _write_atomic(
-        path, _csv(((float(a), float(b), float(c), float(d)) for a, b, c, d in rows), "x,y,vx,vy")
-    )
+    rows = _rows(np.column_stack([mesh.element_centroids, field.values]))
+    _write_atomic(path, _csv(rows, "x,y,vx,vy"))
 
 
 def write_vtk(path: str, fields: dict[str, ScalarField]) -> None:
@@ -262,18 +267,16 @@ def write_vtk(path: str, fields: dict[str, ScalarField]) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_nodes} double",
     ]
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.17g} {y:.17g} 0")
+    lines.extend(f"{x:.17g} {y:.17g} 0" for x, y in _rows(mesh.nodes))
     lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
-    for tri in mesh.elements:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in _rows(mesh.elements))
     lines.append(f"CELL_TYPES {mesh.n_elements}")
     lines.extend(["5"] * mesh.n_elements)
     lines.append(f"POINT_DATA {mesh.n_nodes}")
     for name, fld in fields.items():
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in fld.values)
+        lines.extend(f"{v:.17g}" for v in _rows(fld.values))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

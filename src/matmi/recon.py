@@ -69,7 +69,6 @@ class ReconReport:
     rel_errors: list[float] = field(default_factory=list)
     abs_errors: list[float] = field(default_factory=list)
     stopping_reason: str = "max_iterations"
-    error_monotone: bool = True
 
     def record(self, k, update, misfit, rel_error, abs_error):
         self.iterations.append(k)
@@ -77,13 +76,6 @@ class ReconReport:
         self.misfits.append(misfit)
         self.rel_errors.append(rel_error)
         self.abs_errors.append(abs_error)
-        if (
-            k >= 2
-            and not np.isnan(abs_error)
-            and abs_error > max(self.abs_errors[-2], SOLVER_FLOOR) * (1.0 + 1e-9)
-            and self.abs_errors[-2] > SOLVER_FLOOR
-        ):
-            self.error_monotone = False
 
     @property
     def n_iterations(self) -> int:

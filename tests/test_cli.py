@@ -5,6 +5,7 @@ import pytest
 
 from matmi import cli
 from matmi.cli import ConfigError, RunConfig, parse_config, main
+from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 
 
@@ -128,6 +129,37 @@ def test_rerun_byte_identical(tmp_path):
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2, name
+
+
+def test_writers_match_per_scalar_formatting(tmp_path):
+    # 5041 nodes and 9800 elements: the rows cross the writers' conversion blocks
+    mesh = build_mesh(70, 70, (-0.3, 1.7, 0.1, 0.4))
+    rng = np.random.RandomState(3)
+    field = ScalarField(mesh, rng.randn(mesh.n_nodes) * 10.0 ** rng.randint(-20, 20, mesh.n_nodes))
+    vectors = VectorField(mesh, rng.randn(mesh.n_elements, 2))
+
+    cli.write_scalar_csv(str(tmp_path / "s.csv"), field)
+    expected = "x,y,value\n" + "".join(
+        f"{x:.17g},{y:.17g},{v:.17g}\n" for (x, y), v in zip(mesh.nodes, field.values)
+    )
+    assert (tmp_path / "s.csv").read_text() == expected
+
+    cli.write_vector_csv(str(tmp_path / "v.csv"), vectors)
+    expected = "x,y,vx,vy\n" + "".join(
+        f"{x:.17g},{y:.17g},{a:.17g},{b:.17g}\n"
+        for (x, y), (a, b) in zip(mesh.element_centroids, vectors.values)
+    )
+    assert (tmp_path / "v.csv").read_text() == expected
+
+    cli.write_vtk(str(tmp_path / "f.vtk"), {"f": field})
+    lines = (tmp_path / "f.vtk").read_text().splitlines()
+    points = lines.index(f"POINTS {mesh.n_nodes} double")
+    expected = [f"{x:.17g} {y:.17g} 0" for x, y in mesh.nodes]
+    assert lines[points + 1:points + 1 + mesh.n_nodes] == expected
+    cells = lines.index(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
+    expected = [f"3 {a} {b} {c}" for a, b, c in mesh.elements]
+    assert lines[cells + 1:cells + 1 + mesh.n_elements] == expected
+    assert lines[-mesh.n_nodes:] == [f"{v:.17g}" for v in field.values]
 
 
 def test_invert_synthesized(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from matmi import fem, forward, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
-from matmi.phantoms import make_phantom, three_bump_spec
+from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
 
 def relative_row_sums(a):
@@ -140,13 +141,6 @@ def test_l2_norm_linear_function(mesh64):
     # integral of x^2 over the unit square is 1/3; x is P1-exact
     f = fem.interpolate(mesh64, lambda x, y: x)
     assert fem.l2_norm(f) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-3)
-
-
-def test_l2_inner_symmetry(mesh16):
-    rng = np.random.RandomState(4)
-    a = ScalarField(mesh16, rng.randn(mesh16.n_nodes))
-    b = ScalarField(mesh16, rng.randn(mesh16.n_nodes))
-    assert fem.l2_inner(a, b) == pytest.approx(fem.l2_inner(b, a), abs=1e-14)
 
 
 def test_l2_norm_vec_constant(mesh16):
@@ -374,3 +368,66 @@ def test_dirichlet_row_mask_matches_lil_reference(mesh16):
         fem.solve_dirichlet(mesh16, matrix, out_rhs, nodes).values,
         fem.solve_dirichlet(mesh16, ref, ref_rhs, nodes).values,
     )
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (3, 40), (40, 3), (128, 128)])
+def test_dissection_order_is_read_only_permutation(nx, ny):
+    mesh = build_mesh(nx, ny)
+    order = mesh.dissection_order
+    assert order is mesh.dissection_order
+    assert not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
+
+
+def transport_system(mesh, spec):
+    """Transport operator at ``spec``, its data, boundary values and row-replaced system."""
+    sigma = make_phantom(spec, mesh)
+    op = forward.compute_field(sigma).operator
+    g = transport.apply_data_operator(op, sigma)
+    boundary = fem.constant_field(mesh, 0.2)
+    nodes = mesh.boundary_nodes
+    matrix, rhs = fem.dirichlet_system(
+        op.matrix, fem.lumped_mass(mesh) * g.values, nodes, boundary.values[nodes],
+    )
+    return op, g, boundary, matrix, rhs
+
+
+def test_dirichlet_free_block_fill_bounded(monkeypatch):
+    op, g, boundary, _, _ = transport_system(build_mesh(128, 128), single_bump_spec())
+    factors = []
+
+    def splu(*args, **kwargs):
+        factors.append(original(*args, **kwargs))
+        return factors[-1]
+
+    original = spla.splu
+    monkeypatch.setattr(spla, "splu", splu)
+    transport.transport_solve(op, g, boundary)
+    assert len(factors) == 1
+    # COLAMD on the full row-replaced matrix fills 1.74M
+    assert factors[0].L.nnz + factors[0].U.nnz <= 1.1e6
+
+
+def test_dirichlet_free_block_matches_full_solve():
+    mesh = build_mesh(64, 64)
+    op, g, boundary, matrix, rhs = transport_system(mesh, three_bump_spec())
+    x = transport.transport_solve(op, g, boundary).values
+    reference = spla.spsolve(matrix.tocsc(), rhs)
+    assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 7), (6, 1)])
+def test_dirichlet_mesh_without_interior_node(nx, ny, monkeypatch):
+    # every node is a boundary node: the boundary values come back, nothing is factored
+    mesh = build_mesh(nx, ny)
+    op = forward.compute_field(fem.constant_field(mesh, 0.5)).operator
+    rng = np.random.RandomState(13)
+    g = ScalarField(mesh, rng.randn(mesh.n_nodes))
+    boundary = ScalarField(mesh, rng.randn(mesh.n_nodes))
+
+    def splu(*args, **kwargs):
+        raise AssertionError("no free block to factor")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    u = transport.transport_solve(op, g, boundary)
+    np.testing.assert_array_equal(u.values, boundary.values)

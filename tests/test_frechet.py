@@ -126,7 +126,8 @@ def test_pairing_approaches_half_under_refinement():
         base = forward.compute_field(sigma)
         h = perturbation(mesh, np.random.RandomState(45))
         df = frechet.frechet_derivative(sigma, h, base)
-        pairing = fem.l2_inner(h, df.value) / fem.l2_inner(h, h)
+        mass = fem.mass_matrix(mesh)
+        pairing = (h.values @ (mass @ df.value.values)) / (h.values @ (mass @ h.values))
         gaps.append(abs(pairing - 0.5))
     assert gaps[1] <= gaps[0] / 1.5
     assert gaps[2] <= gaps[1] / 1.5

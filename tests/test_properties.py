@@ -1,14 +1,16 @@
-"""Property tests of the Neumann solve and the field over random rectangles.
+"""Property tests of the Neumann and transport solves and the field over random rectangles.
 
 Meshes have ``nx != ny`` in [3, 40] over non-unit bounds, so the multigrid
 hierarchy coarsens zero, one or several times (both counts even and above
-8), with odd counts solved on the fine level directly.
+8), with odd counts solved on the fine level directly, and the nested
+dissection of the transport solve meets odd and unequal node counts.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from matmi import fem, forward
+from matmi import fem, forward, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 
@@ -105,3 +107,24 @@ def test_compute_field_rerun_bit_identical(mesh, seed):
     again = forward.compute_field(sigma)
     assert np.array_equal(first.potential.values, again.potential.values)
     assert np.array_equal(first.field.values, again.field.values)
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(), seed=st.integers(0, 2**32 - 1))
+def test_transport_solve_matches_full_system(mesh, seed):
+    rng = np.random.RandomState(seed)
+    sigma = smooth_conductivity(mesh, rng)
+    op = forward.compute_field(sigma).operator
+    noise = rng.uniform(0.9, 1.1, mesh.n_nodes)
+    g = ScalarField(mesh, transport.apply_data_operator(op, sigma).values * noise)
+    boundary = smooth_conductivity(mesh, rng)
+    x = transport.transport_solve(op, g, boundary).values
+
+    nodes = mesh.boundary_nodes
+    matrix, rhs = fem.dirichlet_system(
+        op.matrix, fem.lumped_mass(mesh) * g.values, nodes, boundary.values[nodes],
+    )
+    reference = spla.spsolve(matrix.tocsc(), rhs)
+    assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.linalg.norm(matrix @ x - rhs) <= fem.SOLVER_TOL * np.linalg.norm(rhs)
+    assert np.array_equal(x[nodes], boundary.values[nodes])

@@ -10,6 +10,14 @@ from matmi.recon import ReconConfig, ReconReport
 from conftest import perturbation
 
 
+def assert_error_monotone(abs_errors):
+    """From sweep 2 on, an error above the solver floor grows by no more than rounding."""
+    for k in range(2, len(abs_errors)):
+        previous, current = abs_errors[k - 1], abs_errors[k]
+        if previous > recon.SOLVER_FLOOR:
+            assert current <= previous * (1.0 + 1e-9), (k, previous, current)
+
+
 def test_config_validation(mesh16):
     sigma0 = fem.constant_field(mesh16, 0.2)
     with pytest.raises(ValueError):
@@ -46,7 +54,7 @@ def test_single_bump_reconstruction(mesh64, bump64):
     sigma, report = recon.reconstruct(g, cfg)
     assert report.n_iterations <= 30
     assert min(report.rel_errors) <= 1e-6
-    assert report.error_monotone
+    assert_error_monotone(report.abs_errors)
 
 
 def test_fixed_point_exactness(mesh32, bump32):
