@@ -130,9 +130,7 @@ def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
     contrib = -mesh.element_areas[:, None] * np.einsum(
         "md,mkd->mk", field.values, mesh.element_gradients
     )
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.elements.ravel(), contrib.ravel())
-    return rhs
+    return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -225,12 +223,14 @@ class Multigrid:
     """Geometric multigrid hierarchy of a Neumann stiffness matrix.
 
     ``matrices[0]`` is the fine matrix; ``matrices[l + 1]`` is the Galerkin
-    operator ``P_l^T matrices[l] P_l``.  The coarsest level is solved by a
-    sparse LU of its matrix with node 0 pinned.
+    operator ``R_l matrices[l] P_l``, with the restriction ``R_l = P_l^T``
+    stored as CSR.  The coarsest level is solved by a sparse LU of its matrix
+    with node 0 pinned.
     """
 
     matrices: tuple[sp.csr_matrix, ...]
     prolongations: tuple[sp.csr_matrix, ...]   # level l + 1 -> level l
+    restrictions: tuple[sp.csr_matrix, ...]    # their transposes, level l -> level l + 1
     relaxation: tuple[np.ndarray, ...]         # damped inverse diagonals above the coarsest
     coarse_lu: spla.SuperLU
 
@@ -244,7 +244,7 @@ class Multigrid:
         x = relax * r
         for _ in range(SMOOTHER_SWEEPS - 1):
             x += relax * (r - a @ x)
-        coarse_r = self.prolongations[level].T @ (r - a @ x)
+        coarse_r = self.restrictions[level] @ (r - a @ x)
         x += self.prolongations[level] @ self.vcycle(coarse_r - coarse_r.mean(), level + 1)
         for _ in range(SMOOTHER_SWEEPS):
             x += relax * (r - a @ x)
@@ -257,18 +257,20 @@ def multigrid(mesh: Mesh, stiffness: sp.csr_matrix) -> Multigrid:
     The mesh is coarsened while both cell counts are even and above
     ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh itself.
     """
-    matrices, prolongations = [stiffness], []
+    matrices, prolongations, restrictions = [stiffness], [], []
     nx, ny = mesh.nx, mesh.ny
     while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) > COARSEST_CELLS:
         p = _prolongation(nx, ny)
+        r = p.T.tocsr()
         prolongations.append(p)
-        matrices.append((p.T @ matrices[-1] @ p).tocsr())
+        restrictions.append(r)
+        matrices.append((r @ matrices[-1] @ p).tocsr())
         nx, ny = nx // 2, ny // 2
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
     coarse_lu = spla.splu(matrices[-1][1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
     return Multigrid(
         matrices=tuple(matrices), prolongations=tuple(prolongations),
-        relaxation=relaxation, coarse_lu=coarse_lu,
+        restrictions=tuple(restrictions), relaxation=relaxation, coarse_lu=coarse_lu,
     )
 
 

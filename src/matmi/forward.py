@@ -191,10 +191,9 @@ def divergence_identity_error(field: VectorField) -> float:
     mesh = field.mesh
     w = rotate(field.values)
     coarse, parent = _evaluation_mesh(mesh)
-    b = np.zeros(coarse.n_nodes)
     grads = coarse.element_gradients[parent]                 # (M, 3, 2)
     contrib = -mesh.element_areas[:, None] * np.einsum("md,mkd->mk", w, grads)
-    np.add.at(b, coarse.elements[parent].ravel(), contrib.ravel())
+    nodes, weights = [coarse.elements[parent].ravel()], [contrib.ravel()]
 
     elems, n1, n2, normals = _boundary_edges(mesh)
     flux = np.einsum("md,md->m", w[elems], normals)
@@ -207,7 +206,11 @@ def divergence_identity_error(field: VectorField) -> float:
         anchor = coarse.nodes[cnodes]
         v1 = 1.0 + np.einsum("md,md->m", g, p1 - anchor)
         v2 = 1.0 + np.einsum("md,md->m", g, p2 - anchor)
-        np.add.at(b, cnodes, flux * length * 0.5 * (v1 + v2))
+        nodes.append(cnodes)
+        weights.append(flux * length * 0.5 * (v1 + v2))
+    b = np.bincount(
+        np.concatenate(nodes), weights=np.concatenate(weights), minlength=coarse.n_nodes
+    )
 
     diag = fem.lumped_mass(coarse)
     dev = b / diag - 1.0

@@ -58,9 +58,8 @@ def frechet_derivative(
 
     op = base.operator
     delta_w = VectorField(mesh, forward.rotate(fem.gradient_field(phi).values))
-    d_op = transport.advection_matrix_derivative(op, delta_w)
-    diag = fem.lumped_mass(mesh)
-    values = (op.matrix @ h.values + d_op @ sigma.values) / diag
+    d_op_sigma = transport.advection_matrix_derivative(op, delta_w, sigma.values)
+    values = (op.matrix @ h.values + d_op_sigma) / fem.lumped_mass(mesh)
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))
 
 

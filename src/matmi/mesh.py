@@ -10,17 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Mesh", "build_mesh"]
+__all__ = ["Mesh", "ScatterPlan", "build_mesh"]
 
 #: consistent P1 mass matrix of a triangle, divided by its area
 _LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
 
 #: largest node block the nested dissection leaves undivided
 DISSECTION_LEAF = 16
+
+
+class ScatterPlan(NamedTuple):
+    """CSR pattern of the P1 couplings and where each element-matrix entry lands in it."""
+
+    indptr: np.ndarray    # (n_nodes + 1,) int32
+    indices: np.ndarray   # (nnz,) int32, ascending within each row
+    slot: np.ndarray      # (9 * n_elements,) int32, CSR position of each ke.ravel() entry
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,45 @@ class Mesh:
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
+    @cached_property
+    def scatter_plan(self) -> ScatterPlan:
+        """Sparsity plan of every element assembly, built once and read-only."""
+        n = self.n_nodes
+        # row-major keys of the entries sort into CSR order; a stable argsort
+        # and a cumsum need half the transient memory of np.unique's inverse
+        keys = np.repeat(self.elements * n, 3, axis=1).ravel()
+        keys += np.tile(self.elements, (1, 3)).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        # int32, as scipy stores indices below 2**31 entries
+        slot = np.empty(keys.size, dtype=np.int32)
+        slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        keys = keys[first]
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        plan = ScatterPlan(indptr, (keys % n).astype(np.int32), slot)
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
+
     def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
-        """Scatter (M, 3, 3) element matrices into a CSR matrix."""
-        # int32, as scipy stores them below 2**31 nodes: no int64 copies at the peak
-        elements = self.elements.astype(np.int32)
-        rows = np.repeat(elements, 3, axis=1).ravel()
-        cols = np.tile(elements, (1, 3)).ravel()
-        mat = sp.coo_matrix(
-            (ke.ravel(), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
+        """Sum (M, 3, 3) element matrices into the mesh's CSR pattern."""
+        plan = self.scatter_plan
+        data = np.bincount(plan.slot, weights=ke.ravel(), minlength=plan.indices.size)
+        # own index arrays: callers may change the matrix in place (eliminate_zeros)
+        return sp.csr_matrix(
+            (data, plan.indices.copy(), plan.indptr.copy()), shape=(self.n_nodes, self.n_nodes)
         )
-        return mat.tocsr()
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
         """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
         matrix = self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS)
-        for arr in (matrix.data, matrix.indices, matrix.indptr):
-            arr.setflags(write=False)
+        # never changed, so it shares the plan's read-only pattern instead of a copy
+        matrix.indices, matrix.indptr = self.scatter_plan.indices, self.scatter_plan.indptr
+        matrix.data.setflags(write=False)
         return matrix
 
     @cached_property
@@ -126,9 +157,10 @@ class Mesh:
     @cached_property
     def lumped_mass(self) -> np.ndarray:
         """Row-sum lumped mass as a diagonal vector, built once and read-only."""
-        diag = np.zeros(self.n_nodes)
-        contrib = np.repeat(self.element_areas / 3.0, 3)
-        np.add.at(diag, self.elements.ravel(), contrib)
+        diag = np.bincount(
+            self.elements.ravel(), weights=np.repeat(self.element_areas / 3.0, 3),
+            minlength=self.n_nodes,
+        )
         diag.setflags(write=False)
         return diag
 

@@ -47,9 +47,7 @@ class AdvectionOperator:
     velocity: VectorField
     matrix: sp.csr_matrix       # advection + lumped-mass reaction, all rows
     a: np.ndarray               # (M, 3) w . grad(phi_k) per element
-    speed: np.ndarray           # per-element |w|
     tau: np.ndarray             # per-element streamline time scale
-    test: np.ndarray            # (M, 3) streamline test values 1/3 + tau * a
 
 
 def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
@@ -64,32 +62,39 @@ def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     ke = mesh.element_areas[:, None, None] * test[:, :, None] * a[:, None, :]
     matrix = mesh.assemble(ke)
     matrix = (matrix + sp.diags(fem.lumped_mass(mesh))).tocsr()
-    return AdvectionOperator(
-        mesh=mesh, velocity=w, matrix=matrix, a=a, speed=speed, tau=tau, test=test,
-    )
+    return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, a=a, tau=tau)
 
 
-def advection_matrix_derivative(op: AdvectionOperator, delta_w: VectorField) -> sp.csr_matrix:
-    """Exact derivative of ``assemble_advection`` at ``op``'s velocity in ``delta_w``.
+def advection_matrix_derivative(
+    op: AdvectionOperator, delta_w: VectorField, s: np.ndarray
+) -> np.ndarray:
+    """``dA @ s``, with ``dA`` the derivative of ``assemble_advection`` in ``delta_w``.
 
-    Differentiates both the advection entries and the streamline time scale;
-    needed so the data map's linearisation has a quadratic remainder.
+    Exact at ``op``'s velocity: differentiates both the advection entries and
+    the streamline time scale, so the data map's linearisation has a
+    quadratic remainder.  The element matrices
+    ``area * (test_i da_j + dtest_i a_j)`` act on the element values of ``s``
+    without being formed.
     """
     mesh = op.mesh
     if delta_w.mesh is not mesh:
         raise ValueError("velocity lives on a different mesh")
-    a, speed, tau, test = op.a, op.speed, op.tau, op.test
+    a, tau, w = op.a, op.tau, op.velocity.values
+    # cheap to redo, so the operator does not hold them through the transport solve
+    speed = np.hypot(w[:, 0], w[:, 1])
+    test = 1.0 / 3.0 + tau[:, None] * a
     da = np.einsum("md,mkd->mk", delta_w.values, mesh.element_gradients)
     # d|w| = w.dw/|w|; the derivative of tau*a_i*a_j stays bounded as |w| -> 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        dspeed = np.einsum("md,md->m", op.velocity.values, delta_w.values) / speed
+        dspeed = np.einsum("md,md->m", w, delta_w.values) / speed
     dspeed[speed == 0.0] = 0.0
     dtau = -2.0 * mesh.element_diameter * dspeed / (2.0 * speed + TAU_EPS) ** 2
     dtest = dtau[:, None] * a + tau[:, None] * da
-    ke = mesh.element_areas[:, None, None] * (
-        test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
-    )
-    return mesh.assemble(ke)
+    local = s[mesh.elements]                                  # (M, 3)
+    da_s = mesh.element_areas * np.einsum("mk,mk->m", da, local)
+    a_s = mesh.element_areas * np.einsum("mk,mk->m", a, local)
+    contrib = test * da_s[:, None] + dtest * a_s[:, None]
+    return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
 def apply_data_operator(op: AdvectionOperator, sigma: ScalarField) -> ScalarField:

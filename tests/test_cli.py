@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import matmi
 from matmi import cli
 from matmi.cli import ConfigError, RunConfig, parse_config, main
 from matmi.fem import ScalarField, VectorField
@@ -346,6 +349,25 @@ def test_phantom_command(tmp_path):
     assert vtk[0] == "# vtk DataFile Version 2.0"
     assert "DATASET UNSTRUCTURED_GRID" in vtk
     assert any(line.startswith("POINT_DATA") for line in vtk)
+
+
+def test_python_m_matmi_runs_the_cli(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    # the tested package, installed or not
+    src = os.path.dirname(os.path.dirname(matmi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "matmi", *args], env=env, capture_output=True, text=True,
+        )
+
+    done = run("phantom", "--config", cfg, "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert (out / "phantom.csv").exists()
+    assert run("phantom", "--config", str(tmp_path / "missing.cfg")).returncode == cli.EXIT_CONFIG
 
 
 def test_missing_config_file():

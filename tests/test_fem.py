@@ -43,13 +43,10 @@ def test_stiffness_stores_no_zero(mesh16):
     sigma = make_phantom(three_bump_spec(), mesh16)
     a = fem.assemble_weighted_stiffness(mesh16, sigma)
     assert np.all(a.data != 0.0)
-    # the zero-keeping scatter of the same element matrices
+    # the same element matrices scattered without dropping the zeros
     weight = fem.element_means(sigma) * mesh16.element_areas
     g = mesh16.element_gradients
-    ke = weight[:, None, None] * np.einsum("mid,mjd->mij", g, g)
-    rows = np.repeat(mesh16.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh16.elements, (1, 3)).ravel()
-    full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=a.shape).tocsr()
+    full = mesh16.assemble(weight[:, None, None] * np.einsum("mid,mjd->mij", g, g))
     assert full.nnz > a.nnz
     v = np.random.RandomState(5).randn(mesh16.n_nodes)
     assert np.array_equal(a @ v, full @ v)
@@ -121,6 +118,30 @@ def test_mesh_mismatch_rejected(mesh8, mesh16):
 
 # ---------------------------------------------------------------------------
 # norms
+
+def add_at_reference(n, nodes, values):
+    """The sequential scatter-add that ``np.bincount`` must reproduce bit for bit."""
+    out = np.zeros(n)
+    np.add.at(out, nodes, values)
+    return out
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (128, 128, (0.0, 1.0, 0.0, 1.0)), (37, 12, (-1.0, 3.0, 0.5, 0.9)),
+])
+def test_bincount_scatter_matches_add_at_bitwise(nx, ny, bounds):
+    m = build_mesh(nx, ny, bounds)
+    nodes = m.elements.ravel()
+    lumped = add_at_reference(m.n_nodes, nodes, np.repeat(m.element_areas / 3.0, 3))
+    assert np.array_equal(m.lumped_mass, lumped)
+
+    field = VectorField(m, np.random.RandomState(nx).randn(m.n_elements, 2))
+    contrib = -m.element_areas[:, None] * np.einsum(
+        "md,mkd->mk", field.values, m.element_gradients
+    )
+    rhs = add_at_reference(m.n_nodes, nodes, contrib.ravel())
+    assert np.array_equal(fem.assemble_weak_divergence_rhs(m, field), rhs)
+
 
 def test_mass_operators_cached_read_only(mesh16):
     assert fem.mass_matrix(mesh16) is fem.mass_matrix(mesh16)

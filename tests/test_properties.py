@@ -1,4 +1,4 @@
-"""Property tests of the Neumann and transport solves and the field over random rectangles.
+"""Property tests of assembly, the solves, the field and its linearisation over random rectangles.
 
 Meshes have ``nx != ny`` in [3, 40] over non-unit bounds, so the multigrid
 hierarchy coarsens zero, one or several times (both counts even and above
@@ -7,10 +7,12 @@ dissection of the transport solve meets odd and unequal node counts.
 """
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from matmi import fem, forward, transport
+from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 
@@ -35,6 +37,24 @@ def smooth_conductivity(mesh, rng):
     y = (mesh.nodes[:, 1] - mesh.y_min) / (mesh.y_max - mesh.y_min)
     a, b, c, d = rng.uniform(-1.0, 1.0, 4)
     return ScalarField(mesh, np.exp(1.5 * np.sin(3 * a * x + 2 * b * y + c) + 0.5 * d))
+
+
+def coo_reference(mesh, ke):
+    """scipy's COO to CSR sum of the element matrices, and each row's absolute sum."""
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    shape = (mesh.n_nodes, mesh.n_nodes)
+    matrix = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
+    row_abs = np.bincount(rows, weights=np.abs(ke).ravel(), minlength=mesh.n_nodes)
+    return matrix, row_abs
+
+
+def assert_matches_coo(mesh, ke, matrix):
+    reference, row_abs = coo_reference(mesh, ke)
+    assert np.array_equal(matrix.indptr, reference.indptr)
+    assert np.array_equal(matrix.indices, reference.indices)
+    row = np.repeat(np.arange(mesh.n_nodes), np.diff(reference.indptr))
+    assert np.all(np.abs(matrix.data - reference.data) <= 1e-14 * row_abs[row])
 
 
 def jacobi_pcg(a, b, tol=1e-13, max_iter=100_000):
@@ -128,3 +148,59 @@ def test_transport_solve_matches_full_system(mesh, seed):
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
     assert np.linalg.norm(matrix @ x - rhs) <= fem.SOLVER_TOL * np.linalg.norm(rhs)
     assert np.array_equal(x[nodes], boundary.values[nodes])
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(), seed=st.integers(0, 2**32 - 1))
+def test_assemble_matches_scipy_coo(mesh, seed):
+    ke = np.random.RandomState(seed).randn(mesh.n_elements, 3, 3)
+    assert_matches_coo(mesh, ke, mesh.assemble(ke))
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles())
+def test_scatter_plan_read_only_int32(mesh):
+    plan = mesh.scatter_plan
+    assert plan.slot.size == 9 * mesh.n_elements
+    assert plan.indptr.size == mesh.n_nodes + 1
+    for arr in plan:
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(), seed=st.integers(0, 2**32 - 1))
+def test_changing_a_matrix_leaves_next_assembly_unchanged(mesh, seed):
+    rng = np.random.RandomState(seed)
+    ke = rng.randn(mesh.n_elements, 3, 3)
+    # half the elements contribute nothing, so some entries sum to exact zeros
+    zeroed = ke.copy()
+    zeroed[: mesh.n_elements // 2] = 0.0
+    first = mesh.assemble(zeroed)
+    first.eliminate_zeros()
+    assert first.nnz < mesh.scatter_plan.indices.size
+    first.data *= 2.0
+    assert_matches_coo(mesh, ke, mesh.assemble(ke))
+    assert_matches_coo(mesh, zeroed, mesh.assemble(zeroed))
+
+
+def cell_aspect(mesh):
+    return max(mesh.dx / mesh.dy, mesh.dy / mesh.dx)
+
+
+# Cells are kept at most 4:1.  On more stretched cells the auxiliary Neumann
+# solve can sit at a rounding floor above fem.SOLVER_TOL (about 4e-12 of |b|
+# on 10 x 12 cells over 0.2 x 3) and raise SolverError.
+@PROPERTY_SETTINGS
+@given(mesh=rectangles().filter(lambda m: cell_aspect(m) <= 4.0), seed=st.integers(0, 2**32 - 1))
+def test_frechet_remainder_is_quadratic(mesh, seed):
+    rng = np.random.RandomState(seed)
+    sigma = smooth_conductivity(mesh, rng)
+    # |h| <= sigma / 2 keeps sigma + t h admissible
+    shape = smooth_conductivity(mesh, rng).values
+    h = ScalarField(mesh, 0.5 * sigma.values * np.sin(shape))
+    t = 1e-2
+    r = frechet.fd_validate(sigma, h, t_values=(t, t / 2))
+    assert 3.2 <= r[0] / r[1] <= 4.8
