@@ -66,19 +66,15 @@ class RunConfig:
     data_mode: str = "in-crime"         # in-crime | fine-mesh
     mesh_sizes: tuple[int, ...] = ()
     amplitude_scales: tuple[float, ...] = ()
-    output_dir: str = "out"
     write_vtk: bool = False
 
-    def phantom_spec(self, amplitude_scale: float = 1.0) -> PhantomSpec:
-        bumps = tuple(
-            Bump(b.center, b.amplitude * amplitude_scale, b.width) for b in self.bumps
-        )
+    def phantom_spec(self) -> PhantomSpec:
         return PhantomSpec(
-            background=self.background, bumps=bumps, collar_width=self.collar_width,
+            background=self.background, bumps=self.bumps, collar_width=self.collar_width,
         )
 
-    def build_mesh(self, n: int | None = None) -> Mesh:
-        n = self.mesh_n if n is None else n
+    def build_mesh(self) -> Mesh:
+        n = self.mesh_n
         return build_mesh(n, n, (self.x_min, self.x_max, self.y_min, self.y_max))
 
 
@@ -132,7 +128,6 @@ _KEYS = {
     "study.amplitude_scales": (
         "amplitude_scales", lambda s: tuple(_parse_float(v) for v in s.split()),
     ),
-    "output.dir": ("output_dir", str),
     "output.vtk": ("write_vtk", _parse_bool),
 }
 
@@ -282,21 +277,14 @@ def write_vtk(path: str, fields: dict[str, ScalarField]) -> None:
 
 def write_report_csv(path: str, report: ReconReport) -> None:
     rows = zip(
-        report.iterations,
-        (float(v) for v in report.updates),
-        (float(v) for v in report.misfits),
-        (float(v) for v in report.rel_errors),
-        (float(v) for v in report.abs_errors),
+        report.iterations, report.updates, report.misfits,
+        report.rel_errors, report.abs_errors,
     )
     _write_atomic(path, _csv(rows, "k,update,misfit,rel_error,abs_error"))
 
 
 def _write_keyvalue_csv(path: str, entries: dict[str, float | int | str]) -> None:
-    rows = ((k, v if isinstance(v, str) else float(v)) for k, v in entries.items())
-    lines = ["key,value"]
-    for k, v in rows:
-        lines.append(f"{k},{v:.17g}" if isinstance(v, float) else f"{k},{v}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, _csv(entries.items(), "key,value"))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +306,7 @@ def synthesize_data(config: RunConfig, mesh: Mesh, truth: ScalarField) -> Scalar
     fine_mesh = build_mesh(
         2 * mesh.nx, 2 * mesh.ny, (mesh.x_min, mesh.x_max, mesh.y_min, mesh.y_max)
     )
-    if config.data_truth == "background":
-        fine_truth = fem.constant_field(fine_mesh, config.background)
-    else:
-        fine_truth = make_phantom(config.phantom_spec(), fine_mesh)
+    fine_truth = _truth_field(config, fine_mesh)
     return _restrict_from_refined(forward.forward_map(fine_truth), mesh)
 
 
@@ -331,52 +316,13 @@ def _truth_field(config: RunConfig, mesh: Mesh) -> ScalarField:
     return make_phantom(config.phantom_spec(), mesh)
 
 
-def _reconstruct(
-    config: RunConfig, g: ScalarField, sigma0: ScalarField, truth: ScalarField
-) -> tuple[ScalarField, ReconReport, float, float]:
-    """Reconstruct from ``g``; the fitted factor and its R^2 are NaN when
-    the report has too few usable errors to fit."""
-    rc = ReconConfig(
-        sigma0=sigma0, max_iterations=config.max_iterations,
-        tolerance_update=config.tolerance_update,
-        tolerance_misfit=config.tolerance_misfit, truth=truth,
-    )
-    sigma, report = recon.reconstruct(g, rc)
-    try:
-        c, r2 = recon.fit_convergence_factor(report)
-    except ValueError:
-        c, r2 = float("nan"), float("nan")
-    return sigma, report, c, r2
+def _invert(config: RunConfig) -> tuple[ScalarField, ScalarField, ReconReport, float, float]:
+    """Build the truth, the data and the start the config names, then reconstruct.
 
-
-# ---------------------------------------------------------------------------
-# commands
-
-def cmd_forward(config: RunConfig) -> None:
-    """Simulate the field and data for the configured phantom; write files."""
-    mesh = config.build_mesh()
-    sigma = _truth_field(config, mesh)
-    result = forward.simulate(sigma)
-    out = config.output_dir
-    write_scalar_csv(os.path.join(out, "sigma.csv"), sigma)
-    write_scalar_csv(os.path.join(out, "potential.csv"), result.potential)
-    write_vector_csv(os.path.join(out, "field.csv"), result.field)
-    write_scalar_csv(os.path.join(out, "data.csv"), result.data)
-    _write_keyvalue_csv(os.path.join(out, "diagnostics.csv"), {
-        "field_norm": result.field_norm,
-        "divergence_identity_error": result.divergence_error,
-        "sigma_min": float(sigma.values.min()),
-        "sigma_max": float(sigma.values.max()),
-        "sigma_gradient_sup": fem.gradient_sup(sigma),
-    })
-    if config.write_vtk:
-        write_vtk(os.path.join(out, "forward.vtk"), {
-            "sigma": sigma, "potential": result.potential, "data": result.data,
-        })
-
-
-def cmd_invert(config: RunConfig) -> None:
-    """Reconstruct the conductivity from synthesized or file data; write files."""
+    Returns the truth, the reconstruction, its report, and the fitted
+    contraction factor with its R^2, which are NaN when the report has too
+    few usable errors to fit.
+    """
     mesh = config.build_mesh()
     truth = _truth_field(config, mesh)
     if config.data_source == "file":
@@ -387,8 +333,47 @@ def cmd_invert(config: RunConfig) -> None:
         sigma0 = make_phantom(config.phantom_spec(), mesh)
     else:
         sigma0 = fem.constant_field(mesh, config.background)
-    sigma, report, c, r2 = _reconstruct(config, g, sigma0, truth)
-    out = config.output_dir
+    rc = ReconConfig(
+        sigma0=sigma0, max_iterations=config.max_iterations,
+        tolerance_update=config.tolerance_update,
+        tolerance_misfit=config.tolerance_misfit, truth=truth,
+    )
+    sigma, report = recon.reconstruct(g, rc)
+    try:
+        c, r2 = recon.fit_convergence_factor(report)
+    except ValueError:
+        c, r2 = float("nan"), float("nan")
+    return truth, sigma, report, c, r2
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+def cmd_forward(config: RunConfig, out: str) -> None:
+    """Simulate the field and data for the configured phantom; write files."""
+    mesh = config.build_mesh()
+    sigma = _truth_field(config, mesh)
+    result = forward.simulate(sigma)
+    write_scalar_csv(os.path.join(out, "sigma.csv"), sigma)
+    write_scalar_csv(os.path.join(out, "potential.csv"), result.potential)
+    write_vector_csv(os.path.join(out, "field.csv"), result.field)
+    write_scalar_csv(os.path.join(out, "data.csv"), result.data)
+    _write_keyvalue_csv(os.path.join(out, "diagnostics.csv"), {
+        "field_norm": result.field_norm,
+        "divergence_identity_error": result.divergence_error,
+        "sigma_min": sigma.values.min(),
+        "sigma_max": sigma.values.max(),
+        "sigma_gradient_sup": fem.gradient_sup(sigma),
+    })
+    if config.write_vtk:
+        write_vtk(os.path.join(out, "forward.vtk"), {
+            "sigma": sigma, "potential": result.potential, "data": result.data,
+        })
+
+
+def cmd_invert(config: RunConfig, out: str) -> None:
+    """Reconstruct the conductivity from synthesized or file data; write files."""
+    truth, sigma, report, c, r2 = _invert(config)
     write_scalar_csv(os.path.join(out, "sigma_reconstructed.csv"), sigma)
     write_report_csv(os.path.join(out, "report.csv"), report)
     summary: dict[str, float | int | str] = {
@@ -407,8 +392,12 @@ def cmd_invert(config: RunConfig) -> None:
         })
 
 
-def cmd_study(config: RunConfig) -> None:
-    """Sweep mesh sizes and/or phantom amplitudes; write one summary CSV."""
+def cmd_study(config: RunConfig, out: str) -> None:
+    """Sweep mesh sizes and/or phantom amplitudes; write one summary CSV.
+
+    Each row inverts the phantom with its amplitudes scaled, from data
+    synthesized in the configured ``data.mode``, starting at the background.
+    """
     mesh_sizes = config.mesh_sizes or (config.mesh_n,)
     scales = config.amplitude_scales or (1.0,)
     if not config.mesh_sizes and not config.amplitude_scales:
@@ -416,24 +405,19 @@ def cmd_study(config: RunConfig) -> None:
     rows = []
     for n in mesh_sizes:
         for scale in scales:
-            row: list = [n, float(scale)]
+            run = replace(
+                config, mesh_n=n,
+                bumps=tuple(replace(b, amplitude=b.amplitude * scale) for b in config.bumps),
+                data_source="synthesize", data_truth="phantom", initial_model="background",
+            )
+            row: list = [n, scale]
             try:
-                run_cfg = replace(config, mesh_n=n)
-                mesh = run_cfg.build_mesh()
-                spec = run_cfg.phantom_spec(amplitude_scale=scale)
-                truth = make_phantom(spec, mesh)
-                result = forward.simulate(truth)
-                g = (
-                    result.data if config.data_mode == "in-crime"
-                    else synthesize_data(replace(run_cfg, data_truth="phantom"), mesh, truth)
-                )
-                _, report, c, r2 = _reconstruct(
-                    config, g, fem.constant_field(mesh, config.background), truth
-                )
+                truth, _, report, c, r2 = _invert(run)
+                field = forward.compute_field(truth).field
                 row += [
                     fem.gradient_sup(truth), report.n_iterations,
                     report.rel_errors[-1], report.abs_errors[-1], c, r2,
-                    result.divergence_error, "ok",
+                    forward.divergence_identity_error(field), "ok",
                 ]
             except (ValueError, SolverError, AdmissibilityError) as exc:
                 row += [float("nan")] * 7 + [f"failed: {type(exc).__name__}"]
@@ -443,27 +427,17 @@ def cmd_study(config: RunConfig) -> None:
         "final_rel_error,final_abs_error,fitted_c,fit_r_squared,"
         "divergence_identity_error,status"
     )
-    _write_atomic(
-        os.path.join(config.output_dir, "study.csv"),
-        _csv(
-            (
-                [int(r[0])] + [float(v) for v in r[1:-1]] + [str(r[-1])]
-                for r in rows
-            ),
-            header,
-        ),
-    )
+    _write_atomic(os.path.join(out, "study.csv"), _csv(rows, header))
 
 
-def cmd_phantom(config: RunConfig) -> None:
+def cmd_phantom(config: RunConfig, out: str) -> None:
     """Evaluate the configured phantom and write it with its properties."""
     mesh = config.build_mesh()
     sigma = make_phantom(config.phantom_spec(), mesh)
-    out = config.output_dir
     write_scalar_csv(os.path.join(out, "phantom.csv"), sigma)
     _write_keyvalue_csv(os.path.join(out, "phantom_properties.csv"), {
-        "min": float(sigma.values.min()),
-        "max": float(sigma.values.max()),
+        "min": sigma.values.min(),
+        "max": sigma.values.max(),
         "gradient_sup": fem.gradient_sup(sigma),
         "l2_norm": fem.l2_norm(sigma),
     })
@@ -486,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the key-value config file")
-    parser.add_argument("--out", help="output directory (overrides output.dir)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     args = parser.parse_args(argv)
 
     try:
@@ -497,14 +471,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         config = parse_config(text)
-        if args.out is not None:
-            config = replace(config, output_dir=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        _COMMANDS[args.command](config)
+        _COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

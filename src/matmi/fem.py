@@ -304,7 +304,8 @@ def _projected_pcg(
         r -= alpha * ap
         r = project(r)
         rel = np.linalg.norm(r) / b_norm
-        if rel <= tol:
+        restart = rel <= tol
+        if restart:
             # confirm on the true residual, which the recurrence can drift from
             r = project(b - a @ x)
             rel = np.linalg.norm(r) / b_norm
@@ -313,7 +314,8 @@ def _projected_pcg(
             return project(x), residuals
         z = project(precondition(r))
         rz_next = r @ z
-        p = z + (rz_next / rz) * p
+        # the old direction is not conjugate to the true residual: restart from z
+        p = z if restart else z + (rz_next / rz) * p
         rz = rz_next
     raise SolverError(
         f"CG failed to reach {tol} after {max_iter} iterations "

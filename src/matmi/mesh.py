@@ -71,10 +71,6 @@ class Mesh:
         """Longest edge of any element (the cell diagonal)."""
         return float(np.hypot(self.dx, self.dy))
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
     @cached_property
     def scatter_plan(self) -> ScatterPlan:
         """Sparsity plan of every element assembly, built once and read-only."""

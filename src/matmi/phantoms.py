@@ -109,11 +109,20 @@ def three_bump_spec(amplitude_scale: float = 1.0) -> PhantomSpec:
 
 
 def random_bump_spec(rng: np.random.RandomState, n_bumps: int = 2) -> PhantomSpec:
-    """Random admissible bump collection, for property and stability tests."""
-    bumps = []
-    for _ in range(n_bumps):
-        center = (0.3 + 0.4 * rng.rand(), 0.3 + 0.4 * rng.rand())
-        amplitude = 0.12 * (2.0 * rng.rand() - 1.0)
-        width = 0.08 + 0.08 * rng.rand()
-        bumps.append(Bump(center, amplitude, width))
-    return PhantomSpec(background=0.2, bumps=tuple(bumps), collar_width=0.15)
+    """Random admissible bump collection, for property and stability tests.
+
+    Each bump is at most its amplitude deep, so the phantom stays above
+    ``background + sum(min(amplitude, 0))``.  A draw whose bound falls below
+    the admissibility floor is redrawn from the same stream; one that meets
+    it is returned as drawn.
+    """
+    background = 0.2
+    while True:
+        bumps = []
+        for _ in range(n_bumps):
+            center = (0.3 + 0.4 * rng.rand(), 0.3 + 0.4 * rng.rand())
+            amplitude = 0.12 * (2.0 * rng.rand() - 1.0)
+            width = 0.08 + 0.08 * rng.rand()
+            bumps.append(Bump(center, amplitude, width))
+        if background + sum(min(b.amplitude, 0.0) for b in bumps) >= LAMBDA_FLOOR:
+            return PhantomSpec(background=background, bumps=tuple(bumps), collar_width=0.15)

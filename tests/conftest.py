@@ -50,3 +50,11 @@ def perturbation(mesh, rng, n_bumps=3, amplitude=0.1, collar=0.15):
         width = 0.06 + 0.1 * rng.rand()
         values += amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
     return fem.ScalarField(mesh, values * taper)
+
+
+def smooth_conductivity(mesh, rng):
+    """Positive nodal field with a contrast of up to about 20 across the domain."""
+    x = (mesh.nodes[:, 0] - mesh.x_min) / (mesh.x_max - mesh.x_min)
+    y = (mesh.nodes[:, 1] - mesh.y_min) / (mesh.y_max - mesh.y_min)
+    a, b, c, d = rng.uniform(-1.0, 1.0, 4)
+    return fem.ScalarField(mesh, np.exp(1.5 * np.sin(3 * a * x + 2 * b * y + c) + 0.5 * d))

@@ -334,6 +334,38 @@ study.amplitude_scales = 1.0 1.4
     assert rows[1]["status"].startswith("failed")
 
 
+def test_fine_mesh_study_row_matches_invert_of_scaled_phantom(tmp_path):
+    # a scaled row must synthesize its data from the phantom it is scored against
+    study_text = """
+mesh.n = 16
+phantom.bumps = 0.4 0.6 0.1 0.12
+data.mode = fine-mesh
+study.amplitude_scales = 1 2
+"""
+    out = str(tmp_path / "study")
+    assert main(["study", "--config", write_config(tmp_path, study_text), "--out", out]) == 0
+    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    header = lines[0].split(",")
+    doubled = dict(zip(header, lines[2].split(",")))
+
+    invert_text = """
+mesh.n = 16
+phantom.bumps = 0.4 0.6 0.2 0.12
+data.mode = fine-mesh
+"""
+    out = str(tmp_path / "invert")
+    cfg = write_config(tmp_path, invert_text, name="invert.cfg")
+    assert main(["invert", "--config", cfg, "--out", out]) == 0
+    summary = dict(
+        line.split(",") for line in
+        open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+    )
+    assert doubled["amplitude_scale"] == "2"
+    assert doubled["iterations"] == summary["iterations"] == "10"
+    assert doubled["final_rel_error"] == summary["final_rel_error"]
+    assert float(doubled["final_rel_error"]) == pytest.approx(0.029874651608803315, rel=1e-6)
+
+
 def test_study_requires_sweep(tmp_path):
     cfg = write_config(tmp_path)  # no study lists
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG

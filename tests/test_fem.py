@@ -3,10 +3,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from matmi import fem, forward, transport
+from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
+
+from conftest import smooth_conductivity
 
 
 def relative_row_sums(a):
@@ -262,6 +264,16 @@ def test_neumann_nonconvergence_raises(mesh32):
     with pytest.raises(fem.SolverError) as err:
         fem._projected_pcg(a, rhs - rhs.mean(), vcycle, 1e-12, max_iter=2)
     assert err.value.residuals  # carries the residual history
+
+
+def test_pcg_restarts_after_failed_residual_check():
+    # aspect-12 cells: the recurrence residual meets the tolerance before the
+    # true one does; keeping the old direction then drove it to 9e10
+    mesh = build_mesh(10, 12, (0.0, 0.203125, 0.0, 3.0))
+    rng = np.random.RandomState(29)
+    sigma = smooth_conductivity(mesh, rng)
+    h = ScalarField(mesh, 0.5 * sigma.values * np.sin(smooth_conductivity(mesh, rng).values))
+    assert np.all(np.isfinite(frechet.frechet_derivative(sigma, h).value.values))
 
 
 def test_neumann_multigrid_iterations_bounded():

@@ -16,6 +16,8 @@ from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 
+from conftest import smooth_conductivity
+
 #: counts in [3, 40], with multiples of 4 and 8 drawn often enough to coarsen twice
 counts = st.one_of(st.integers(3, 40), st.sampled_from([12, 16, 20, 24, 32, 40]))
 
@@ -29,14 +31,6 @@ def rectangles(draw):
     width = draw(st.floats(0.2, 5.0))
     height = draw(st.floats(0.2, 5.0))
     return build_mesh(nx, ny, (x_min, x_min + width, y_min, y_min + height))
-
-
-def smooth_conductivity(mesh, rng):
-    """Positive nodal field with a contrast of up to about 20 across the domain."""
-    x = (mesh.nodes[:, 0] - mesh.x_min) / (mesh.x_max - mesh.x_min)
-    y = (mesh.nodes[:, 1] - mesh.y_min) / (mesh.y_max - mesh.y_min)
-    a, b, c, d = rng.uniform(-1.0, 1.0, 4)
-    return ScalarField(mesh, np.exp(1.5 * np.sin(3 * a * x + 2 * b * y + c) + 0.5 * d))
 
 
 def coo_reference(mesh, ke):
