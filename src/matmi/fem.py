@@ -6,10 +6,11 @@ Neumann system keeps its constant null space; it is solved by conjugate
 gradients on the mean-zero complement, preconditioned by one geometric
 multigrid V-cycle on the nested coarser meshes (Briggs, Henson & McCormick,
 *A Multigrid Tutorial*, 2nd ed., SIAM 2000), returning the zero-mean
-representative.  A Dirichlet system takes its prescribed values from the
-unit rows and factors only the free block, by a sparse LU in the mesh's
-geometric nested-dissection order (A. George, "Nested dissection of a
-regular finite element mesh", SIAM J. Numer. Anal. 10(2), 1973).
+representative.  A Dirichlet solve reads only the free rows of the
+operator, takes the prescribed values from the rhs and factors only the free
+block, by a sparse LU in the mesh's geometric nested-dissection order
+(A. George, "Nested dissection of a regular finite element mesh", SIAM J.
+Numer. Anal. 10(2), 1973).
 """
 
 from __future__ import annotations
@@ -181,7 +182,11 @@ def dirichlet_system(
     dirichlet_nodes: np.ndarray,
     dirichlet_values: np.ndarray,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Replace the given rows by unit rows carrying the prescribed values."""
+    """Replace the given rows by unit rows carrying the prescribed values.
+
+    The explicit form of the system that ``solve_dirichlet`` solves without
+    building it: a reference for checking that solve.
+    """
     keep = np.ones(matrix.shape[0])
     keep[dirichlet_nodes] = 0.0
     mat = (sp.diags(keep) @ matrix + sp.diags(1.0 - keep)).tocsr()
@@ -324,22 +329,14 @@ def _projected_pcg(
     )
 
 
-def solve_neumann(
-    mesh: Mesh,
-    matrix: sp.csr_matrix,
-    rhs: np.ndarray,
-    hierarchy: Multigrid | None = None,
-) -> ScalarField:
-    """Solve the singular Neumann system, returning the zero-mean representative.
+def solve_neumann(mesh: Mesh, hierarchy: Multigrid, rhs: np.ndarray) -> ScalarField:
+    """Solve the singular Neumann system of ``hierarchy.matrices[0]``.
 
-    The mean of the rhs is projected out, which makes the system consistent.
-    CG is preconditioned by one multigrid V-cycle; pass the ``multigrid`` of
-    ``matrix`` to share its set-up between solves.
+    Returns the zero-mean representative.  The mean of the rhs is projected
+    out, which makes the system consistent.  CG is preconditioned by one
+    V-cycle of ``hierarchy``, so solves of one matrix share its set-up.
     """
-    if hierarchy is None:
-        hierarchy = multigrid(mesh, matrix)
-    elif hierarchy.matrices[0] is not matrix:
-        raise ValueError("multigrid hierarchy was built for another matrix")
+    matrix = hierarchy.matrices[0]
     x, _ = _projected_pcg(matrix, rhs, hierarchy.vcycle, SOLVER_TOL, 10 * rhs.shape[0])
     return ScalarField(mesh, x)
 
@@ -350,13 +347,14 @@ def solve_dirichlet(
     rhs: np.ndarray,
     dirichlet_nodes: np.ndarray,
 ) -> ScalarField:
-    """Direct sparse solve of a Dirichlet-reduced system; checks the residual.
+    """Direct sparse solve with prescribed values at ``dirichlet_nodes``; checks the residual.
 
-    The rows of ``dirichlet_nodes`` must be unit rows, so those values are
-    read from the rhs bit-exactly.  Only the free block is factored, by a
-    sparse LU in the mesh's nested-dissection order with diagonal pivots
-    preferred (George, SIAM J. Numer. Anal. 10(2), 1973); the residual is
-    checked on the full system.
+    The rows of ``dirichlet_nodes`` are never read: those values are taken
+    from the rhs bit-exactly.  Only the free block is factored, by a sparse
+    LU in the mesh's nested-dissection order with diagonal pivots preferred
+    (George, SIAM J. Numer. Anal. 10(2), 1973).  The residual is checked on
+    the free rows against ``SOLVER_TOL * ||rhs||``; it equals the residual of
+    the ``dirichlet_system`` form, whose prescribed rows have none.
     """
     x = np.zeros(matrix.shape[0])
     x[dirichlet_nodes] = rhs[dirichlet_nodes]
@@ -364,8 +362,8 @@ def solve_dirichlet(
     is_free = np.ones(matrix.shape[0], dtype=bool)
     is_free[dirichlet_nodes] = False
     free = order[is_free[order]]
+    rows = matrix[free]
     if free.size:
-        rows = matrix[free]
         try:
             lu = spla.splu(
                 rows[:, free].tocsc(), permc_spec="NATURAL",
@@ -375,7 +373,7 @@ def solve_dirichlet(
             raise SolverError(f"direct solve failed: {exc}", [np.inf]) from exc
         x[free] = lu.solve(rhs[free] - rows @ x)
     b_norm = np.linalg.norm(rhs)
-    rel = np.linalg.norm(matrix @ x - rhs) / max(b_norm, 1e-300)
+    rel = np.linalg.norm(rows @ x - rhs[free]) / max(b_norm, 1e-300)
     if not np.isfinite(rel) or (b_norm > 0.0 and rel > SOLVER_TOL):
         raise SolverError(f"direct solve residual {rel:.3e} exceeds {SOLVER_TOL}", [rel])
     return ScalarField(mesh, x)

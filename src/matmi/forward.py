@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, transport
 from .fem import ScalarField, VectorField
@@ -69,8 +68,7 @@ class ForwardResult:
     potential: ScalarField          # zero-mean Neumann potential u
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
-    stiffness: sp.csr_matrix        # sigma-weighted stiffness the potential solved
-    hierarchy: fem.Multigrid        # V-cycle hierarchy of that stiffness
+    hierarchy: fem.Multigrid        # V-cycle hierarchy of the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
     data: ScalarField | None = None
     divergence_error: float | None = None
@@ -81,24 +79,23 @@ def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> Forwa
 
     The conductivity must be strictly positive at every node.  The returned
     field satisfies ``integral(sigma E . grad(phi)) = 0`` for every P1 test
-    function, to solver tolerance.  The result also carries the stiffness,
-    its multigrid hierarchy and the data operator built from this sigma, for
-    callers that reuse them.
+    function, to solver tolerance.  The result also carries the multigrid
+    hierarchy of the stiffness (its ``matrices[0]``) and the data operator
+    built from this sigma, for callers that reuse them.
     """
     mesh = sigma.mesh
     if gauge is None:
         gauge = gauge_field(mesh)
     sigma_e = fem.element_means(sigma)
-    stiffness = fem.assemble_weighted_stiffness(mesh, sigma)
+    hierarchy = fem.multigrid(mesh, fem.assemble_weighted_stiffness(mesh, sigma))
     weighted_gauge = VectorField(mesh, sigma_e[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
-    hierarchy = fem.multigrid(mesh, stiffness)
-    u = fem.solve_neumann(mesh, stiffness, rhs, hierarchy)
+    u = fem.solve_neumann(mesh, hierarchy, rhs)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
     return ForwardResult(
         potential=u, field=field, field_norm=fem.l2_norm_vec(field),
-        stiffness=stiffness, hierarchy=hierarchy, operator=operator,
+        hierarchy=hierarchy, operator=operator,
     )
 
 

@@ -41,8 +41,8 @@ def frechet_derivative(
     """Directional derivative of the forward map at ``sigma`` along ``h``.
 
     ``base`` may carry a precomputed ``compute_field(sigma)`` result when many
-    directions are evaluated at the same conductivity; its stiffness, multigrid
-    hierarchy and data operator are reused.
+    directions are evaluated at the same conductivity; its multigrid hierarchy
+    and data operator are reused.
     """
     mesh = sigma.mesh
     if h.mesh is not mesh:
@@ -54,7 +54,7 @@ def frechet_derivative(
     h_elem = fem.element_means(h)
     weighted = VectorField(mesh, h_elem[:, None] * base.field.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted)
-    phi = fem.solve_neumann(mesh, base.stiffness, rhs, base.hierarchy)
+    phi = fem.solve_neumann(mesh, base.hierarchy, rhs)
 
     op = base.operator
     delta_w = VectorField(mesh, forward.rotate(fem.gradient_field(phi).values))

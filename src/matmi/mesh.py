@@ -8,7 +8,7 @@ the node set of the corresponding ``2n`` mesh.  Nodes are numbered row-major,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,10 +45,10 @@ class Mesh:
     nodes: np.ndarray            # (n_nodes, 2)
     elements: np.ndarray         # (n_elements, 3) node indices, counterclockwise
     boundary_nodes: np.ndarray   # sorted indices of nodes on the rectangle boundary
+    interior_nodes: np.ndarray   # sorted indices of the other nodes
     element_areas: np.ndarray    # (n_elements,)
     element_gradients: np.ndarray  # (n_elements, 3, 2) P1 basis gradients
     element_centroids: np.ndarray  # (n_elements, 2)
-    interior_nodes: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -208,10 +208,9 @@ def build_mesh(
     areas = 0.5 * twice_area
     centroids = p.mean(axis=1)
 
-    on_boundary = (
-        np.isclose(nodes[:, 0], x_min) | np.isclose(nodes[:, 0], x_max)
-        | np.isclose(nodes[:, 1], y_min) | np.isclose(nodes[:, 1], y_max)
-    )
+    # by grid index: comparing coordinates misclassifies offset or tiny domains
+    node_j, node_i = np.divmod(np.arange(nodes.shape[0]), nx + 1)
+    on_boundary = (node_i == 0) | (node_i == nx) | (node_j == 0) | (node_j == ny)
     boundary = np.flatnonzero(on_boundary)
     interior = np.flatnonzero(~on_boundary)
 
@@ -220,7 +219,6 @@ def build_mesh(
 
     return Mesh(
         nx=nx, ny=ny, x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
-        nodes=nodes, elements=elements, boundary_nodes=boundary,
-        element_areas=areas, element_gradients=grads,
-        element_centroids=centroids, interior_nodes=interior,
+        nodes=nodes, elements=elements, boundary_nodes=boundary, interior_nodes=interior,
+        element_areas=areas, element_gradients=grads, element_centroids=centroids,
     )

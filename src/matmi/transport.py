@@ -111,14 +111,14 @@ def transport_solve(
     """Solve the update equation with strong Dirichlet data on the whole boundary.
 
     Interior rows come from the assembled operator with right-hand side
-    ``M_lumped * g`` (matching the data map's projection convention);
-    boundary rows are unit rows carrying ``boundary_value``.
+    ``M_lumped * g`` (matching the data map's projection convention); the
+    boundary entries of the rhs carry ``boundary_value``, which
+    ``fem.solve_dirichlet`` prescribes without reading the boundary rows.
     """
     mesh = op.mesh
     if g.mesh is not mesh or boundary_value.mesh is not mesh:
         raise ValueError("fields live on a different mesh")
+    nodes = mesh.boundary_nodes
     rhs = fem.lumped_mass(mesh) * g.values
-    matrix, rhs = fem.dirichlet_system(
-        op.matrix, rhs, mesh.boundary_nodes, boundary_value.values[mesh.boundary_nodes],
-    )
-    return fem.solve_dirichlet(mesh, matrix, rhs, mesh.boundary_nodes)
+    rhs[nodes] = boundary_value.values[nodes]
+    return fem.solve_dirichlet(mesh, op.matrix, rhs, nodes)

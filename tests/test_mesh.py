@@ -74,6 +74,23 @@ def test_boundary_nodes_on_rectangle():
     assert len(m.boundary_nodes) == 2 * 6 + 2 * 9
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1.0, 0.0, 1.0),
+    (1000.0, 1001.0, 0.0, 1.0),       # np.isclose on coordinates found 766 nodes
+    (0.0, 1e-7, 0.0, 1e-7),           # ... and 6032 here
+    (-3.0, 2.0, 1e6, 1e6 + 0.5),      # ... and every node here
+], ids=["unit", "offset", "tiny", "far"])
+def test_boundary_nodes_by_grid_index(bounds):
+    m = build_mesh(128, 96, bounds)
+    x_min, x_max, y_min, y_max = bounds
+    x, y = m.nodes.T
+    # linspace hits both ends exactly, so the boundary nodes are the exact matches
+    on_edge = (x == x_min) | (x == x_max) | (y == y_min) | (y == y_max)
+    assert len(m.boundary_nodes) == 2 * (128 + 96)
+    assert np.array_equal(m.boundary_nodes, np.flatnonzero(on_edge))
+    assert np.array_equal(m.interior_nodes, np.flatnonzero(~on_edge))
+
+
 def test_conforming_interior_edges():
     m = build_mesh(4, 5)
     counts = {}
