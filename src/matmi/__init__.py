@@ -11,7 +11,7 @@ from .fem import (
     solve_neumann, solve_dirichlet,
 )
 from .forward import (
-    ForwardResult, compute_field, forward_map, simulate,
+    ForwardResult, compute_field, forward_map,
     divergence_identity_error, gauge_field, rotate,
 )
 from .frechet import DerivativeResult, frechet_derivative, fd_validate

@@ -4,7 +4,8 @@ Assembly uses a one-point centroid rule with vertex-averaged coefficients,
 which integrates every product of elementwise constants exactly.  The pure
 Neumann system keeps its constant null space; it is solved by conjugate
 gradients on the mean-zero complement, preconditioned by one geometric
-multigrid V-cycle on the nested coarser meshes (Briggs, Henson & McCormick,
+multigrid V-cycle on the nested coarser meshes, between which
+``mesh.nested_interpolation`` moves vectors (Briggs, Henson & McCormick,
 *A Multigrid Tutorial*, 2nd ed., SIAM 2000), returning the zero-mean
 representative.  A Dirichlet solve reads only the free rows of the
 operator, takes the prescribed values from the rhs and factors only the free
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh
+from .mesh import Mesh, nested_interpolation
 
 __all__ = [
     "ScalarField", "VectorField", "SolverError",
@@ -203,26 +204,6 @@ SMOOTHER_SWEEPS = 3
 COARSEST_CELLS = 8
 
 
-def _prolongation(nx: int, ny: int) -> sp.csr_matrix:
-    """Nested P1 interpolation from the ``nx/2 x ny/2`` mesh to the ``nx x ny`` mesh.
-
-    Fine node ``(i, j)`` takes half of coarse nodes ``(i//2, j//2)`` and
-    ``(i//2 + i%2, j//2 + j%2)``: a coarse node copies, an edge midpoint
-    averages its two ends, a cell-diagonal midpoint averages the lower-left
-    and upper-right corners.
-    """
-    jj, ii = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
-    stride = nx // 2 + 1
-    first = (jj // 2) * stride + ii // 2
-    second = first + (jj % 2) * stride + ii % 2
-    rows = np.concatenate([np.arange(ii.size)] * 2)
-    weights = np.full(rows.size, 0.5)
-    return sp.csr_matrix(
-        (weights, (rows, np.concatenate([first, second]))),
-        shape=(ii.size, stride * (ny // 2 + 1)),
-    )
-
-
 @dataclass(frozen=True)
 class Multigrid:
     """Geometric multigrid hierarchy of a Neumann stiffness matrix.
@@ -265,7 +246,7 @@ def multigrid(mesh: Mesh, stiffness: sp.csr_matrix) -> Multigrid:
     matrices, prolongations, restrictions = [stiffness], [], []
     nx, ny = mesh.nx, mesh.ny
     while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) > COARSEST_CELLS:
-        p = _prolongation(nx, ny)
+        p = nested_interpolation(nx, ny, nx // 2, ny // 2)
         r = p.T.tocsr()
         prolongations.append(p)
         restrictions.append(r)

@@ -21,17 +21,17 @@ data-on-the-same-mesh mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem, transport
 from .fem import ScalarField, VectorField
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, nested_interpolation
 
 __all__ = [
     "ForwardResult",
-    "rotate", "gauge_field", "compute_field", "forward_map", "simulate",
+    "rotate", "gauge_field", "compute_field", "forward_map",
     "divergence_identity_error",
 ]
 
@@ -63,15 +63,13 @@ def gauge_field(mesh: Mesh, shift: tuple[float, float] | None = None) -> VectorF
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Field solve output; ``data`` and diagnostics are filled by simulate()."""
+    """Field solve output, with the operators built from it."""
 
     potential: ScalarField          # zero-mean Neumann potential u
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
     hierarchy: fem.Multigrid        # V-cycle hierarchy of the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
-    data: ScalarField | None = None
-    divergence_error: float | None = None
 
 
 def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> ForwardResult:
@@ -111,14 +109,6 @@ def forward_map(sigma: ScalarField, result: ForwardResult | None = None) -> Scal
     return transport.apply_data_operator(result.operator, sigma)
 
 
-def simulate(sigma: ScalarField) -> ForwardResult:
-    """Field solve plus data map plus diagnostics, for studies and the CLI."""
-    result = compute_field(sigma)
-    g = forward_map(sigma, result)
-    err = divergence_identity_error(result.field)
-    return replace(result, data=g, divergence_error=err)
-
-
 # ---------------------------------------------------------------------------
 # divergence identity diagnostic
 
@@ -127,28 +117,6 @@ def _largest_divisor_below(n: int, cap: int) -> int:
         if n % d == 0:
             return d
     return 1
-
-
-def _evaluation_mesh(mesh: Mesh, cap: int = 8) -> tuple[Mesh, np.ndarray]:
-    """Coarse evaluation grid plus the coarse element containing each element.
-
-    The subdivision counts are the largest divisors of ``nx`` and ``ny`` not
-    exceeding ``cap``, so every fine triangle nests inside exactly one coarse
-    triangle (the diagonals are parallel).
-    """
-    ndx = _largest_divisor_below(mesh.nx, cap)
-    ndy = _largest_divisor_below(mesh.ny, cap)
-    coarse = build_mesh(ndx, ndy, (mesh.x_min, mesh.x_max, mesh.y_min, mesh.y_max))
-    cell = np.arange(mesh.n_elements) // 2
-    ci = (cell % mesh.nx) // (mesh.nx // ndx)
-    cj = (cell // mesh.nx) // (mesh.ny // ndy)
-    hx = (mesh.x_max - mesh.x_min) / ndx
-    hy = (mesh.y_max - mesh.y_min) / ndy
-    rel_x = (mesh.element_centroids[:, 0] - (mesh.x_min + ci * hx)) / hx
-    rel_y = (mesh.element_centroids[:, 1] - (mesh.y_min + cj * hy)) / hy
-    below_diagonal = rel_x > rel_y
-    parent = 2 * (cj * ndx + ci) + np.where(below_diagonal, 0, 1)
-    return coarse, parent
 
 
 def _boundary_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -181,34 +149,25 @@ def divergence_identity_error(field: VectorField) -> float:
     The discrete field preserves the identity exactly against same-mesh test
     functions (the rotated gradient part is divergence free in distribution,
     and the gauge part is integrated exactly), so the weak divergence with
-    its boundary flux is projected onto a fixed coarse evaluation grid
-    instead; the lumped L2 norm of the deviation from 1 there is a genuine
+    its boundary flux is tested against the hat functions of a coarse
+    evaluation grid instead, of at most 8 cells a side, interpolated onto the
+    mesh.  The lumped L2 norm of the deviation from 1 there is a genuine
     first-order sampling error that halves with the mesh size.
     """
     mesh = field.mesh
     w = rotate(field.values)
-    coarse, parent = _evaluation_mesh(mesh)
-    grads = coarse.element_gradients[parent]                 # (M, 3, 2)
-    contrib = -mesh.element_areas[:, None] * np.einsum("md,mkd->mk", w, grads)
-    nodes, weights = [coarse.elements[parent].ravel()], [contrib.ravel()]
-
+    b = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, w))
     elems, n1, n2, normals = _boundary_edges(mesh)
-    flux = np.einsum("md,md->m", w[elems], normals)
     p1, p2 = mesh.nodes[n1], mesh.nodes[n2]
-    length = np.hypot(*(p2 - p1).T)
-    ce = parent[elems]
-    for k in range(3):
-        cnodes = coarse.elements[ce, k]
-        g = coarse.element_gradients[ce, k]
-        anchor = coarse.nodes[cnodes]
-        v1 = 1.0 + np.einsum("md,md->m", g, p1 - anchor)
-        v2 = 1.0 + np.einsum("md,md->m", g, p2 - anchor)
-        nodes.append(cnodes)
-        weights.append(flux * length * 0.5 * (v1 + v2))
-    b = np.bincount(
-        np.concatenate(nodes), weights=np.concatenate(weights), minlength=coarse.n_nodes
-    )
+    # a constant flux against a test function linear along the edge: half to each end
+    half = 0.5 * np.einsum("md,md->m", w[elems], normals) * np.hypot(*(p2 - p1).T)
+    b += np.bincount(np.concatenate([n1, n2]), np.concatenate([half, half]), mesh.n_nodes)
 
-    diag = fem.lumped_mass(coarse)
+    p = nested_interpolation(
+        mesh.nx, mesh.ny, _largest_divisor_below(mesh.nx, 8), _largest_divisor_below(mesh.ny, 8)
+    )
+    # each interpolated hat function is a P1 function on the mesh: both are exact
+    b = p.T @ b
+    diag = p.T @ fem.lumped_mass(mesh)
     dev = b / diag - 1.0
     return float(np.sqrt(np.sum(diag * dev**2)))

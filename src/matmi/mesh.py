@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Mesh", "ScatterPlan", "build_mesh"]
+__all__ = ["Mesh", "ScatterPlan", "build_mesh", "nested_interpolation"]
 
 #: consistent P1 mass matrix of a triangle, divided by its area
 _LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
@@ -221,4 +221,34 @@ def build_mesh(
         nx=nx, ny=ny, x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
         nodes=nodes, elements=elements, boundary_nodes=boundary, interior_nodes=interior,
         element_areas=areas, element_gradients=grads, element_centroids=centroids,
+    )
+
+
+def nested_interpolation(nx: int, ny: int, cx: int, cy: int) -> sp.csr_matrix:
+    """P1 interpolation from the ``cx x cy`` mesh to the ``nx x ny`` mesh refining it.
+
+    ``cx`` must divide ``nx`` and ``cy`` divide ``ny``, with any ratios.  Fine
+    node ``(i, j)`` sits at ``(xi, eta)`` in its coarse cell and takes
+    ``1 - max(xi, eta)`` of the cell's lower-left corner, ``min(xi, eta)``
+    of its upper-right corner and ``|xi - eta|`` of the corner on its side of
+    the diagonal; exact zeros are not stored.  Column ``c`` is the fine P1
+    interpolant of coarse hat function ``c``, which is that hat function
+    itself when both ratios are equal.
+    """
+    rx, ry = nx // cx, ny // cy
+    jj, ii = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    # the last row and column of nodes belong to the last coarse cell
+    ci, cj = np.minimum(ii // rx, cx - 1), np.minimum(jj // ry, cy - 1)
+    xi, eta = (ii - ci * rx) / rx, (jj - cj * ry) / ry
+    lower_left = cj * (cx + 1) + ci
+    # right of the diagonal the side corner is lower-right, else upper-left
+    side = np.where(xi > eta, lower_left + 1, lower_left + cx + 1)
+    cols = np.column_stack([lower_left, side, lower_left + cx + 2])
+    weights = np.column_stack([1.0 - np.maximum(xi, eta), np.abs(xi - eta), np.minimum(xi, eta)])
+    # the columns of each row ascend, so the kept entries are in CSR order
+    keep = weights != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
+    return sp.csr_matrix(
+        (weights[keep], cols[keep].astype(np.int32), indptr),
+        shape=(ii.size, (cx + 1) * (cy + 1)),
     )

@@ -86,23 +86,23 @@ def make_phantom(spec: PhantomSpec, mesh: Mesh) -> ScalarField:
     return ScalarField(mesh, values)
 
 
-def single_bump_spec(amplitude_scale: float = 1.0) -> PhantomSpec:
+def single_bump_spec() -> PhantomSpec:
     """Mild off-center bump; the standard smooth test model."""
     return PhantomSpec(
         background=0.2,
-        bumps=(Bump((0.4, 0.6), 0.1 * amplitude_scale, 0.12),),
+        bumps=(Bump((0.4, 0.6), 0.1, 0.12),),
         collar_width=0.15,
     )
 
 
-def three_bump_spec(amplitude_scale: float = 1.0) -> PhantomSpec:
+def three_bump_spec() -> PhantomSpec:
     """Steeper asymmetric three-bump model with a larger gradient."""
     return PhantomSpec(
         background=0.2,
         bumps=(
-            Bump((0.35, 0.62), 0.16 * amplitude_scale, 0.085),
-            Bump((0.65, 0.62), 0.16 * amplitude_scale, 0.085),
-            Bump((0.5, 0.38), 0.13 * amplitude_scale, 0.09),
+            Bump((0.35, 0.62), 0.16, 0.085),
+            Bump((0.65, 0.62), 0.16, 0.085),
+            Bump((0.5, 0.38), 0.13, 0.09),
         ),
         collar_width=0.15,
     )

@@ -136,12 +136,13 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
     return sigma, report  # pragma: no cover
 
 
-def fit_convergence_factor(report: ReconReport, floor: float = 10 * SOLVER_FLOOR) -> tuple[float, float]:
-    """Least-squares fit of ``log(error) ~ k`` over entries above the floor.
+def fit_convergence_factor(report: ReconReport) -> tuple[float, float]:
+    """Least-squares fit of ``log(error) ~ k`` over entries above ``10 * SOLVER_FLOOR``.
 
     Returns the per-iteration factor ``c`` and the fit's R^2.  Requires at
     least five usable error entries.
     """
+    floor = 10 * SOLVER_FLOOR
     errs = np.asarray(report.abs_errors, dtype=float)
     ks = np.asarray(report.iterations, dtype=float)
     usable = np.isfinite(errs) & (errs > floor)

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField, VectorField
-from matmi.mesh import build_mesh
+from matmi.mesh import build_mesh, nested_interpolation
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
 from conftest import smooth_conductivity
@@ -303,21 +303,37 @@ def test_neumann_odd_mesh_coarsest_level_is_fine():
     assert len(residuals) - 1 == 1
 
 
-@pytest.mark.parametrize("nx, ny, bounds", [
-    (4, 4, (0.0, 1.0, 0.0, 1.0)), (16, 6, (-1.5, 2.0, 0.25, 1.0)), (10, 24, (2.0, 3.0, -4.0, 1.0)),
-])
-def test_prolongation_interpolates_affine_exactly(nx, ny, bounds):
+def assert_interpolates_affine_exactly(nx, ny, cx, cy, bounds):
     fine = build_mesh(nx, ny, bounds)
-    coarse = build_mesh(nx // 2, ny // 2, bounds)
+    coarse = build_mesh(cx, cy, bounds)
 
     def affine(x, y):
         return 0.3 - 1.7 * x + 2.9 * y
 
-    p = fem._prolongation(nx, ny)
+    p = nested_interpolation(nx, ny, cx, cy)
     assert p.shape == (fine.n_nodes, coarse.n_nodes)
+    assert np.all(p.data != 0.0)
     expected = fem.interpolate(fine, affine).values
     got = p @ fem.interpolate(coarse, affine).values
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (4, 4, (0.0, 1.0, 0.0, 1.0)), (16, 6, (-1.5, 2.0, 0.25, 1.0)), (10, 24, (2.0, 3.0, -4.0, 1.0)),
+])
+def test_prolongation_interpolates_affine_exactly(nx, ny, bounds):
+    # the multigrid's transfer between levels
+    assert_interpolates_affine_exactly(nx, ny, nx // 2, ny // 2, bounds)
+
+
+@pytest.mark.parametrize("nx, ny, cx, cy, bounds", [
+    (24, 36, 8, 6, (0.0, 2.0, 0.0, 1.0)), (7, 11, 7, 1, (-1.0, 0.5, 0.0, 3.0)),
+    (16, 6, 8, 6, (0.0, 4.0, 0.0, 0.5)),
+])
+def test_nested_interpolation_any_ratio_affine_exactly(nx, ny, cx, cy, bounds):
+    # unequal ratios put coarse diagonals across fine cells; 16x6 -> 8x6 is
+    # the transfer of a semicoarsening that halves x only
+    assert_interpolates_affine_exactly(nx, ny, cx, cy, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,21 @@ def test_steeper_phantom_larger_factor(mesh64, bump64):
     assert c2 > c1
 
 
+@pytest.mark.parametrize("spec", [single_bump_spec, three_bump_spec], ids=["single", "three"])
+def test_contraction_factor_mesh_independent(spec):
+    # in-crime fits at n = 32 / 64 / 128 read 0.141 / 0.145 / 0.145 (single)
+    # and 0.235 / 0.237 / 0.230 (three): the contraction is a property of the
+    # continuous problem, not of the mesh
+    factors = []
+    for n in (32, 64, 128):
+        mesh = build_mesh(n, n)
+        truth = make_phantom(spec(), mesh)
+        cfg = ReconConfig(sigma0=fem.constant_field(mesh, 0.2), truth=truth)
+        _, rep = recon.reconstruct(forward.forward_map(truth), cfg)
+        factors.append(recon.fit_convergence_factor(rep)[0])
+    assert max(factors) - min(factors) <= 0.02
+
+
 # ---------------------------------------------------------------------------
 # stability
 
