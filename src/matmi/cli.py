@@ -13,7 +13,9 @@ Unknown keys are rejected with their line number.  Fields are written as CSV
 byte-identical) and optionally as legacy ASCII VTK for external viewers.
 All files are written atomically (temp file plus rename).
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 bad input, 3 solver failure.  Outside input (the
+config, the data file, ``--out``, the domain and the phantom it describes)
+is checked where it is read and fails there as a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ EXIT_SOLVER = 3
 
 
 class ConfigError(Exception):
-    """Invalid configuration file or option."""
+    """Invalid outside input: the config, a file it names, or an option."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,10 @@ class RunConfig:
 
     def build_mesh(self) -> Mesh:
         n = self.mesh_n
-        return build_mesh(n, n, (self.x_min, self.x_max, self.y_min, self.y_max))
+        try:
+            return build_mesh(n, n, (self.x_min, self.x_max, self.y_min, self.y_max))
+        except ValueError as exc:
+            raise ConfigError(f"domain.* with mesh.n = {n}: {exc}") from exc
 
 
 def _parse_float(text: str) -> float:
@@ -300,20 +305,22 @@ def _restrict_from_refined(fine: ScalarField, coarse: Mesh) -> ScalarField:
 
 
 def synthesize_data(config: RunConfig, mesh: Mesh, truth: ScalarField) -> ScalarField:
-    """In-crime data on the run mesh, or restriction of 2x fine-mesh data."""
+    """In-crime data on ``mesh = config.build_mesh()``, or restriction of 2x fine-mesh data."""
     if config.data_mode == "in-crime":
         return forward.forward_map(truth)
-    fine_mesh = build_mesh(
-        2 * mesh.nx, 2 * mesh.ny, (mesh.x_min, mesh.x_max, mesh.y_min, mesh.y_max)
-    )
-    fine_truth = _truth_field(config, fine_mesh)
+    fine_mesh = replace(config, mesh_n=2 * config.mesh_n).build_mesh()
+    fine_truth = _conductivity(config, fine_mesh, config.data_truth)
     return _restrict_from_refined(forward.forward_map(fine_truth), mesh)
 
 
-def _truth_field(config: RunConfig, mesh: Mesh) -> ScalarField:
-    if config.data_truth == "background":
+def _conductivity(config: RunConfig, mesh: Mesh, model: str) -> ScalarField:
+    """The configured phantom on ``mesh`` if ``model`` is "phantom", else its background."""
+    if model == "background":
         return fem.constant_field(mesh, config.background)
-    return make_phantom(config.phantom_spec(), mesh)
+    try:
+        return make_phantom(config.phantom_spec(), mesh)
+    except ValueError as exc:
+        raise ConfigError(f"phantom.bumps: {exc}") from exc
 
 
 def _invert(config: RunConfig) -> tuple[ScalarField, ScalarField, ReconReport, float, float]:
@@ -324,17 +331,14 @@ def _invert(config: RunConfig) -> tuple[ScalarField, ScalarField, ReconReport, f
     few usable errors to fit.
     """
     mesh = config.build_mesh()
-    truth = _truth_field(config, mesh)
+    truth = _conductivity(config, mesh, config.data_truth)
     if config.data_source == "file":
         g = read_scalar_csv(config.data_file, mesh)
     else:
         g = synthesize_data(config, mesh, truth)
-    if config.initial_model == "phantom":
-        sigma0 = make_phantom(config.phantom_spec(), mesh)
-    else:
-        sigma0 = fem.constant_field(mesh, config.background)
     rc = ReconConfig(
-        sigma0=sigma0, max_iterations=config.max_iterations,
+        sigma0=_conductivity(config, mesh, config.initial_model),
+        max_iterations=config.max_iterations,
         tolerance_update=config.tolerance_update,
         tolerance_misfit=config.tolerance_misfit, truth=truth,
     )
@@ -352,7 +356,7 @@ def _invert(config: RunConfig) -> tuple[ScalarField, ScalarField, ReconReport, f
 def cmd_forward(config: RunConfig, out: str) -> None:
     """Simulate the field and data for the configured phantom; write files."""
     mesh = config.build_mesh()
-    sigma = _truth_field(config, mesh)
+    sigma = _conductivity(config, mesh, config.data_truth)
     result = forward.compute_field(sigma)
     data = forward.forward_map(sigma, result)
     write_scalar_csv(os.path.join(out, "sigma.csv"), sigma)
@@ -420,7 +424,7 @@ def cmd_study(config: RunConfig, out: str) -> None:
                     report.rel_errors[-1], report.abs_errors[-1], c, r2,
                     forward.divergence_identity_error(field), "ok",
                 ]
-            except (ValueError, SolverError, AdmissibilityError) as exc:
+            except (ConfigError, SolverError, AdmissibilityError) as exc:
                 row += [float("nan")] * 7 + [f"failed: {type(exc).__name__}"]
             rows.append(row)
     header = (
@@ -434,7 +438,7 @@ def cmd_study(config: RunConfig, out: str) -> None:
 def cmd_phantom(config: RunConfig, out: str) -> None:
     """Evaluate the configured phantom and write it with its properties."""
     mesh = config.build_mesh()
-    sigma = make_phantom(config.phantom_spec(), mesh)
+    sigma = _conductivity(config, mesh, "phantom")
     write_scalar_csv(os.path.join(out, "phantom.csv"), sigma)
     _write_keyvalue_csv(os.path.join(out, "phantom_properties.csv"), {
         "min": sigma.values.min(),
@@ -444,6 +448,23 @@ def cmd_phantom(config: RunConfig, out: str) -> None:
     })
     if config.write_vtk:
         write_vtk(os.path.join(out, "phantom.vtk"), {"sigma": sigma})
+
+
+def _read_config(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
+def _check_out(out: str) -> None:
+    """Reject an output directory that is a file or lies below one, before any work."""
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
 
 
 _COMMANDS = {
@@ -465,23 +486,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        config = parse_config(_read_config(args.config))
+        _check_out(args.out)
         _COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, AdmissibilityError) as exc:

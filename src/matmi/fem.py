@@ -253,7 +253,10 @@ def multigrid(mesh: Mesh, stiffness: sp.csr_matrix) -> Multigrid:
         matrices.append((r @ matrices[-1] @ p).tocsr())
         nx, ny = nx // 2, ny // 2
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
-    coarse_lu = spla.splu(matrices[-1][1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    try:
+        coarse_lu = spla.splu(matrices[-1][1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"coarse multigrid factor failed: {exc}", [np.inf]) from exc
     return Multigrid(
         matrices=tuple(matrices), prolongations=tuple(prolongations),
         restrictions=tuple(restrictions), relaxation=relaxation, coarse_lu=coarse_lu,

@@ -169,12 +169,13 @@ def build_mesh(
     """Build the uniform triangulation with ``nx * ny`` cells, two triangles each.
 
     ``bounds`` is ``(x_min, x_max, y_min, y_max)``.  Raises ``ValueError`` for
-    non-positive subdivision counts or degenerate bounds.
+    non-positive subdivision counts or degenerate bounds, and for an element
+    whose area or basis gradients are zero or not finite in float64.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be positive, got nx={nx}, ny={ny}")
     x_min, x_max, y_min, y_max = (float(v) for v in bounds)
-    if not (x_min < x_max and y_min < y_max):
+    if not (0.0 < x_max - x_min < np.inf and 0.0 < y_max - y_min < np.inf):
         raise ValueError(f"degenerate bounds {bounds}")
 
     xs = np.linspace(x_min, x_max, nx + 1)
@@ -199,12 +200,15 @@ def build_mesh(
     p = nodes[elements]                               # (M, 3, 2)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
-    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(twice_area <= 0.0):
-        bad = int(np.argmax(twice_area <= 0.0))
-        raise ValueError(f"degenerate element {bad} with 2*area={twice_area[bad]}")
     edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]          # edge opposite each vertex
-    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / twice_area[:, None, None]
+    # bounds that float64 holds can still give a zero, infinite or NaN geometry
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / twice_area[:, None, None]
+    sound = (0.0 < twice_area) & (twice_area < np.inf)
+    if not (sound.all() and np.isfinite(grads).all()):
+        bad = int(np.argmin(sound & np.isfinite(grads).all(axis=(1, 2))))
+        raise ValueError(f"degenerate element {bad} with 2*area={twice_area[bad]}")
     areas = 0.5 * twice_area
     centroids = p.mean(axis=1)
 

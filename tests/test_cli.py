@@ -279,6 +279,48 @@ def test_solver_failure_exit_code(tmp_path):
     assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
 
 
+@pytest.mark.parametrize("command", ["forward", "invert", "study"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_below_a_file_rejected_before_any_solve(tmp_path, monkeypatch, capsys, command, below):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(cli.forward, "compute_field", no_solve)
+    cfg = write_config(tmp_path, BASE_CONFIG + "study.mesh_sizes = 8\n")
+    (tmp_path / "taken").write_text("")
+    before = sorted(os.listdir(tmp_path))
+    out = os.path.join(str(tmp_path / "taken"), below)
+    assert main([command, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert out in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", ["phantom", "forward", "invert"])
+@pytest.mark.parametrize("domain", [
+    "domain.x_max = 1e300\ndomain.y_max = 1e300\n",   # areas overflow
+    "domain.x_max = 1e-320\n",                         # gradients overflow
+])
+def test_domain_outside_float_range_is_config_error(tmp_path, capsys, command, domain):
+    cfg = write_config(tmp_path, "mesh.n = 8\n" + domain)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert "domain" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("bumps", [
+    "0.5 0.5 0.1 -0.1",     # negative width
+    "0.5 0.5 -0.3 0.12",    # cancels the background
+    "0.5 0.5 -0.1995 0.3",  # dips below the admissibility floor
+])
+def test_inadmissible_phantom_names_its_key(tmp_path, capsys, bumps):
+    cfg = write_config(tmp_path, f"mesh.n = 8\nphantom.bumps = {bumps}\n")
+    out = str(tmp_path / "out")
+    assert main(["phantom", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert "phantom.bumps" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_study_sweep(tmp_path):
     text = """
 mesh.n = 16
@@ -331,7 +373,7 @@ study.amplitude_scales = 1.0 1.4
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert rows[0]["status"] == "ok"
-    assert rows[1]["status"].startswith("failed")
+    assert rows[1]["status"] == "failed: ConfigError"
 
 
 def test_fine_mesh_study_row_matches_invert_of_scaled_phantom(tmp_path):

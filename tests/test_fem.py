@@ -303,6 +303,14 @@ def test_neumann_odd_mesh_coarsest_level_is_fine():
     assert len(residuals) - 1 == 1
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_multigrid_singular_coarse_factor_is_solver_error(n):
+    mesh = build_mesh(n, n)
+    zero = sp.csr_matrix((mesh.n_nodes, mesh.n_nodes))
+    with np.errstate(divide="ignore"), pytest.raises(fem.SolverError, match="coarse"):
+        fem.multigrid(mesh, zero)
+
+
 def assert_interpolates_affine_exactly(nx, ny, cx, cy, bounds):
     fine = build_mesh(nx, ny, bounds)
     coarse = build_mesh(cx, cy, bounds)

@@ -4,7 +4,7 @@ import pytest
 from matmi import fem, forward, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh, nested_interpolation
-from matmi.phantoms import make_phantom, random_bump_spec, single_bump_spec
+from matmi.phantoms import make_phantom, random_bump_spec, single_bump_spec, three_bump_spec
 
 from conftest import perturbation
 
@@ -194,3 +194,16 @@ def test_divergence_pure_gradient_consistent(nx, ny, bounds):
     e_gauge = forward.divergence_identity_error(gauge)
     e_full = forward.divergence_identity_error(with_gradient)
     assert e_full == pytest.approx(e_gauge, abs=1e-12)
+
+
+def test_divergence_error_does_not_depend_on_sigma(mesh64):
+    # the rotated gradient part is divergence free in distribution, so the
+    # diagnostic reads the gauge's centroid sampling whatever sigma is
+    gauge_only = forward.divergence_identity_error(forward.gauge_field(mesh64))
+    for sigma in (
+        fem.constant_field(mesh64, 0.2),
+        make_phantom(single_bump_spec(), mesh64),
+        make_phantom(three_bump_spec(), mesh64),
+    ):
+        err = forward.divergence_identity_error(forward.compute_field(sigma).field)
+        assert err == pytest.approx(gauge_only, rel=1e-13)

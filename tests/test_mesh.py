@@ -36,6 +36,16 @@ def test_rejects_bad_arguments():
         build_mesh(4, 4, (0.0, 0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1e300, 0.0, 1e300),     # areas overflow
+    (0.0, 1e-320, 0.0, 1.0),      # subnormal areas: gradients overflow
+    (-1e308, 1e308, 0.0, 1.0),    # the width overflows
+])
+def test_rejects_geometry_outside_float_range(bounds):
+    with pytest.raises(ValueError, match="degenerate"):
+        build_mesh(8, 8, bounds)
+
+
 def test_triangle_geometry_hand_values():
     # P1 barycentric gradients on the two triangles of the unit square, by hand:
     # lower (0,0),(1,0),(1,1) has basis 1-x, x-y, y; upper (0,0),(1,1),(0,1)

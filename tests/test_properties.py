@@ -1,4 +1,5 @@
-"""Property tests of assembly, the solves, the field and its linearisation over random rectangles.
+"""Property tests of assembly, the solves, the field, its linearisation and the
+in-crime reconstruction over random rectangles.
 
 Meshes have ``nx != ny`` in [3, 40] over non-unit bounds, so the multigrid
 hierarchy coarsens zero, one or several times (both counts even and above
@@ -12,9 +13,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from matmi import fem, forward, frechet, transport
+from matmi import fem, forward, frechet, recon, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
+from matmi.phantoms import Bump, PhantomSpec, make_phantom
 
 from conftest import smooth_conductivity
 
@@ -198,3 +200,27 @@ def test_frechet_remainder_is_quadratic(mesh, seed):
     t = 1e-2
     r = frechet.fd_validate(sigma, h, t_values=(t, t / 2))
     assert 3.2 <= r[0] / r[1] <= 4.8
+
+
+@st.composite
+def reconstruction_rectangles(draw):
+    """Meshes of 8 to 40 cells a side, sides log-uniform in [0.2, 5], cells at most 4:1."""
+    nx, ny = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    x_min, y_min = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    width, height = (np.exp(draw(st.floats(np.log(0.2), np.log(5.0)))) for _ in range(2))
+    return build_mesh(nx, ny, (x_min, x_min + width, y_min, y_min + height))
+
+
+@PROPERTY_SETTINGS
+@given(mesh=reconstruction_rectangles().filter(lambda m: cell_aspect(m) <= 4.0))
+def test_in_crime_reconstruction_reaches_solver_floor(mesh):
+    width, height = mesh.x_max - mesh.x_min, mesh.y_max - mesh.y_min
+    short = min(width, height)
+    center = (mesh.x_min + 0.45 * width, mesh.y_min + 0.55 * height)
+    spec = PhantomSpec(
+        background=0.2, bumps=(Bump(center, 0.1, 0.12 * short),), collar_width=0.15 * short,
+    )
+    truth = make_phantom(spec, mesh)
+    config = recon.ReconConfig(sigma0=fem.constant_field(mesh, 0.2), truth=truth)
+    _, report = recon.reconstruct(forward.forward_map(truth), config)
+    assert report.rel_errors[-1] <= 1e-7
