@@ -31,7 +31,7 @@ import numpy as np
 from . import fem, forward, recon
 from .fem import ScalarField, SolverError, VectorField
 from .mesh import Mesh, build_mesh
-from .phantoms import Bump, PhantomSpec, make_phantom
+from .phantoms import LAMBDA_FLOOR, Bump, PhantomSpec, make_phantom
 from .recon import AdmissibilityError, ReconConfig, ReconReport
 
 __all__ = [
@@ -179,8 +179,11 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"mesh.n must be at least 1, got {config.mesh_n}")
     if not (config.x_min < config.x_max and config.y_min < config.y_max):
         raise ConfigError("domain bounds are degenerate")
-    if config.background <= 0.0:
-        raise ConfigError("phantom.background must be positive")
+    if not config.background >= LAMBDA_FLOOR:
+        raise ConfigError(
+            f"phantom.background must be at least the admissibility floor {LAMBDA_FLOOR}, "
+            f"got {config.background}"
+        )
     if config.collar_width <= 0.0:
         raise ConfigError("phantom.collar_width must be positive")
     if config.max_iterations < 1:
@@ -304,13 +307,20 @@ def _restrict_from_refined(fine: ScalarField, coarse: Mesh) -> ScalarField:
     return ScalarField(coarse, fine.values[idx].copy())
 
 
-def synthesize_data(config: RunConfig, mesh: Mesh, truth: ScalarField) -> ScalarField:
-    """In-crime data on ``mesh = config.build_mesh()``, or restriction of 2x fine-mesh data."""
+def synthesize_data(
+    config: RunConfig, mesh: Mesh, truth: ScalarField,
+) -> tuple[ScalarField, VectorField | None]:
+    """In-crime data on ``mesh = config.build_mesh()``, or restriction of 2x fine-mesh data.
+
+    Also returns the truth's field E on ``mesh`` when the data came from it
+    (in-crime), else None.
+    """
     if config.data_mode == "in-crime":
-        return forward.forward_map(truth)
+        result = forward.compute_field(truth)
+        return forward.forward_map(truth, result), result.field
     fine_mesh = replace(config, mesh_n=2 * config.mesh_n).build_mesh()
     fine_truth = _conductivity(config, fine_mesh, config.data_truth)
-    return _restrict_from_refined(forward.forward_map(fine_truth), mesh)
+    return _restrict_from_refined(forward.forward_map(fine_truth), mesh), None
 
 
 def _conductivity(config: RunConfig, mesh: Mesh, model: str) -> ScalarField:
@@ -323,19 +333,24 @@ def _conductivity(config: RunConfig, mesh: Mesh, model: str) -> ScalarField:
         raise ConfigError(f"phantom.bumps: {exc}") from exc
 
 
-def _invert(config: RunConfig) -> tuple[ScalarField, ScalarField, ReconReport, float, float]:
+def _invert(
+    config: RunConfig, keep_truth_field: bool = False,
+) -> tuple[ScalarField, ScalarField, ReconReport, float, float, VectorField | None]:
     """Build the truth, the data and the start the config names, then reconstruct.
 
-    Returns the truth, the reconstruction, its report, and the fitted
+    Returns the truth, the reconstruction, its report, the fitted
     contraction factor with its R^2, which are NaN when the report has too
-    few usable errors to fit.
+    few usable errors to fit, and, with ``keep_truth_field``, the truth's
+    field if the data synthesis solved it on the run mesh (else None).
     """
     mesh = config.build_mesh()
     truth = _conductivity(config, mesh, config.data_truth)
     if config.data_source == "file":
-        g = read_scalar_csv(config.data_file, mesh)
+        g, truth_field = read_scalar_csv(config.data_file, mesh), None
     else:
-        g = synthesize_data(config, mesh, truth)
+        g, truth_field = synthesize_data(config, mesh, truth)
+    if not keep_truth_field:
+        truth_field = None   # not held through the reconstruction
     rc = ReconConfig(
         sigma0=_conductivity(config, mesh, config.initial_model),
         max_iterations=config.max_iterations,
@@ -347,7 +362,7 @@ def _invert(config: RunConfig) -> tuple[ScalarField, ScalarField, ReconReport, f
         c, r2 = recon.fit_convergence_factor(report)
     except ValueError:
         c, r2 = float("nan"), float("nan")
-    return truth, sigma, report, c, r2
+    return truth, sigma, report, c, r2, truth_field
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +393,14 @@ def cmd_forward(config: RunConfig, out: str) -> None:
 
 def cmd_invert(config: RunConfig, out: str) -> None:
     """Reconstruct the conductivity from synthesized or file data; write files."""
-    truth, sigma, report, c, r2 = _invert(config)
+    truth, sigma, report, c, r2, _ = _invert(config)
     write_scalar_csv(os.path.join(out, "sigma_reconstructed.csv"), sigma)
     write_report_csv(os.path.join(out, "report.csv"), report)
     summary: dict[str, float | int | str] = {
         "stopping_reason": report.stopping_reason,
         "iterations": report.n_iterations,
+        "cg_iterations": sum(report.cg_iterations),
+        "transport_factors": sum(report.transport_factors),
         "final_misfit": report.misfits[-1],
         "final_rel_error": report.rel_errors[-1],
         "final_abs_error": report.abs_errors[-1],
@@ -417,8 +434,9 @@ def cmd_study(config: RunConfig, out: str) -> None:
             )
             row: list = [n, scale]
             try:
-                truth, _, report, c, r2 = _invert(run)
-                field = forward.compute_field(truth).field
+                truth, _, report, c, r2, field = _invert(run, keep_truth_field=True)
+                if field is None:
+                    field = forward.compute_field(truth).field
                 row += [
                     fem.gradient_sup(truth), report.n_iterations,
                     report.rel_errors[-1], report.abs_errors[-1], c, r2,

@@ -8,10 +8,12 @@ multigrid V-cycle on the nested coarser meshes, between which
 ``mesh.nested_interpolation`` moves vectors (Briggs, Henson & McCormick,
 *A Multigrid Tutorial*, 2nd ed., SIAM 2000), returning the zero-mean
 representative.  A Dirichlet solve reads only the free rows of the
-operator, takes the prescribed values from the rhs and factors only the free
-block, by a sparse LU in the mesh's geometric nested-dissection order
-(A. George, "Nested dissection of a regular finite element mesh", SIAM J.
-Numer. Anal. 10(2), 1973).
+operator, takes the prescribed values from the rhs and refines the free
+values from a sparse LU of the free block, in the mesh's geometric
+nested-dissection order (A. George, "Nested dissection of a regular finite
+element mesh", SIAM J. Numer. Anal. 10(2), 1973).  The Neumann solve takes
+a starting guess and the Dirichlet solve a held LU, so a run of nearby
+systems can reuse the last potential and the last factor.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
-    "Multigrid", "multigrid", "solve_neumann", "solve_dirichlet",
+    "Multigrid", "multigrid", "solve_neumann", "FreeBlockLU", "solve_dirichlet",
     "l2_norm", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
 
@@ -269,8 +271,14 @@ def _projected_pcg(
     precondition: Callable[[np.ndarray], np.ndarray],
     tol: float,
     max_iter: int,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """Preconditioned CG on the mean-zero complement of a singular SPD system."""
+    """Preconditioned CG on the mean-zero complement of a singular SPD system.
+
+    Starts from the projection of ``x0`` (zero when not given) and stops at
+    ``||r|| <= tol * ||b||``, relative to ``b`` whatever the start.  Raises
+    ``SolverError`` at the first residual that is not finite.
+    """
     n = b.shape[0]
 
     def project(v: np.ndarray) -> np.ndarray:
@@ -278,14 +286,28 @@ def _projected_pcg(
 
     b = project(b)
     b_norm = np.linalg.norm(b)
-    x = np.zeros(n)
     if b_norm == 0.0:
-        return x, [0.0]
-    r = b.copy()
+        return np.zeros(n), [0.0]
+    if x0 is None:
+        x, r = np.zeros(n), b.copy()
+    else:
+        x = project(x0)
+        r = project(b - a @ x)
+    residuals: list[float] = []
+
+    def converged(rel: float) -> bool:
+        residuals.append(rel)
+        if not np.isfinite(rel):
+            raise SolverError(
+                f"CG residual is not finite after {len(residuals) - 1} iterations", residuals,
+            )
+        return rel <= tol
+
+    if converged(np.linalg.norm(r) / b_norm):
+        return x, residuals
     z = project(precondition(r))
     p = z.copy()
     rz = r @ z
-    residuals = [1.0]
     for _ in range(max_iter):
         ap = a @ p
         alpha = rz / (p @ ap)
@@ -298,8 +320,7 @@ def _projected_pcg(
             # confirm on the true residual, which the recurrence can drift from
             r = project(b - a @ x)
             rel = np.linalg.norm(r) / b_norm
-        residuals.append(rel)
-        if rel <= tol:
+        if converged(rel):
             return project(x), residuals
         z = project(precondition(r))
         rz_next = r @ z
@@ -313,16 +334,36 @@ def _projected_pcg(
     )
 
 
-def solve_neumann(mesh: Mesh, hierarchy: Multigrid, rhs: np.ndarray) -> ScalarField:
+def solve_neumann(
+    mesh: Mesh, hierarchy: Multigrid, rhs: np.ndarray, guess: ScalarField | None = None,
+) -> tuple[ScalarField, list[float]]:
     """Solve the singular Neumann system of ``hierarchy.matrices[0]``.
 
-    Returns the zero-mean representative.  The mean of the rhs is projected
-    out, which makes the system consistent.  CG is preconditioned by one
-    V-cycle of ``hierarchy``, so solves of one matrix share its set-up.
+    Returns the zero-mean representative and the CG residual history, whose
+    length less one is the iteration count.  The mean of the rhs is
+    projected out, which makes the system consistent.  CG starts from
+    ``guess`` when given, and is preconditioned by one V-cycle of
+    ``hierarchy``, so solves of one matrix share its set-up.
     """
     matrix = hierarchy.matrices[0]
-    x, _ = _projected_pcg(matrix, rhs, hierarchy.vcycle, SOLVER_TOL, 10 * rhs.shape[0])
-    return ScalarField(mesh, x)
+    x, residuals = _projected_pcg(
+        matrix, rhs, hierarchy.vcycle, SOLVER_TOL, 10 * rhs.shape[0],
+        None if guess is None else guess.values,
+    )
+    return ScalarField(mesh, x), residuals
+
+
+class FreeBlockLU:
+    """The sparse LU that ``solve_dirichlet`` refines from, held between solves.
+
+    A caller that solves a run of nearby matrices passes one holder to each
+    solve.  ``lu`` is the factor the last solve ended with (None before the
+    first), and ``fresh`` says whether that solve built it.
+    """
+
+    def __init__(self) -> None:
+        self.lu: spla.SuperLU | None = None
+        self.fresh = False
 
 
 def solve_dirichlet(
@@ -330,34 +371,61 @@ def solve_dirichlet(
     matrix: sp.csr_matrix,
     rhs: np.ndarray,
     dirichlet_nodes: np.ndarray,
+    factor: FreeBlockLU | None = None,
 ) -> ScalarField:
-    """Direct sparse solve with prescribed values at ``dirichlet_nodes``; checks the residual.
+    """Sparse solve with prescribed values at ``dirichlet_nodes``; checks the residual.
 
     The rows of ``dirichlet_nodes`` are never read: those values are taken
-    from the rhs bit-exactly.  Only the free block is factored, by a sparse
-    LU in the mesh's nested-dissection order with diagonal pivots preferred
-    (George, SIAM J. Numer. Anal. 10(2), 1973).  The residual is checked on
-    the free rows against ``SOLVER_TOL * ||rhs||``; it equals the residual of
-    the ``dirichlet_system`` form, whose prescribed rows have none.
+    from the rhs bit-exactly.  The free values come from iterative
+    refinement, ``x_f += LU^-1 (rhs_f - A_f x)`` from ``x_f = 0`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 12), with
+    the LU held by ``factor``, which may belong to an earlier, nearby matrix
+    (the chord method; Kelley, *Iterative Methods for Linear and Nonlinear
+    Equations*, 1995, §5.4).  When a step cuts the free-row residual by less
+    than 10x, that LU is dropped and the free block of ``matrix`` is factored
+    in the mesh's nested-dissection order with diagonal pivots preferred
+    (George, SIAM J. Numer. Anal. 10(2), 1973); a fresh factor normally
+    needs one solve.  The loop stops once the free-row residual is at most
+    ``SOLVER_TOL * ||rhs||``, which equals the residual of the
+    ``dirichlet_system`` form, whose prescribed rows have none.
     """
+    if factor is None:
+        factor = FreeBlockLU()
     x = np.zeros(matrix.shape[0])
     x[dirichlet_nodes] = rhs[dirichlet_nodes]
     order = mesh.dissection_order
     is_free = np.ones(matrix.shape[0], dtype=bool)
     is_free[dirichlet_nodes] = False
     free = order[is_free[order]]
-    rows = matrix[free]
-    if free.size:
-        try:
-            lu = spla.splu(
-                rows[:, free].tocsc(), permc_spec="NATURAL",
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise SolverError(f"direct solve failed: {exc}", [np.inf]) from exc
-        x[free] = lu.solve(rhs[free] - rows @ x)
-    b_norm = np.linalg.norm(rhs)
-    rel = np.linalg.norm(rows @ x - rhs[free]) / max(b_norm, 1e-300)
-    if not np.isfinite(rel) or (b_norm > 0.0 and rel > SOLVER_TOL):
+    b_norm = max(np.linalg.norm(rhs), 1e-300)
+
+    def residual() -> tuple[np.ndarray, float]:
+        r = rhs[free] - (matrix @ x)[free]
+        return r, np.linalg.norm(r) / b_norm
+
+    factor.fresh = False
+    r, rel = residual()
+    while not rel <= SOLVER_TOL:
+        if factor.lu is None:
+            try:
+                factor.lu = spla.splu(
+                    matrix[free][:, free].tocsc(), permc_spec="NATURAL",
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:
+                raise SolverError(f"direct solve failed: {exc}", [np.inf]) from exc
+            factor.fresh = True
+        x[free] += factor.lu.solve(r)
+        last = rel
+        r, rel = residual()
+        if rel <= SOLVER_TOL or rel <= last / 10.0:
+            continue
+        if factor.fresh:
+            break
+        # the held LU stalls on this matrix: free it before the new one is built
+        factor.lu = None
+        x[free] = 0.0
+        r, rel = residual()
+    if not rel <= SOLVER_TOL:
         raise SolverError(f"direct solve residual {rel:.3e} exceeds {SOLVER_TOL}", [rel])
     return ScalarField(mesh, x)

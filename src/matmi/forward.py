@@ -68,32 +68,38 @@ class ForwardResult:
     potential: ScalarField          # zero-mean Neumann potential u
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
+    cg_iterations: int              # CG iterations of the potential's solve
     hierarchy: fem.Multigrid        # V-cycle hierarchy of the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
 
 
-def compute_field(sigma: ScalarField, gauge: VectorField | None = None) -> ForwardResult:
+def compute_field(
+    sigma: ScalarField, gauge: VectorField | None = None, guess: ScalarField | None = None,
+) -> ForwardResult:
     """Solve the weak Neumann problem for the potential and form the field.
 
     The conductivity must be strictly positive at every node.  The returned
     field satisfies ``integral(sigma E . grad(phi)) = 0`` for every P1 test
-    function, to solver tolerance.  The result also carries the multigrid
-    hierarchy of the stiffness (its ``matrices[0]``) and the data operator
-    built from this sigma, for callers that reuse them.
+    function, to solver tolerance.  CG starts from ``guess`` when given, such
+    as the potential of a nearby sigma.  The result also carries the
+    multigrid hierarchy of the stiffness (its ``matrices[0]``) and the data
+    operator built from this sigma, for callers that reuse them.
     """
     mesh = sigma.mesh
     if gauge is None:
         gauge = gauge_field(mesh)
-    sigma_e = fem.element_means(sigma)
     hierarchy = fem.multigrid(mesh, fem.assemble_weighted_stiffness(mesh, sigma))
-    weighted_gauge = VectorField(mesh, sigma_e[:, None] * gauge.values)
+    weighted_gauge = VectorField(mesh, fem.element_means(sigma)[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
-    u = fem.solve_neumann(mesh, hierarchy, rhs)
+    u, residuals = fem.solve_neumann(mesh, hierarchy, rhs, guess)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
+    # the advection assembly is the peak of a field solve: free its inputs
+    # first, which lowered the peak RSS of a reconstruction that holds an LU
+    del gauge, weighted_gauge, rhs
     operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
     return ForwardResult(
         potential=u, field=field, field_norm=fem.l2_norm_vec(field),
-        hierarchy=hierarchy, operator=operator,
+        cg_iterations=len(residuals) - 1, hierarchy=hierarchy, operator=operator,
     )
 
 

@@ -54,7 +54,7 @@ def frechet_derivative(
     h_elem = fem.element_means(h)
     weighted = VectorField(mesh, h_elem[:, None] * base.field.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted)
-    phi = fem.solve_neumann(mesh, base.hierarchy, rhs)
+    phi, _ = fem.solve_neumann(mesh, base.hierarchy, rhs)
 
     op = base.operator
     delta_w = VectorField(mesh, forward.rotate(fem.gradient_field(phi).values))

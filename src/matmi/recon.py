@@ -7,7 +7,10 @@ Each sweep alternates a field solve with a transport solve:
     sigma_0 on the whole boundary.
 
 The data misfit ``g - F(sigma_k)`` reuses the operator assembled for the
-transport step, so checking it costs nothing extra.  Iterates that fall
+transport step, so checking it costs nothing extra.  The iterates contract,
+so each sweep's systems are close to the last one's: the field solve starts
+from the last potential, and the transport solve refines from the last LU
+until a step stalls (``fem.solve_dirichlet``).  Iterates that fall
 below the admissibility floor abort the run; clamping would hide the
 divergence the convergence theory predicts for steep conductivities.
 """
@@ -60,7 +63,10 @@ class ReconReport:
 
     Row k describes iterate sigma_k: its misfit against the data and, when a
     truth is available, its errors.  ``updates[k]`` is the L2 distance from
-    the previous iterate (zero for k = 0).
+    the previous iterate (zero for k = 0).  The solver work of row k is the
+    CG iterations of the field solve at sigma_k and the transport LU factors
+    built for the solve that produced it: 1 if built, 0 if the previous
+    sweep's was reused (and 0 for k = 0, which no solve produced).
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -68,14 +74,18 @@ class ReconReport:
     misfits: list[float] = field(default_factory=list)
     rel_errors: list[float] = field(default_factory=list)
     abs_errors: list[float] = field(default_factory=list)
+    cg_iterations: list[int] = field(default_factory=list)
+    transport_factors: list[int] = field(default_factory=list)
     stopping_reason: str = "max_iterations"
 
-    def record(self, k, update, misfit, rel_error, abs_error):
+    def record(self, k, update, misfit, rel_error, abs_error, cg_iterations, transport_factors):
         self.iterations.append(k)
         self.updates.append(update)
         self.misfits.append(misfit)
         self.rel_errors.append(rel_error)
         self.abs_errors.append(abs_error)
+        self.cg_iterations.append(cg_iterations)
+        self.transport_factors.append(transport_factors)
 
     @property
     def n_iterations(self) -> int:
@@ -94,6 +104,10 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
 
     report = ReconReport()
     sigma = sigma0
+    # carried from sweep to sweep: the field potential and the transport LU
+    potential = None
+    factor = fem.FreeBlockLU()
+    built = 0
 
     def errors(s: ScalarField) -> tuple[float, float]:
         if truth is None:
@@ -109,16 +123,19 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
                 f"below the floor {LAMBDA_FLOOR}",
                 report,
             )
-        # only the operator is kept: the stiffness is freed before the transport solve
-        op = forward.compute_field(sigma).operator
+        result = forward.compute_field(sigma, guess=potential)
+        # the hierarchy is freed before the transport solve
+        op, potential, cg_iterations = result.operator, result.potential, result.cg_iterations
+        del result
         predicted = transport.apply_data_operator(op, sigma)
         misfit = fem.l2_norm(ScalarField(mesh, g.values - predicted.values))
+        del predicted
         rel_err, abs_err = errors(sigma)
         update = (
             0.0 if k == 0
             else fem.l2_norm(ScalarField(mesh, sigma.values - previous.values))
         )
-        report.record(k, update, misfit, rel_err, abs_err)
+        report.record(k, update, misfit, rel_err, abs_err, cg_iterations, built)
 
         if misfit <= config.tolerance_misfit:
             report.stopping_reason = "misfit_tolerance"
@@ -131,7 +148,10 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
             return sigma, report
 
         previous = sigma
-        sigma = transport.transport_solve(op, g, sigma0)
+        sigma = transport.transport_solve(op, g, sigma0, factor)
+        built = int(factor.fresh)
+        # the held LU outlives this operator: free it before the next field solve
+        del op
 
     return sigma, report  # pragma: no cover
 

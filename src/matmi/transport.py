@@ -106,7 +106,10 @@ def apply_data_operator(op: AdvectionOperator, sigma: ScalarField) -> ScalarFiel
 
 
 def transport_solve(
-    op: AdvectionOperator, g: ScalarField, boundary_value: ScalarField
+    op: AdvectionOperator,
+    g: ScalarField,
+    boundary_value: ScalarField,
+    factor: fem.FreeBlockLU | None = None,
 ) -> ScalarField:
     """Solve the update equation with strong Dirichlet data on the whole boundary.
 
@@ -114,6 +117,8 @@ def transport_solve(
     ``M_lumped * g`` (matching the data map's projection convention); the
     boundary entries of the rhs carry ``boundary_value``, which
     ``fem.solve_dirichlet`` prescribes without reading the boundary rows.
+    ``factor`` holds the LU that the solve refines from and leaves behind
+    (see ``fem.solve_dirichlet``).
     """
     mesh = op.mesh
     if g.mesh is not mesh or boundary_value.mesh is not mesh:
@@ -121,4 +126,4 @@ def transport_solve(
     nodes = mesh.boundary_nodes
     rhs = fem.lumped_mass(mesh) * g.values
     rhs[nodes] = boundary_value.values[nodes]
-    return fem.solve_dirichlet(mesh, op.matrix, rhs, nodes)
+    return fem.solve_dirichlet(mesh, op.matrix, rhs, nodes, factor)

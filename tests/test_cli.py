@@ -175,6 +175,8 @@ def test_invert_synthesized(tmp_path):
     )
     assert float(summary["final_rel_error"]) <= 1e-6
     assert int(summary["iterations"]) <= 30
+    assert int(summary["cg_iterations"]) > 0
+    assert 1 <= int(summary["transport_factors"]) <= int(summary["iterations"])
     report = open(os.path.join(out, "report.csv")).read().splitlines()
     assert report[0] == "k,update,misfit,rel_error,abs_error"
     assert len(report) >= 3
@@ -319,6 +321,34 @@ def test_inadmissible_phantom_names_its_key(tmp_path, capsys, bumps):
     assert main(["phantom", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
     assert "phantom.bumps" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_background_below_floor_names_its_key(tmp_path, capsys):
+    # with no bumps the phantom is its background; the message blamed phantom.bumps
+    cfg = write_config(tmp_path, "mesh.n = 8\nphantom.background = 1e-4\nphantom.bumps =\n")
+    out = str(tmp_path / "out")
+    assert main(["phantom", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "phantom.background" in err and "phantom.bumps" not in err
+    assert not os.path.exists(out)
+
+
+def test_in_crime_study_row_solves_the_truth_field_once(tmp_path, monkeypatch):
+    solved = []
+    original = cli.forward.compute_field
+
+    def counting(sigma, *args, **kwargs):
+        solved.append(sigma)
+        return original(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(cli.forward, "compute_field", counting)
+    cfg = write_config(tmp_path, BASE_CONFIG + "study.mesh_sizes = 8\n")
+    out = str(tmp_path / "out")
+    assert main(["study", "--config", cfg, "--out", out]) == 0
+    header, row = open(os.path.join(out, "study.csv")).read().splitlines()
+    sweeps = int(dict(zip(header.split(","), row.split(",")))["iterations"])
+    # one truth solve for data and diagnostic, one field solve per iterate
+    assert len(solved) == 1 + (sweeps + 1)
 
 
 def test_study_sweep(tmp_path):

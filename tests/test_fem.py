@@ -183,7 +183,7 @@ def test_scalar_field_shape_checked(mesh8):
 
 def test_neumann_zero_rhs(mesh16):
     a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
-    u = fem.solve_neumann(mesh16, fem.multigrid(mesh16, a), np.zeros(mesh16.n_nodes))
+    u, _ = fem.solve_neumann(mesh16, fem.multigrid(mesh16, a), np.zeros(mesh16.n_nodes))
     assert np.all(u.values == 0.0)
 
 
@@ -196,8 +196,8 @@ def test_neumann_system_row_sum_invariant(mesh16):
     # the solver projects out the rhs mean, so a constant shift of the rhs
     # changes the solution only by rounding
     hierarchy = fem.multigrid(mesh16, a)
-    u = fem.solve_neumann(mesh16, hierarchy, rhs)
-    shifted = fem.solve_neumann(mesh16, hierarchy, rhs + 3.0)
+    u, _ = fem.solve_neumann(mesh16, hierarchy, rhs)
+    shifted, _ = fem.solve_neumann(mesh16, hierarchy, rhs + 3.0)
     np.testing.assert_allclose(shifted.values, u.values, rtol=0.0,
                                atol=1e-9 * np.abs(u.values).max())
 
@@ -210,7 +210,7 @@ def test_neumann_gradient_bound_centered_gauge(mesh64):
     gauge = gauge_field(mesh64)
     a = fem.assemble_weighted_stiffness(mesh64, fem.constant_field(mesh64, 1.0))
     rhs = fem.assemble_weak_divergence_rhs(mesh64, gauge)
-    u = fem.solve_neumann(mesh64, fem.multigrid(mesh64, a), rhs)
+    u, _ = fem.solve_neumann(mesh64, fem.multigrid(mesh64, a), rhs)
     grad_norm = fem.l2_norm_vec(fem.gradient_field(u))
     assert grad_norm <= 1.0 / np.sqrt(6.0)
     assert grad_norm <= fem.l2_norm_vec(gauge) * (1.0 + 1e-10)
@@ -222,7 +222,7 @@ def test_neumann_residual_and_mean(mesh32):
     a = fem.assemble_weighted_stiffness(mesh32, sigma)
     field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
     rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
-    u = fem.solve_neumann(mesh32, fem.multigrid(mesh32, a), rhs)
+    u, _ = fem.solve_neumann(mesh32, fem.multigrid(mesh32, a), rhs)
     b = rhs - rhs.mean()
     r = a @ u.values - b
     r -= r.mean()
@@ -235,7 +235,7 @@ def test_neumann_constant_shift_residual(mesh16):
     a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
     field = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
     rhs = fem.assemble_weak_divergence_rhs(mesh16, field)
-    u = fem.solve_neumann(mesh16, fem.multigrid(mesh16, a), rhs)
+    u, _ = fem.solve_neumann(mesh16, fem.multigrid(mesh16, a), rhs)
     b = rhs - rhs.mean()
     r0 = np.linalg.norm(a @ u.values - b)
     r1 = np.linalg.norm(a @ (u.values + 1.0) - b)
@@ -251,7 +251,7 @@ def test_neumann_discrete_energy_estimate():
         field = VectorField(m, rng.randn(m.n_elements, 2))
         a = fem.assemble_weighted_stiffness(m, sigma)
         rhs = fem.assemble_weak_divergence_rhs(m, field)
-        u = fem.solve_neumann(m, fem.multigrid(m, a), rhs)
+        u, _ = fem.solve_neumann(m, fem.multigrid(m, a), rhs)
         bound = fem.l2_norm_vec(field) / sigma.values.min()
         assert fem.l2_norm_vec(fem.gradient_field(u)) <= bound * (1.0 + 1e-10)
 
@@ -276,6 +276,43 @@ def test_pcg_restarts_after_failed_residual_check():
     sigma = smooth_conductivity(mesh, rng)
     h = ScalarField(mesh, 0.5 * sigma.values * np.sin(smooth_conductivity(mesh, rng).values))
     assert np.all(np.isfinite(frechet.frechet_derivative(sigma, h).value.values))
+
+
+def test_pcg_stops_at_a_nonfinite_residual(mesh16):
+    # a NaN residual never meets the tolerance; without the check CG ran its
+    # whole 10 n cap on NaN before failing
+    a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
+    rhs = np.full(mesh16.n_nodes, np.nan)
+    with pytest.raises(fem.SolverError, match="not finite") as err:
+        fem._projected_pcg(a, rhs, fem.multigrid(mesh16, a).vcycle, 1e-12, 1000)
+    assert len(err.value.residuals) - 1 <= 1
+
+
+def neumann_problem(mesh, sigma):
+    hierarchy = fem.multigrid(mesh, fem.assemble_weighted_stiffness(mesh, sigma))
+    field = VectorField(mesh, fem.element_means(sigma)[:, None] * forward.gauge_field(mesh).values)
+    return hierarchy, fem.assemble_weak_divergence_rhs(mesh, field)
+
+
+def test_neumann_guess_meeting_tolerance_takes_no_iteration(mesh32, bump32):
+    hierarchy, rhs = neumann_problem(mesh32, bump32)
+    tight, _ = fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-14, 1000)
+    u, residuals = fem.solve_neumann(mesh32, hierarchy, rhs, ScalarField(mesh32, tight))
+    assert len(residuals) - 1 == 0
+    assert residuals[0] <= fem.SOLVER_TOL
+    # the guess comes back as given, up to the projection onto mean zero
+    assert np.abs(u.values - tight).max() <= 1e-15 * np.abs(tight).max()
+
+
+def test_warm_and_cold_field_solves_agree(mesh32, bump32):
+    # the reconstruction starts each field solve from the last sweep's potential
+    start = forward.compute_field(fem.constant_field(mesh32, 0.2)).potential
+    cold = forward.compute_field(bump32)
+    warm = forward.compute_field(bump32, guess=start)
+    assert abs(warm.potential.values.mean()) <= 1e-15 * np.abs(warm.potential.values).max()
+    diff = np.abs(warm.potential.values - cold.potential.values).max()
+    assert diff <= 1e-11 * np.abs(cold.potential.values).max()
+    assert warm.cg_iterations < cold.cg_iterations
 
 
 def test_neumann_multigrid_iterations_bounded():
@@ -494,3 +531,59 @@ def test_dirichlet_mesh_without_interior_node(nx, ny, monkeypatch):
     monkeypatch.setattr(spla, "splu", splu)
     u = transport.transport_solve(op, g, boundary)
     np.testing.assert_array_equal(u.values, boundary.values)
+
+
+def sweep_operators(mesh, n_sweeps):
+    """Transport operators of the first sweeps of an in-crime single-bump reconstruction."""
+    truth = make_phantom(single_bump_spec(), mesh)
+    g = forward.forward_map(truth)
+    start = fem.constant_field(mesh, 0.2)
+    sigma, ops = start, []
+    for _ in range(n_sweeps):
+        ops.append(forward.compute_field(sigma).operator)
+        sigma = transport.transport_solve(ops[-1], g, start)
+    return ops, g, start
+
+
+def count_factors(monkeypatch):
+    factors = []
+    original = spla.splu
+
+    def splu(*args, **kwargs):
+        factors.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    return factors
+
+
+def test_refinement_from_the_previous_sweeps_factor(mesh32, monkeypatch):
+    ops, g, start = sweep_operators(mesh32, 3)
+    held = fem.FreeBlockLU()
+    transport.transport_solve(ops[1], g, start, held)
+    factors = count_factors(monkeypatch)
+    refined = transport.transport_solve(ops[2], g, start, held).values
+    assert factors == [] and not held.fresh   # refined from the stale LU, none built
+    fresh = transport.transport_solve(ops[2], g, start).values
+
+    nodes = mesh32.boundary_nodes
+    rhs = fem.lumped_mass(mesh32) * g.values
+    rhs[nodes] = start.values[nodes]
+    matrix, _ = fem.dirichlet_system(ops[2].matrix, rhs, nodes, start.values[nodes])
+    assert np.linalg.norm(matrix @ refined - rhs) <= fem.SOLVER_TOL * np.linalg.norm(rhs)
+    np.testing.assert_array_equal(refined[nodes], start.values[nodes])
+    # both meet the same residual contract; the solutions differ at its conditioning
+    assert np.abs(refined - fresh).max() <= 1e-9 * np.abs(fresh).max()
+
+
+def test_unrelated_factor_is_replaced_once(mesh32, monkeypatch):
+    ops, g, start = sweep_operators(mesh32, 1)
+    fresh = transport.transport_solve(ops[0], g, start).values
+    held = fem.FreeBlockLU()
+    n_free = mesh32.n_nodes - len(mesh32.boundary_nodes)
+    held.lu = spla.splu(sp.identity(n_free, format="csc"))
+    factors = count_factors(monkeypatch)
+    got = transport.transport_solve(ops[0], g, start, held).values
+    assert len(factors) == 1 and held.fresh
+    # the stalled refinement is discarded: the new factor solves from zero
+    np.testing.assert_array_equal(got, fresh)

@@ -57,6 +57,32 @@ def test_single_bump_reconstruction(mesh64, bump64):
     assert_error_monotone(report.abs_errors)
 
 
+def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
+    iterations = []
+    original = fem._projected_pcg
+
+    def counting(*args, **kwargs):
+        x, residuals = original(*args, **kwargs)
+        iterations.append(len(residuals) - 1)
+        return x, residuals
+
+    monkeypatch.setattr(fem, "_projected_pcg", counting)
+    g = forward.forward_map(bump32)
+    del iterations[:]
+    cfg = ReconConfig(sigma0=fem.constant_field(mesh32, 0.2), truth=bump32)
+    sigma, report = recon.reconstruct(g, cfg)
+    assert report.cg_iterations == iterations
+    assert sum(report.cg_iterations) == sum(iterations)
+    # one field solve per iterate, each after the first started from the last potential
+    assert len(iterations) == len(report.iterations)
+    assert iterations[-1] < iterations[0]
+    # no solve produced sigma_0, the first builds the LU, and later ones reuse it
+    # until a refinement step stalls
+    factors = report.transport_factors
+    assert factors[:2] == [0, 1] and set(factors) <= {0, 1}
+    assert sum(factors) < report.n_iterations
+
+
 def test_fixed_point_exactness(mesh32, bump32):
     # if sigma_k equals the truth, the next transport solve returns the truth
     result = forward.compute_field(bump32)
@@ -109,7 +135,7 @@ def test_mesh_mismatch(mesh16, mesh32):
 def geometric_report(c, n=10, e0=1.0):
     report = ReconReport()
     for k in range(n):
-        report.record(k, 0.0, 0.0, np.nan, e0 * c**k)
+        report.record(k, 0.0, 0.0, np.nan, e0 * c**k, 0, 0)
     return report
 
 
