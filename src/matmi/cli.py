@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fem, forward, recon
 from .fem import ScalarField, SolverError, VectorField
-from .mesh import Mesh, build_mesh
+from .mesh import MAX_ELEMENTS, Mesh, build_mesh
 from .phantoms import LAMBDA_FLOOR, Bump, PhantomSpec, make_phantom
 from .recon import AdmissibilityError, ReconConfig, ReconReport
 
@@ -42,6 +42,11 @@ __all__ = [
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+
+#: largest phantom conductivity accepted: the norms square it, and float64
+#: squares stay finite below 1.3e154, less a margin for their sums and weights
+SIGMA_CEILING = 1e150
 
 
 class ConfigError(Exception):
@@ -174,9 +179,23 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _check_mesh_size(key: str, n: int, data_mode: str) -> None:
+    """Reject a mesh size below 1, or one whose meshes overflow the int32 indices."""
+    if n < 1:
+        raise ConfigError(f"{key} must be at least 1, got {n}")
+    # fine-mesh data are synthesized on the 2x mesh
+    finest = 2 * n if data_mode == "fine-mesh" else n
+    if 2 * finest * finest > MAX_ELEMENTS:
+        raise ConfigError(
+            f"{key} = {n} needs a {finest} x {finest} mesh, whose {2 * finest * finest} "
+            f"elements are more than the int32 index arrays hold ({MAX_ELEMENTS})"
+        )
+
+
 def _validate(config: RunConfig) -> None:
-    if config.mesh_n < 1:
-        raise ConfigError(f"mesh.n must be at least 1, got {config.mesh_n}")
+    for key, sizes in (("mesh.n", (config.mesh_n,)), ("study.mesh_sizes", config.mesh_sizes)):
+        for n in sizes:
+            _check_mesh_size(key, n, config.data_mode)
     if not (config.x_min < config.x_max and config.y_min < config.y_max):
         raise ConfigError("domain bounds are degenerate")
     if not config.background >= LAMBDA_FLOOR:
@@ -184,14 +203,18 @@ def _validate(config: RunConfig) -> None:
             f"phantom.background must be at least the admissibility floor {LAMBDA_FLOOR}, "
             f"got {config.background}"
         )
+    peak = config.background + sum(max(b.amplitude, 0.0) for b in config.bumps)
+    if not peak <= SIGMA_CEILING:
+        key = "phantom.background"
+        if config.background <= SIGMA_CEILING:
+            key += " plus the positive amplitudes of phantom.bumps"
+        raise ConfigError(f"{key} must be at most {SIGMA_CEILING:g}, got {peak:g}")
     if config.collar_width <= 0.0:
         raise ConfigError("phantom.collar_width must be positive")
     if config.max_iterations < 1:
         raise ConfigError("recon.max_iterations must be at least 1")
     if config.tolerance_update <= 0.0 or config.tolerance_misfit <= 0.0:
         raise ConfigError("recon tolerances must be positive")
-    if any(n < 1 for n in config.mesh_sizes):
-        raise ConfigError("study.mesh_sizes must be positive")
     if config.data_source == "file" and not config.data_file:
         raise ConfigError("data.source = file requires data.file")
 
@@ -213,14 +236,21 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
-#: array rows the writers turn into Python values at a time, which bounds the temporaries
+#: array rows the writers format at a time, which bounds the temporaries
 _WRITE_CHUNK = 4096
 
 
-def _rows(array: np.ndarray):
-    """Rows of ``array`` as Python values (faster to format than numpy scalars)."""
+def _format_rows(array: np.ndarray, row: str) -> str:
+    """``row % values`` for each row of ``array``, one ``%`` call per block of rows.
+
+    The values go through ``tolist``: Python numbers format faster than
+    numpy scalars, and ``%.17g`` gives the same text as ``f"{v:.17g}"``.
+    """
+    blocks = []
     for start in range(0, len(array), _WRITE_CHUNK):
-        yield from array[start:start + _WRITE_CHUNK].tolist()
+        block = array[start:start + _WRITE_CHUNK]
+        blocks.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(blocks)
 
 
 def _csv(rows, header: str) -> str:
@@ -231,9 +261,8 @@ def _csv(rows, header: str) -> str:
 
 
 def write_scalar_csv(path: str, field: ScalarField) -> None:
-    mesh = field.mesh
-    rows = _rows(np.column_stack([mesh.nodes, field.values]))
-    _write_atomic(path, _csv(rows, "x,y,value"))
+    rows = np.column_stack([field.mesh.nodes, field.values])
+    _write_atomic(path, "x,y,value\n" + _format_rows(rows, "%.17g,%.17g,%.17g\n"))
 
 
 def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
@@ -255,32 +284,27 @@ def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
 
 
 def write_vector_csv(path: str, field: VectorField) -> None:
-    mesh = field.mesh
-    rows = _rows(np.column_stack([mesh.element_centroids, field.values]))
-    _write_atomic(path, _csv(rows, "x,y,vx,vy"))
+    rows = np.column_stack([field.mesh.element_centroids, field.values])
+    _write_atomic(path, "x,y,vx,vy\n" + _format_rows(rows, "%.17g,%.17g,%.17g,%.17g\n"))
 
 
 def write_vtk(path: str, fields: dict[str, ScalarField]) -> None:
     """Legacy ASCII VTK unstructured grid with point data scalars."""
     mesh = next(iter(fields.values())).mesh
-    lines = [
-        "# vtk DataFile Version 2.0",
-        "matmi fields",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
+    parts = [
+        "# vtk DataFile Version 2.0\nmatmi fields\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {mesh.n_nodes} double\n",
+        _format_rows(mesh.nodes, "%.17g %.17g 0\n"),
+        f"CELLS {mesh.n_elements} {4 * mesh.n_elements}\n",
+        _format_rows(mesh.elements, "3 %d %d %d\n"),
+        f"CELL_TYPES {mesh.n_elements}\n",
+        "5\n" * mesh.n_elements,
+        f"POINT_DATA {mesh.n_nodes}\n",
     ]
-    lines.extend(f"{x:.17g} {y:.17g} 0" for x, y in _rows(mesh.nodes))
-    lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
-    lines.extend(f"3 {a} {b} {c}" for a, b, c in _rows(mesh.elements))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend(["5"] * mesh.n_elements)
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
     for name, fld in fields.items():
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in _rows(fld.values))
-    _write_atomic(path, "\n".join(lines) + "\n")
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        parts.append(_format_rows(fld.values, "%.17g\n"))
+    _write_atomic(path, "".join(parts))
 
 
 def write_report_csv(path: str, report: ReconReport) -> None:
@@ -434,6 +458,7 @@ def cmd_study(config: RunConfig, out: str) -> None:
             )
             row: list = [n, scale]
             try:
+                _validate(run)   # a scaled amplitude can pass the conductivity ceiling
                 truth, _, report, c, r2, field = _invert(run, keep_truth_field=True)
                 if field is None:
                     field = forward.compute_field(truth).field

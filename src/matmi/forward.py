@@ -88,7 +88,7 @@ def compute_field(
     mesh = sigma.mesh
     if gauge is None:
         gauge = gauge_field(mesh)
-    hierarchy = fem.multigrid(mesh, fem.assemble_weighted_stiffness(mesh, sigma))
+    hierarchy = fem.multigrid(mesh, sigma)
     weighted_gauge = VectorField(mesh, fem.element_means(sigma)[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
     u, residuals = fem.solve_neumann(mesh, hierarchy, rhs, guess)

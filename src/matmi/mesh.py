@@ -15,13 +15,20 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Mesh", "ScatterPlan", "build_mesh", "nested_interpolation"]
+__all__ = [
+    "Mesh", "ScatterPlan", "StiffnessMap", "CoarseMesh", "MAX_ELEMENTS",
+    "build_mesh", "nested_interpolation",
+]
 
 #: consistent P1 mass matrix of a triangle, divided by its area
 _LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
 
 #: largest node block the nested dissection leaves undivided
 DISSECTION_LEAF = 16
+
+#: most elements a mesh may have: the stiffness map stores 7 entries per
+#: element, and every index array is int32, as scipy stores indices below 2**31
+MAX_ELEMENTS = (2**31 - 1) // 7
 
 
 class ScatterPlan(NamedTuple):
@@ -30,6 +37,23 @@ class ScatterPlan(NamedTuple):
     indptr: np.ndarray    # (n_nodes + 1,) int32
     indices: np.ndarray   # (nnz,) int32, ascending within each row
     slot: np.ndarray      # (9 * n_elements,) int32, CSR position of each ke.ravel() entry
+
+
+class StiffnessMap(NamedTuple):
+    """The P1 stiffness as a linear map of the element weights ``area * sigma``."""
+
+    matrix: sp.csr_matrix  # (nnz, n_elements): stored entry k of the stiffness is matrix[k] @ w
+    indptr: np.ndarray     # (n_nodes + 1,) int32, the zero-free 5-point pattern
+    indices: np.ndarray    # (nnz,) int32, ascending within each row
+
+
+class CoarseMesh(NamedTuple):
+    """The nested mesh with half the cells per side, and the transfers to it."""
+
+    mesh: "Mesh"
+    children: np.ndarray          # (n_elements of mesh, 4) int32 fine elements inside each
+    prolongation: sp.csr_matrix   # coarse -> fine P1 interpolation
+    restriction: sp.csr_matrix    # its transpose, as CSR
 
 
 @dataclass(frozen=True)
@@ -94,10 +118,77 @@ class Mesh:
             arr.setflags(write=False)
         return plan
 
+    @cached_property
+    def stiffness_map(self) -> StiffnessMap:
+        """The stiffness as a linear map of the element weights, built once and read-only.
+
+        Element ``m`` adds ``w[m] * grad(phi_i) . grad(phi_j)`` to entry ``(i, j)``.
+        The cell-diagonal couplings are exact zeros (the right angles sit off
+        the diagonal), so they are not stored.  Each row of ``matrix`` lists
+        its elements in ascending order, so ``matrix @ w`` sums each entry in
+        the order in which ``assemble`` sums the element matrices, bit for bit.
+        """
+        plan = self.scatter_plan
+        g = self.element_gradients
+        coupling = np.einsum("mid,mjd->mij", g, g).reshape(-1, 9)
+        kept = coupling != 0.0
+        # the kept entries element by element: the map's transpose, in CSR
+        by_element = np.zeros(self.n_elements + 1, dtype=np.int32)
+        np.cumsum(kept.sum(axis=1), out=by_element[1:])
+        data = coupling[kept]
+        slot = plan.slot.reshape(-1, 9)[kept]
+        del coupling, kept
+        used = np.zeros(plan.indices.size, dtype=bool)
+        used[slot] = True
+        # one past the position of each used scatter-plan slot in the zero-free pattern
+        position = np.cumsum(used, dtype=np.int32)
+        indptr = np.concatenate([[0], position])[plan.indptr].astype(np.int32)
+        row = position[slot] - 1
+        del slot, position
+        # CSC to CSR is a stable counting sort, so each row's elements ascend
+        matrix = sp.csc_matrix(
+            (data, row, by_element), shape=(indptr[-1], self.n_elements),
+        ).tocsr()
+        del data, row, by_element
+        stiffness = StiffnessMap(matrix, indptr, plan.indices[used])
+        for arr in (matrix.data, matrix.indices, matrix.indptr, indptr, stiffness.indices):
+            arr.setflags(write=False)
+        return stiffness
+
+    @cached_property
+    def coarse(self) -> CoarseMesh:
+        """The nested mesh with half the cells per side, built once and read-only.
+
+        Both cell counts must be even.  Coarse element ``e`` is the union of
+        the fine elements ``children[e]``: a coarse cell's lower triangle holds
+        the lower triangles of its lower-left and upper-right fine cells and
+        both triangles of its lower-right one, its upper triangle the rest.
+        """
+        if self.nx % 2 or self.ny % 2:
+            raise ValueError(f"cannot halve {self.nx} x {self.ny} cells")
+        cx, cy = self.nx // 2, self.ny // 2
+        mesh = build_mesh(cx, cy, (self.x_min, self.x_max, self.y_min, self.y_max))
+        cj, ci = np.divmod(np.arange(cx * cy, dtype=np.int32), cx)
+        lower_left = 2 * cj * self.nx + 2 * ci      # fine cell index, elements 2c and 2c + 1
+        lower_right, upper_left = lower_left + 1, lower_left + self.nx
+        upper_right = upper_left + 1
+        children = np.empty((2 * cx * cy, 4), dtype=np.int32)
+        children[0::2] = np.column_stack([
+            2 * lower_left, 2 * lower_right, 2 * lower_right + 1, 2 * upper_right])
+        children[1::2] = np.column_stack([
+            2 * lower_left + 1, 2 * upper_left, 2 * upper_left + 1, 2 * upper_right + 1])
+        p = nested_interpolation(self.nx, self.ny, cx, cy)
+        r = p.T.tocsr()
+        for arr in (children, p.data, p.indices, p.indptr, r.data, r.indices, r.indptr):
+            arr.setflags(write=False)
+        return CoarseMesh(mesh, children, p, r)
+
     def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
         """Sum (M, 3, 3) element matrices into the mesh's CSR pattern."""
         plan = self.scatter_plan
-        data = np.bincount(plan.slot, weights=ke.ravel(), minlength=plan.indices.size)
+        # the sequential sum of bincount, without the int64 copy of the slots it takes
+        data = np.zeros(plan.indices.size)
+        np.add.at(data, plan.slot, ke.ravel())
         # own index arrays: callers may change the matrix in place (eliminate_zeros)
         return sp.csr_matrix(
             (data, plan.indices.copy(), plan.indptr.copy()), shape=(self.n_nodes, self.n_nodes)
@@ -169,11 +260,17 @@ def build_mesh(
     """Build the uniform triangulation with ``nx * ny`` cells, two triangles each.
 
     ``bounds`` is ``(x_min, x_max, y_min, y_max)``.  Raises ``ValueError`` for
-    non-positive subdivision counts or degenerate bounds, and for an element
+    non-positive subdivision counts or more than ``MAX_ELEMENTS`` elements,
+    which it checks before allocating, for degenerate bounds, and for an element
     whose area or basis gradients are zero or not finite in float64.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be positive, got nx={nx}, ny={ny}")
+    if 2 * nx * ny > MAX_ELEMENTS:
+        raise ValueError(
+            f"{nx} x {ny} cells give {2 * nx * ny} elements, more than the int32 "
+            f"index arrays hold ({MAX_ELEMENTS})"
+        )
     x_min, x_max, y_min, y_max = (float(v) for v in bounds)
     if not (0.0 < x_max - x_min < np.inf and 0.0 < y_max - y_min < np.inf):
         raise ValueError(f"degenerate bounds {bounds}")

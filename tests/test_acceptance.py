@@ -187,7 +187,7 @@ def test_criterion_9_solver_contracts(unit64):
     rhs = fem.assemble_weak_divergence_rhs(
         unit64, fem.VectorField(unit64, sigma_e[:, None] * gauge.values)
     )
-    u, _ = fem.solve_neumann(unit64, fem.multigrid(unit64, stiffness), rhs)
+    u, _ = fem.solve_neumann(unit64, fem.multigrid(unit64, sigma), rhs)
     rhs = rhs - rhs.mean()
     res = stiffness @ u.values - rhs
     res -= res.mean()

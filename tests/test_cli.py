@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,50 @@ def test_background_below_floor_names_its_key(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["phantom", "forward", "invert"])
+@pytest.mark.parametrize("phantom, key", [
+    ("phantom.background = 1e300\n", "phantom.background must"),
+    ("phantom.background = 1e149\nphantom.bumps = 0.5 0.5 1e150 0.12\n", "phantom.bumps"),
+])
+def test_conductivity_above_ceiling_is_config_error(tmp_path, capsys, command, phantom, key):
+    # phantom wrote l2_norm,inf; forward and invert warned of overflow, then exited 3
+    cfg = write_config(tmp_path, "mesh.n = 8\n" + phantom)
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["phantom", "forward", "invert"])
+@pytest.mark.parametrize("background", ["1e100", "1e150"])
+def test_large_conductivity_below_ceiling_runs(tmp_path, command, background):
+    cfg = write_config(tmp_path, f"mesh.n = 8\nphantom.background = {background}\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", out]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("text, key", [
+    ("mesh.n = 12386\n", "mesh.n"),
+    ("mesh.n = 6193\ndata.mode = fine-mesh\n", "mesh.n"),
+    ("study.mesh_sizes = 8 12386\n", "study.mesh_sizes"),
+    ("study.mesh_sizes = 8 0\n", "study.mesh_sizes"),
+])
+def test_mesh_size_beyond_int32_indices_rejected(text, key):
+    # parse_config builds no mesh, so nothing of this size is allocated
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+
+
+def test_largest_mesh_sizes_accepted():
+    assert parse_config("mesh.n = 12385\n").mesh_n == 12385
+    assert parse_config("mesh.n = 6192\ndata.mode = fine-mesh\n").mesh_n == 6192
+    assert parse_config("study.mesh_sizes = 12385\n").mesh_sizes == (12385,)
+
+
 def test_in_crime_study_row_solves_the_truth_field_once(tmp_path, monkeypatch):
     solved = []
     original = cli.forward.compute_field
@@ -404,6 +449,17 @@ study.amplitude_scales = 1.0 1.4
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"] == "failed: ConfigError"
+
+
+def test_study_row_scaled_past_the_ceiling_is_config_error(tmp_path):
+    # the row warned of overflow and failed as a SolverError
+    cfg = write_config(tmp_path, "mesh.n = 8\nstudy.amplitude_scales = 1 1e305\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["study", "--config", cfg, "--out", out]) == 0
+    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ok", "failed: ConfigError"]
 
 
 def test_fine_mesh_study_row_matches_invert_of_scaled_phantom(tmp_path):

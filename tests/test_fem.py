@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,8 @@ import scipy.sparse.linalg as spla
 
 from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField, VectorField
-from matmi.mesh import build_mesh, nested_interpolation
+from matmi import mesh as mesh_module
+from matmi.mesh import Mesh, build_mesh, nested_interpolation
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
 from conftest import smooth_conductivity
@@ -52,6 +55,25 @@ def test_stiffness_stores_no_zero(mesh16):
     assert full.nnz > a.nnz
     v = np.random.RandomState(5).randn(mesh16.n_nodes)
     assert np.array_equal(a @ v, full @ v)
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (128, 128, (0.0, 1.0, 0.0, 1.0)), (37, 12, (-1.0, 3.0, 0.5, 0.9)),
+])
+def test_stiffness_map_matches_element_assembly_bitwise(nx, ny, bounds):
+    m = build_mesh(nx, ny, bounds)
+    sigma = smooth_conductivity(m, np.random.RandomState(nx))
+    means = sigma.values[m.elements].mean(axis=1)
+    assert np.array_equal(fem.element_means(sigma), means)
+    # the element matrices summed by the scatter plan, zeros dropped afterwards
+    weight = means * m.element_areas
+    g = m.element_gradients
+    reference = m.assemble(weight[:, None, None] * np.einsum("mid,mjd->mij", g, g))
+    reference.eliminate_zeros()
+    a = fem.assemble_weighted_stiffness(m, sigma)
+    assert np.array_equal(a.indptr, reference.indptr)
+    assert np.array_equal(a.indices, reference.indices)
+    assert np.array_equal(a.data, reference.data)
 
 
 def test_stiffness_symmetry(mesh16):
@@ -182,8 +204,8 @@ def test_scalar_field_shape_checked(mesh8):
 # Neumann solver
 
 def test_neumann_zero_rhs(mesh16):
-    a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
-    u, _ = fem.solve_neumann(mesh16, fem.multigrid(mesh16, a), np.zeros(mesh16.n_nodes))
+    hierarchy = fem.multigrid(mesh16, fem.constant_field(mesh16, 1.0))
+    u, _ = fem.solve_neumann(mesh16, hierarchy, np.zeros(mesh16.n_nodes))
     assert np.all(u.values == 0.0)
 
 
@@ -195,7 +217,7 @@ def test_neumann_system_row_sum_invariant(mesh16):
     assert relative_row_sums(a).max() <= 1e-12
     # the solver projects out the rhs mean, so a constant shift of the rhs
     # changes the solution only by rounding
-    hierarchy = fem.multigrid(mesh16, a)
+    hierarchy = fem.multigrid(mesh16, sigma)
     u, _ = fem.solve_neumann(mesh16, hierarchy, rhs)
     shifted, _ = fem.solve_neumann(mesh16, hierarchy, rhs + 3.0)
     np.testing.assert_allclose(shifted.values, u.values, rtol=0.0,
@@ -208,9 +230,8 @@ def test_neumann_gradient_bound_centered_gauge(mesh64):
     from matmi.forward import gauge_field
 
     gauge = gauge_field(mesh64)
-    a = fem.assemble_weighted_stiffness(mesh64, fem.constant_field(mesh64, 1.0))
     rhs = fem.assemble_weak_divergence_rhs(mesh64, gauge)
-    u, _ = fem.solve_neumann(mesh64, fem.multigrid(mesh64, a), rhs)
+    u, _ = fem.solve_neumann(mesh64, fem.multigrid(mesh64, fem.constant_field(mesh64, 1.0)), rhs)
     grad_norm = fem.l2_norm_vec(fem.gradient_field(u))
     assert grad_norm <= 1.0 / np.sqrt(6.0)
     assert grad_norm <= fem.l2_norm_vec(gauge) * (1.0 + 1e-10)
@@ -222,7 +243,7 @@ def test_neumann_residual_and_mean(mesh32):
     a = fem.assemble_weighted_stiffness(mesh32, sigma)
     field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
     rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
-    u, _ = fem.solve_neumann(mesh32, fem.multigrid(mesh32, a), rhs)
+    u, _ = fem.solve_neumann(mesh32, fem.multigrid(mesh32, sigma), rhs)
     b = rhs - rhs.mean()
     r = a @ u.values - b
     r -= r.mean()
@@ -232,10 +253,11 @@ def test_neumann_residual_and_mean(mesh32):
 
 def test_neumann_constant_shift_residual(mesh16):
     rng = np.random.RandomState(7)
-    a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
+    one = fem.constant_field(mesh16, 1.0)
+    a = fem.assemble_weighted_stiffness(mesh16, one)
     field = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
     rhs = fem.assemble_weak_divergence_rhs(mesh16, field)
-    u, _ = fem.solve_neumann(mesh16, fem.multigrid(mesh16, a), rhs)
+    u, _ = fem.solve_neumann(mesh16, fem.multigrid(mesh16, one), rhs)
     b = rhs - rhs.mean()
     r0 = np.linalg.norm(a @ u.values - b)
     r1 = np.linalg.norm(a @ (u.values + 1.0) - b)
@@ -249,20 +271,19 @@ def test_neumann_discrete_energy_estimate():
     for _ in range(10):
         sigma = ScalarField(m, 0.1 + 9.9 * rng.rand(m.n_nodes))
         field = VectorField(m, rng.randn(m.n_elements, 2))
-        a = fem.assemble_weighted_stiffness(m, sigma)
         rhs = fem.assemble_weak_divergence_rhs(m, field)
-        u, _ = fem.solve_neumann(m, fem.multigrid(m, a), rhs)
+        u, _ = fem.solve_neumann(m, fem.multigrid(m, sigma), rhs)
         bound = fem.l2_norm_vec(field) / sigma.values.min()
         assert fem.l2_norm_vec(fem.gradient_field(u)) <= bound * (1.0 + 1e-10)
 
 
 def test_neumann_nonconvergence_raises(mesh32):
     # at n = 8 the coarsest level is the mesh itself and one step converges
-    a = fem.assemble_weighted_stiffness(mesh32, fem.constant_field(mesh32, 1.0))
+    hierarchy = fem.multigrid(mesh32, fem.constant_field(mesh32, 1.0))
+    a, vcycle = hierarchy.matrices[0], hierarchy.vcycle
     rng = np.random.RandomState(9)
     field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
     rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
-    vcycle = fem.multigrid(mesh32, a).vcycle
     with pytest.raises(fem.SolverError) as err:
         fem._projected_pcg(a, rhs - rhs.mean(), vcycle, 1e-12, max_iter=2)
     assert err.value.residuals  # carries the residual history
@@ -281,15 +302,15 @@ def test_pcg_restarts_after_failed_residual_check():
 def test_pcg_stops_at_a_nonfinite_residual(mesh16):
     # a NaN residual never meets the tolerance; without the check CG ran its
     # whole 10 n cap on NaN before failing
-    a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
+    hierarchy = fem.multigrid(mesh16, fem.constant_field(mesh16, 1.0))
     rhs = np.full(mesh16.n_nodes, np.nan)
     with pytest.raises(fem.SolverError, match="not finite") as err:
-        fem._projected_pcg(a, rhs, fem.multigrid(mesh16, a).vcycle, 1e-12, 1000)
+        fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-12, 1000)
     assert len(err.value.residuals) - 1 <= 1
 
 
 def neumann_problem(mesh, sigma):
-    hierarchy = fem.multigrid(mesh, fem.assemble_weighted_stiffness(mesh, sigma))
+    hierarchy = fem.multigrid(mesh, sigma)
     field = VectorField(mesh, fem.element_means(sigma)[:, None] * forward.gauge_field(mesh).values)
     return hierarchy, fem.assemble_weak_divergence_rhs(mesh, field)
 
@@ -319,12 +340,11 @@ def test_neumann_multigrid_iterations_bounded():
     # Jacobi-PCG took 736 iterations here; the V-cycle keeps the count flat in n
     mesh = build_mesh(128, 128)
     sigma = make_phantom(three_bump_spec(), mesh)
-    a = fem.assemble_weighted_stiffness(mesh, sigma)
     field = VectorField(mesh, fem.element_means(sigma)[:, None] * forward.gauge_field(mesh).values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, field)
-    hierarchy = fem.multigrid(mesh, a)
+    hierarchy = fem.multigrid(mesh, sigma)
     assert [m.shape[0] for m in hierarchy.matrices] == [129**2, 65**2, 33**2, 17**2, 9**2]
-    _, residuals = fem._projected_pcg(a, rhs, hierarchy.vcycle, 1e-12, 1000)
+    _, residuals = fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-12, 1000)
     assert residuals[-1] <= 1e-12
     assert len(residuals) - 1 <= 15
 
@@ -332,20 +352,57 @@ def test_neumann_multigrid_iterations_bounded():
 def test_neumann_odd_mesh_coarsest_level_is_fine():
     mesh = build_mesh(9, 6, (-1.0, 2.0, 0.5, 1.5))
     sigma = ScalarField(mesh, 0.5 + np.random.RandomState(11).rand(mesh.n_nodes))
-    a = fem.assemble_weighted_stiffness(mesh, sigma)
-    hierarchy = fem.multigrid(mesh, a)
-    assert len(hierarchy.matrices) == 1 and hierarchy.matrices[0] is a
+    hierarchy = fem.multigrid(mesh, sigma)
+    assert len(hierarchy.matrices) == 1
+    a = hierarchy.matrices[0]
+    assert np.array_equal(a.toarray(), fem.assemble_weighted_stiffness(mesh, sigma).toarray())
     rhs = np.random.RandomState(12).randn(mesh.n_nodes)
     _, residuals = fem._projected_pcg(a, rhs, hierarchy.vcycle, 1e-12, 10)
     assert len(residuals) - 1 == 1
 
 
+def test_multigrid_builds_mesh_operators_once(monkeypatch):
+    built = {"meshes": 0, "transfers": 0, "maps": []}
+
+    def count(key, original):
+        def counted(*args):
+            built[key] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(mesh_module, "build_mesh", count("meshes", mesh_module.build_mesh))
+    monkeypatch.setattr(
+        mesh_module, "nested_interpolation", count("transfers", mesh_module.nested_interpolation),
+    )
+    original_map = Mesh.stiffness_map.func
+
+    def counted_map(mesh):
+        built["maps"].append((mesh.nx, mesh.ny))
+        return original_map(mesh)
+
+    counted = cached_property(counted_map)
+    counted.__set_name__(Mesh, "stiffness_map")
+    monkeypatch.setattr(Mesh, "stiffness_map", counted)
+
+    mesh = build_mesh(64, 32, (0.0, 2.0, 0.0, 1.0))
+    rng = np.random.RandomState(14)
+    first = fem.multigrid(mesh, smooth_conductivity(mesh, rng))
+    second = fem.multigrid(mesh, smooth_conductivity(mesh, rng))
+    # 64 x 32 -> 32 x 16 -> 16 x 8, each mesh with one map and one transfer to it
+    assert built == {"meshes": 2, "transfers": 2, "maps": [(64, 32), (32, 16), (16, 8)]}
+    for p, q in zip(first.prolongations + first.restrictions,
+                    second.prolongations + second.restrictions):
+        assert p is q
+    assert len(first.matrices) == 3
+
+
 @pytest.mark.parametrize("n", [8, 32])
 def test_multigrid_singular_coarse_factor_is_solver_error(n):
+    # positive, but every element weight area * sigma underflows to zero
     mesh = build_mesh(n, n)
-    zero = sp.csr_matrix((mesh.n_nodes, mesh.n_nodes))
+    tiny = fem.constant_field(mesh, np.nextafter(0.0, 1.0))
     with np.errstate(divide="ignore"), pytest.raises(fem.SolverError, match="coarse"):
-        fem.multigrid(mesh, zero)
+        fem.multigrid(mesh, tiny)
 
 
 def assert_interpolates_affine_exactly(nx, ny, cx, cy, bounds):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matmi.mesh import build_mesh
+from matmi.mesh import MAX_ELEMENTS, build_mesh
 
 
 def test_node_and_element_counts():
@@ -34,6 +34,16 @@ def test_rejects_bad_arguments():
         build_mesh(4, -1)
     with pytest.raises(ValueError):
         build_mesh(4, 4, (0.0, 0.0, 0.0, 1.0))
+
+
+def test_rejects_element_counts_beyond_int32_indices(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the size is checked after allocating")
+
+    monkeypatch.setattr(np, "linspace", allocate)
+    for nx, ny in [(12386, 12386), (MAX_ELEMENTS // 2 + 1, 1)]:
+        with pytest.raises(ValueError, match="int32"):
+            build_mesh(nx, ny)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -136,3 +146,47 @@ def test_affine_reproduction_at_centroids():
     at_centroids = fem.element_means(f)
     exact = 1.7 + 0.3 * m.element_centroids[:, 0] - 1.1 * m.element_centroids[:, 1]
     np.testing.assert_allclose(at_centroids, exact, rtol=1e-13)
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (2, 2, (0.0, 1.0, 0.0, 1.0)), (16, 6, (-1.5, 2.0, 0.25, 1.0)), (10, 24, (2.0, 3.0, -4.0, 1.0)),
+])
+def test_coarse_children_tile_their_parent(nx, ny, bounds):
+    fine = build_mesh(nx, ny, bounds)
+    coarse = fine.coarse
+    assert (coarse.mesh.nx, coarse.mesh.ny) == (nx // 2, ny // 2)
+    assert coarse.children.shape == (coarse.mesh.n_elements, 4)
+    assert np.array_equal(np.sort(coarse.children.ravel()), np.arange(fine.n_elements))
+    areas = fine.element_areas[coarse.children].sum(axis=1)
+    np.testing.assert_allclose(areas, coarse.mesh.element_areas, rtol=1e-13)
+    # every child's centroid lies inside its parent: barycentric coordinates in [0, 1]
+    parent = coarse.mesh.nodes[coarse.mesh.elements]                 # (M_c, 3, 2)
+    centroids = fine.element_centroids[coarse.children]               # (M_c, 4, 2)
+    basis = np.stack([parent[:, 1] - parent[:, 0], parent[:, 2] - parent[:, 0]], axis=-1)
+    local = np.linalg.solve(basis[:, None], (centroids - parent[:, None, 0])[..., None])[..., 0]
+    lam = np.concatenate([1.0 - local.sum(axis=-1, keepdims=True), local], axis=-1)
+    assert lam.min() > 0.0 and lam.max() < 1.0
+
+
+def test_odd_mesh_has_no_coarse_mesh():
+    with pytest.raises(ValueError, match="halve"):
+        build_mesh(9, 6).coarse
+
+
+def test_mesh_caches_are_lazy_and_read_only():
+    m = build_mesh(16, 12)
+    # build_mesh builds none of them: the first assembly or multigrid does
+    assert not {"scatter_plan", "stiffness_map", "coarse"} & set(vars(m))
+    stiffness, coarse = m.stiffness_map, m.coarse
+    assert m.stiffness_map is stiffness and m.coarse is coarse
+    assert stiffness.matrix.shape == (stiffness.indices.size, m.n_elements)
+    indices = [stiffness.indptr, stiffness.indices, coarse.children]
+    values = []
+    for matrix in (stiffness.matrix, coarse.prolongation, coarse.restriction):
+        indices += [matrix.indices, matrix.indptr]
+        values.append(matrix.data)
+    assert all(arr.dtype == np.int32 for arr in indices)
+    for arr in indices + values:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1

@@ -22,10 +22,12 @@ from conftest import smooth_conductivity
 
 #: counts in [3, 40], with multiples of 4 and 8 drawn often enough to coarsen twice
 counts = st.one_of(st.integers(3, 40), st.sampled_from([12, 16, 20, 24, 32, 40]))
+#: even counts in [2, 40], so that the mesh itself has a nested coarse mesh
+even_counts = st.one_of(st.integers(1, 20).map(lambda k: 2 * k), st.sampled_from([16, 24, 32, 40]))
 
 
 @st.composite
-def rectangles(draw):
+def rectangles(draw, counts=counts):
     nx = draw(counts)
     ny = draw(counts.filter(lambda n: n != nx))
     x_min = draw(st.floats(-3.0, 3.0))
@@ -93,7 +95,7 @@ def test_neumann_matches_jacobi_reference(mesh, seed):
     sigma = smooth_conductivity(mesh, rng)
     a = fem.assemble_weighted_stiffness(mesh, sigma)
     rhs = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, rng.randn(mesh.n_elements, 2)))
-    u = fem.solve_neumann(mesh, fem.multigrid(mesh, a), rhs)[0].values
+    u = fem.solve_neumann(mesh, fem.multigrid(mesh, sigma), rhs)[0].values
 
     reference = jacobi_pcg(a, rhs)
     assert np.abs(u - reference).max() <= 1e-10 * np.abs(reference).max()
@@ -102,6 +104,33 @@ def test_neumann_matches_jacobi_reference(mesh, seed):
     residual = a @ u - b
     residual -= residual.mean()
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def assert_galerkin(fine, p, coarse):
+    """``coarse`` equals ``P^T fine P`` within 1e-13 of each row's absolute sum."""
+    galerkin = (p.T @ fine @ p).tocsr()
+    row_abs = abs(galerkin) @ np.ones(galerkin.shape[1])
+    assert np.all(abs(galerkin - coarse).max(axis=1).toarray().ravel() <= 1e-13 * row_abs)
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(even_counts), seed=st.integers(0, 2**32 - 1))
+@example(mesh=build_mesh(40, 24, (-1.0, 1.5, 2.0, 2.75)), seed=1)   # coarsens twice
+def test_assembled_levels_are_galerkin_products(mesh, seed):
+    sigma = smooth_conductivity(mesh, np.random.RandomState(seed))
+    hierarchy = fem.multigrid(mesh, sigma)
+    for a in hierarchy.matrices:
+        assert np.all(a.data != 0.0)
+    for a, coarse, p, r in zip(hierarchy.matrices, hierarchy.matrices[1:],
+                               hierarchy.prolongations, hierarchy.restrictions):
+        assert (r != p.T).nnz == 0
+        assert_galerkin(a, p, coarse)
+    # the mesh's own coarse mesh, which the hierarchy skips at 8 cells or fewer
+    level = mesh.coarse
+    weights = (fem.element_means(sigma) * mesh.element_areas)[level.children].sum(axis=1)
+    coarse = fem._stiffness(level.mesh, weights)
+    assert np.all(coarse.data != 0.0)
+    assert_galerkin(hierarchy.matrices[0], level.prolongation, coarse)
 
 
 @PROPERTY_SETTINGS
