@@ -3,14 +3,19 @@
 Assembly uses a one-point centroid rule with vertex-averaged coefficients,
 which integrates every product of elementwise constants exactly.  The
 stiffness is linear in the element weights ``area * sigma``: each mesh
-caches that linear map, and an assembly applies it.  The pure Neumann system
-keeps its constant null space; it is solved by conjugate gradients on the
-mean-zero complement, preconditioned by one geometric multigrid V-cycle on
-the nested coarser meshes, returning the zero-mean representative.  Each
-coarse level is the coarse mesh's stiffness with each element weighted by
-the sum of its four children's weights, which equals the Galerkin product
-``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A Multigrid
-Tutorial*, 2nd ed., SIAM 2000, ch. 3 and 10).  A Dirichlet solve reads only
+caches that linear map, laid out so that it gives the five diagonals of the
+stiffness (offsets 0, +-1, +-(nx + 1)) in ``dia_matrix`` storage, and an
+assembly applies it.  The pure Neumann system keeps its constant null space;
+it is solved by conjugate gradients on the mean-zero complement,
+preconditioned by one geometric multigrid V(2,2)-cycle on the nested coarser
+meshes, returning the zero-mean representative.  Each coarse level is the
+coarse mesh's stiffness with each element weighted by the sum of its four
+children's weights, which equals the Galerkin product ``P^T A P`` under full
+coarsening (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed.,
+SIAM 2000, ch. 2, 3 and 10).  Every level is stored by its diagonals (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003, §3.4),
+and each damped-Jacobi sweep is one product with the level's iteration
+matrix, also stored by its diagonals.  A Dirichlet solve reads only
 the free rows of the operator, takes the prescribed values from the rhs and
 refines the free values from a sparse LU of the free block, in the mesh's
 geometric nested-dissection order (A. George, "Nested dissection of a
@@ -28,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh
+from .mesh import CoarseLevel, Mesh
 
 __all__ = [
     "ScalarField", "VectorField", "SolverError",
@@ -110,12 +115,18 @@ def _check_same_mesh(a, b) -> Mesh:
 # assembly
 
 def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
-    """Stiffness matrix of ``integral(sigma grad(u) . grad(phi))``.
+    """Stiffness matrix of ``integral(sigma grad(u) . grad(phi))``, in CSR.
 
     ``sigma`` is evaluated per element as the vertex average, and the mesh's
-    stiffness map is applied to the element weights ``area * sigma``.
+    stiffness map is applied to the element weights ``area * sigma``.  The
+    result stores the nonzeros of the 5-point pattern, its columns ascending.
     Raises ``ValueError`` if any nodal coefficient is non-positive.
     """
+    return _stiffness(mesh, _element_weights(mesh, sigma)).tocsr()
+
+
+def _element_weights(mesh: Mesh, sigma: ScalarField) -> np.ndarray:
+    """The element weights ``area * sigma`` of a positive conductivity on ``mesh``."""
     if sigma.mesh is not mesh:
         raise ValueError("fields live on different meshes")
     nonpositive = ~(sigma.values > 0.0)
@@ -124,17 +135,15 @@ def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix
         raise ValueError(
             f"conductivity must be positive, node {bad} has value {sigma.values[bad]}"
         )
-    return _stiffness(mesh, element_means(sigma) * mesh.element_areas)
+    return element_means(sigma) * mesh.element_areas
 
 
-def _stiffness(mesh: Mesh, weights: np.ndarray) -> sp.csr_matrix:
-    """Stiffness of the element weights ``area * sigma``, in the zero-free pattern."""
-    stiffness = mesh.stiffness_map
-    # the pattern is read-only and shared; the data is the caller's own
-    return sp.csr_matrix(
-        (stiffness.matrix @ weights, stiffness.indices, stiffness.indptr),
-        shape=(mesh.n_nodes, mesh.n_nodes),
-    )
+def _stiffness(level: Mesh | CoarseLevel, weights: np.ndarray) -> sp.dia_matrix:
+    """Stiffness of the element weights ``area * sigma`` on a mesh or coarse level, as DIA."""
+    stiffness = level.stiffness_map
+    data = (stiffness.matrix @ weights).reshape(5, -1)
+    n = data.shape[1]
+    return sp.dia_matrix((data, stiffness.offsets), shape=(n, n))
 
 
 def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
@@ -211,7 +220,7 @@ def dirichlet_system(
 
 #: damping of the Jacobi smoother, and its sweeps before and after the coarse correction
 SMOOTHER_WEIGHT = 2.0 / 3.0
-SMOOTHER_SWEEPS = 3
+SMOOTHER_SWEEPS = 2
 #: coarsening stops once either cell count is odd or at most this
 COARSEST_CELLS = 8
 
@@ -226,31 +235,52 @@ class Multigrid:
     hat function is the interpolation ``P_l`` of itself on the finer mesh, so
     this equals the Galerkin operator ``R_l matrices[l] P_l``, ``R_l = P_l^T``
     stored as CSR, without the rounding-level couplings the product would
-    store.  The coarsest level is solved by a sparse LU of its matrix with
-    node 0 pinned.
+    store.  Every level is a five-diagonal ``dia_matrix``, and so is the
+    damped-Jacobi iteration matrix ``smoothers[l] = I - w D_l^-1 A_l`` of
+    each level above the coarsest, with ``relaxation[l] = w D_l^-1``: a
+    sweep ``x <- x + w D^-1 (r - A x)`` is ``x <- S x + c`` with
+    ``c = w D^-1 r`` formed once per visit, one product and one add.  The
+    coarsest level is solved by a sparse LU of its matrix with node 0 pinned.
     """
 
-    matrices: tuple[sp.csr_matrix, ...]
+    matrices: tuple[sp.dia_matrix, ...]
     prolongations: tuple[sp.csr_matrix, ...]   # level l + 1 -> level l
     restrictions: tuple[sp.csr_matrix, ...]    # their transposes, level l -> level l + 1
     relaxation: tuple[np.ndarray, ...]         # damped inverse diagonals above the coarsest
+    smoothers: tuple[sp.dia_matrix, ...]       # their Jacobi iteration matrices
     coarse_lu: spla.SuperLU
 
     def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
-        """One V(3,3) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
+        """One V(2,2) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
         if level == len(self.prolongations):
             x = np.zeros_like(r)
             x[1:] = self.coarse_lu.solve(r[1:])
             return x - x.mean()
-        a, relax = self.matrices[level], self.relaxation[level]
-        x = relax * r
+        smoother = self.smoothers[level]
+        c = self.relaxation[level] * r
+        x = c.copy()                      # the first sweep, from zero
         for _ in range(SMOOTHER_SWEEPS - 1):
-            x += relax * (r - a @ x)
-        coarse_r = self.restrictions[level] @ (r - a @ x)
+            x = smoother @ x
+            x += c
+        coarse_r = self.restrictions[level] @ (r - self.matrices[level] @ x)
         x += self.prolongations[level] @ self.vcycle(coarse_r - coarse_r.mean(), level + 1)
         for _ in range(SMOOTHER_SWEEPS):
-            x += relax * (r - a @ x)
+            x = smoother @ x
+            x += c
         return x
+
+
+def _jacobi_smoother(a: sp.dia_matrix, relax: np.ndarray) -> sp.dia_matrix:
+    """The damped-Jacobi iteration matrix ``I - diag(relax) A`` of a DIA level, as DIA."""
+    n = relax.size
+    minus_relax = -relax
+    # slot (d, j) holds entry (j - offset, j), whose row is scaled by relax[j - offset]
+    data = np.zeros_like(a.data)
+    for d, offset in enumerate(a.offsets):
+        lo, hi = max(offset, 0), n + min(offset, 0)
+        np.multiply(a.data[d, lo:hi], minus_relax[lo - offset:hi - offset], out=data[d, lo:hi])
+    data[a.offsets == 0] = 1.0 - SMOOTHER_WEIGHT
+    return sp.dia_matrix((data, a.offsets), shape=a.shape)
 
 
 def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
@@ -258,33 +288,37 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
 
     The mesh is coarsened while both cell counts are even and above
     ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh itself.
-    The coarse meshes, their stiffness maps and the transfers are cached on
-    the meshes, so a build only sums weights and applies the maps.
+    The coarse levels, their stiffness maps and the transfers are cached on
+    the mesh, so a build only sums weights and applies the maps.  Raises
+    ``ValueError`` if any nodal coefficient is non-positive.
     """
-    matrices = [assemble_weighted_stiffness(mesh, sigma)]
+    weights = _element_weights(mesh, sigma)
+    matrices = [_stiffness(mesh, weights)]
     prolongations, restrictions = [], []
-    weights = element_means(sigma) * mesh.element_areas
     level = mesh
     while level.nx % 2 == 0 and level.ny % 2 == 0 and min(level.nx, level.ny) > COARSEST_CELLS:
-        coarse = level.coarse
-        level = coarse.mesh
-        weights = sum(weights[c] for c in coarse.children.T)
+        level = level.coarse
+        weights = sum(weights[c] for c in level.children.T)
         matrices.append(_stiffness(level, weights))
-        prolongations.append(coarse.prolongation)
-        restrictions.append(coarse.restriction)
-    relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
+        prolongations.append(level.prolongation)
+        restrictions.append(level.restriction)
     try:
-        coarse_lu = spla.splu(matrices[-1][1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        coarse_lu = spla.splu(
+            matrices[-1].tocsr()[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+        )
     except RuntimeError as exc:
         raise SolverError(f"coarse multigrid factor failed: {exc}", [np.inf]) from exc
+    relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
+    smoothers = tuple(map(_jacobi_smoother, matrices, relaxation))
     return Multigrid(
         matrices=tuple(matrices), prolongations=tuple(prolongations),
-        restrictions=tuple(restrictions), relaxation=relaxation, coarse_lu=coarse_lu,
+        restrictions=tuple(restrictions), relaxation=relaxation, smoothers=smoothers,
+        coarse_lu=coarse_lu,
     )
 
 
 def _projected_pcg(
-    a: sp.csr_matrix,
+    a: sp.spmatrix,
     b: np.ndarray,
     precondition: Callable[[np.ndarray], np.ndarray],
     tol: float,

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Mesh", "ScatterPlan", "StiffnessMap", "CoarseMesh", "MAX_ELEMENTS",
+    "Mesh", "ScatterPlan", "StiffnessMap", "CoarseLevel", "MAX_ELEMENTS",
     "build_mesh", "nested_interpolation",
 ]
 
@@ -40,20 +40,17 @@ class ScatterPlan(NamedTuple):
 
 
 class StiffnessMap(NamedTuple):
-    """The P1 stiffness as a linear map of the element weights ``area * sigma``."""
+    """The P1 stiffness as a linear map of the element weights ``area * sigma``, in DIA order.
 
-    matrix: sp.csr_matrix  # (nnz, n_elements): stored entry k of the stiffness is matrix[k] @ w
-    indptr: np.ndarray     # (n_nodes + 1,) int32, the zero-free 5-point pattern
-    indices: np.ndarray    # (nnz,) int32, ascending within each row
+    ``(matrix @ w).reshape(5, n_nodes)`` is the ``scipy.sparse.dia_matrix``
+    data of the stiffness for the diagonals ``offsets``: row
+    ``d * n_nodes + j`` of ``matrix`` gives entry ``(j - offsets[d], j)``.
+    Rows of the band padding and of the node pairs that wrap around a grid
+    row list no element, so their data is zero.
+    """
 
-
-class CoarseMesh(NamedTuple):
-    """The nested mesh with half the cells per side, and the transfers to it."""
-
-    mesh: "Mesh"
-    children: np.ndarray          # (n_elements of mesh, 4) int32 fine elements inside each
-    prolongation: sp.csr_matrix   # coarse -> fine P1 interpolation
-    restriction: sp.csr_matrix    # its transpose, as CSR
+    matrix: sp.csr_matrix  # (5 * n_nodes, n_elements)
+    offsets: np.ndarray    # (5,) int32: -(nx + 1), -1, 0, 1, nx + 1
 
 
 @dataclass(frozen=True)
@@ -118,70 +115,53 @@ class Mesh:
             arr.setflags(write=False)
         return plan
 
+    @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        return (self.x_min, self.x_max, self.y_min, self.y_max)
+
     @cached_property
     def stiffness_map(self) -> StiffnessMap:
         """The stiffness as a linear map of the element weights, built once and read-only.
 
         Element ``m`` adds ``w[m] * grad(phi_i) . grad(phi_j)`` to entry ``(i, j)``.
         The cell-diagonal couplings are exact zeros (the right angles sit off
-        the diagonal), so they are not stored.  Each row of ``matrix`` lists
-        its elements in ascending order, so ``matrix @ w`` sums each entry in
-        the order in which ``assemble`` sums the element matrices, bit for bit.
+        the diagonal), so every entry lies on one of the five diagonals.  Each
+        row of ``matrix`` lists its elements in ascending order, so
+        ``matrix @ w`` sums each entry in the order in which ``assemble`` sums
+        the element matrices, bit for bit.
         """
-        plan = self.scatter_plan
+        n, stride = self.n_nodes, self.nx + 1
+        offsets = np.array([-stride, -1, 0, 1, stride], dtype=np.int32)
+        elements = self.elements.astype(np.int32)
+        # (i, j) = (elements[m, a], elements[m, b]) is pair 3a + b; j - i is
+        # the same for every lower (even) and every upper (odd) element
+        diagonal = np.searchsorted(offsets, (elements[:2, None, :] - elements[:2, :, None]))
+        rows = np.tile(elements, (1, 3)).reshape(-1, 2, 9)
+        rows += (diagonal * n).reshape(2, 9).astype(np.int32)
+        del elements
         g = self.element_gradients
         coupling = np.einsum("mid,mjd->mij", g, g).reshape(-1, 9)
         kept = coupling != 0.0
-        # the kept entries element by element: the map's transpose, in CSR
+        # the kept entries element by element: the map's transpose, in CSC
         by_element = np.zeros(self.n_elements + 1, dtype=np.int32)
         np.cumsum(kept.sum(axis=1), out=by_element[1:])
         data = coupling[kept]
-        slot = plan.slot.reshape(-1, 9)[kept]
-        del coupling, kept
-        used = np.zeros(plan.indices.size, dtype=bool)
-        used[slot] = True
-        # one past the position of each used scatter-plan slot in the zero-free pattern
-        position = np.cumsum(used, dtype=np.int32)
-        indptr = np.concatenate([[0], position])[plan.indptr].astype(np.int32)
-        row = position[slot] - 1
-        del slot, position
+        del coupling
+        rows = rows.reshape(-1, 9)[kept]
+        del kept
         # CSC to CSR is a stable counting sort, so each row's elements ascend
         matrix = sp.csc_matrix(
-            (data, row, by_element), shape=(indptr[-1], self.n_elements),
+            (data, rows, by_element), shape=(5 * n, self.n_elements),
         ).tocsr()
-        del data, row, by_element
-        stiffness = StiffnessMap(matrix, indptr, plan.indices[used])
-        for arr in (matrix.data, matrix.indices, matrix.indptr, indptr, stiffness.indices):
+        del data, rows, by_element
+        for arr in (matrix.data, matrix.indices, matrix.indptr, offsets):
             arr.setflags(write=False)
-        return stiffness
+        return StiffnessMap(matrix, offsets)
 
     @cached_property
-    def coarse(self) -> CoarseMesh:
-        """The nested mesh with half the cells per side, built once and read-only.
-
-        Both cell counts must be even.  Coarse element ``e`` is the union of
-        the fine elements ``children[e]``: a coarse cell's lower triangle holds
-        the lower triangles of its lower-left and upper-right fine cells and
-        both triangles of its lower-right one, its upper triangle the rest.
-        """
-        if self.nx % 2 or self.ny % 2:
-            raise ValueError(f"cannot halve {self.nx} x {self.ny} cells")
-        cx, cy = self.nx // 2, self.ny // 2
-        mesh = build_mesh(cx, cy, (self.x_min, self.x_max, self.y_min, self.y_max))
-        cj, ci = np.divmod(np.arange(cx * cy, dtype=np.int32), cx)
-        lower_left = 2 * cj * self.nx + 2 * ci      # fine cell index, elements 2c and 2c + 1
-        lower_right, upper_left = lower_left + 1, lower_left + self.nx
-        upper_right = upper_left + 1
-        children = np.empty((2 * cx * cy, 4), dtype=np.int32)
-        children[0::2] = np.column_stack([
-            2 * lower_left, 2 * lower_right, 2 * lower_right + 1, 2 * upper_right])
-        children[1::2] = np.column_stack([
-            2 * lower_left + 1, 2 * upper_left, 2 * upper_left + 1, 2 * upper_right + 1])
-        p = nested_interpolation(self.nx, self.ny, cx, cy)
-        r = p.T.tocsr()
-        for arr in (children, p.data, p.indices, p.indptr, r.data, r.indices, r.indptr):
-            arr.setflags(write=False)
-        return CoarseMesh(mesh, children, p, r)
+    def coarse(self) -> CoarseLevel:
+        """The nested level with half the cells per side, built once and read-only."""
+        return _halve(self.nx, self.ny, self.bounds)
 
     def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
         """Sum (M, 3, 3) element matrices into the mesh's CSR pattern."""
@@ -250,6 +230,58 @@ class Mesh:
         )
         diag.setflags(write=False)
         return diag
+
+
+@dataclass(frozen=True)
+class CoarseLevel:
+    """The nested mesh with half the cells per side, as far as a multigrid reads it.
+
+    It keeps its cell counts and bounds, its stiffness map, the fine elements
+    inside each of its elements and the transfers to the finer mesh; the
+    next level is built on first use, like ``Mesh.coarse``.
+    """
+
+    nx: int
+    ny: int
+    bounds: tuple[float, float, float, float]
+    stiffness_map: StiffnessMap
+    children: np.ndarray          # (2 * nx * ny, 4) int32 fine elements inside each element
+    prolongation: sp.csr_matrix   # coarse -> fine P1 interpolation
+    restriction: sp.csr_matrix    # its transpose, as CSR
+
+    @cached_property
+    def coarse(self) -> CoarseLevel:
+        """The next nested level, built once and read-only."""
+        return _halve(self.nx, self.ny, self.bounds)
+
+
+def _halve(nx: int, ny: int, bounds: tuple[float, float, float, float]) -> CoarseLevel:
+    """The level with half of the ``nx x ny`` cells per side over ``bounds``.
+
+    Both cell counts must be even.  Coarse element ``e`` is the union of the
+    fine elements ``children[e]``: a coarse cell's lower triangle holds the
+    lower triangles of its lower-left and upper-right fine cells and both
+    triangles of its lower-right one, its upper triangle the rest.  The
+    coarse mesh itself is dropped once its stiffness map is built.
+    """
+    if nx % 2 or ny % 2:
+        raise ValueError(f"cannot halve {nx} x {ny} cells")
+    cx, cy = nx // 2, ny // 2
+    stiffness = build_mesh(cx, cy, bounds).stiffness_map
+    cj, ci = np.divmod(np.arange(cx * cy, dtype=np.int32), cx)
+    lower_left = 2 * cj * nx + 2 * ci      # fine cell index, elements 2c and 2c + 1
+    lower_right, upper_left = lower_left + 1, lower_left + nx
+    upper_right = upper_left + 1
+    children = np.empty((2 * cx * cy, 4), dtype=np.int32)
+    children[0::2] = np.column_stack([
+        2 * lower_left, 2 * lower_right, 2 * lower_right + 1, 2 * upper_right])
+    children[1::2] = np.column_stack([
+        2 * lower_left + 1, 2 * upper_left, 2 * upper_left + 1, 2 * upper_right + 1])
+    p = nested_interpolation(nx, ny, cx, cy)
+    r = p.T.tocsr()
+    for arr in (children, p.data, p.indices, p.indptr, r.data, r.indices, r.indptr):
+        arr.setflags(write=False)
+    return CoarseLevel(cx, cy, bounds, stiffness, children, p, r)
 
 
 def build_mesh(

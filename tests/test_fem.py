@@ -91,6 +91,13 @@ def test_stiffness_rejects_nonpositive_sigma(mesh8):
         fem.assemble_weighted_stiffness(mesh8, ScalarField(mesh8, values))
 
 
+def test_multigrid_rejects_nonpositive_sigma_with_the_stiffness_message(mesh16):
+    values = np.ones(mesh16.n_nodes)
+    values[17] = 0.0
+    with pytest.raises(ValueError, match="conductivity must be positive, node 17 has value 0.0"):
+        fem.multigrid(mesh16, ScalarField(mesh16, values))
+
+
 def test_stiffness_rejects_nan_sigma(mesh8):
     values = np.ones(mesh8.n_nodes)
     values[17] = np.nan
@@ -347,6 +354,40 @@ def test_neumann_multigrid_iterations_bounded():
     _, residuals = fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-12, 1000)
     assert residuals[-1] <= 1e-12
     assert len(residuals) - 1 <= 15
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (128, 128, (0.0, 1.0, 0.0, 1.0)), (37, 12, (-1.0, 3.0, 0.5, 0.9)),
+])
+def test_dia_level_product_matches_csr_stiffness_bitwise(nx, ny, bounds):
+    m = build_mesh(nx, ny, bounds)
+    sigma = smooth_conductivity(m, np.random.RandomState(nx))
+    a = fem.multigrid(m, sigma).matrices[0]
+    assert isinstance(a, sp.dia_matrix)
+    assert np.array_equal(a.offsets, [-(nx + 1), -1, 0, 1, nx + 1])
+    v = np.random.RandomState(ny).randn(m.n_nodes)
+    assert np.array_equal(a @ v, fem.assemble_weighted_stiffness(m, sigma) @ v)
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (64, 64, (0.0, 1.0, 0.0, 1.0)), (40, 24, (-1.0, 1.5, 2.0, 2.75)),
+])
+def test_vcycle_is_symmetric_and_sweeps_are_damped_jacobi(nx, ny, bounds):
+    m = build_mesh(nx, ny, bounds)
+    hierarchy = fem.multigrid(m, smooth_conductivity(m, np.random.RandomState(nx)))
+    rng = np.random.RandomState(ny)
+    # CG applies the V-cycle to mean-zero residuals only
+    u, v = rng.randn(2, m.n_nodes)
+    u -= u.mean()
+    v -= v.mean()
+    uv, vu = u @ hierarchy.vcycle(v), v @ hierarchy.vcycle(u)
+    assert abs(uv - vu) <= 1e-12 * abs(uv)
+    # one fused sweep x <- S x + w D^-1 r is x + w D^-1 (r - A x)
+    for a, smoother, relax in zip(hierarchy.matrices, hierarchy.smoothers, hierarchy.relaxation):
+        x, r = rng.randn(2, a.shape[0])
+        expected = x + relax * (r - a @ x)
+        fused = smoother @ x + relax * r
+        assert np.abs(fused - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_neumann_odd_mesh_coarsest_level_is_fine():

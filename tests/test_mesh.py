@@ -154,13 +154,16 @@ def test_affine_reproduction_at_centroids():
 def test_coarse_children_tile_their_parent(nx, ny, bounds):
     fine = build_mesh(nx, ny, bounds)
     coarse = fine.coarse
-    assert (coarse.mesh.nx, coarse.mesh.ny) == (nx // 2, ny // 2)
-    assert coarse.children.shape == (coarse.mesh.n_elements, 4)
+    assert (coarse.nx, coarse.ny) == (nx // 2, ny // 2)
+    assert coarse.bounds == fine.bounds
+    # the level keeps no mesh: rebuild the one its counts and bounds describe
+    parent_mesh = build_mesh(coarse.nx, coarse.ny, coarse.bounds)
+    assert coarse.children.shape == (parent_mesh.n_elements, 4)
     assert np.array_equal(np.sort(coarse.children.ravel()), np.arange(fine.n_elements))
     areas = fine.element_areas[coarse.children].sum(axis=1)
-    np.testing.assert_allclose(areas, coarse.mesh.element_areas, rtol=1e-13)
+    np.testing.assert_allclose(areas, parent_mesh.element_areas, rtol=1e-13)
     # every child's centroid lies inside its parent: barycentric coordinates in [0, 1]
-    parent = coarse.mesh.nodes[coarse.mesh.elements]                 # (M_c, 3, 2)
+    parent = parent_mesh.nodes[parent_mesh.elements]                 # (M_c, 3, 2)
     centroids = fine.element_centroids[coarse.children]               # (M_c, 4, 2)
     basis = np.stack([parent[:, 1] - parent[:, 0], parent[:, 2] - parent[:, 0]], axis=-1)
     local = np.linalg.solve(basis[:, None], (centroids - parent[:, None, 0])[..., None])[..., 0]
@@ -179,10 +182,17 @@ def test_mesh_caches_are_lazy_and_read_only():
     assert not {"scatter_plan", "stiffness_map", "coarse"} & set(vars(m))
     stiffness, coarse = m.stiffness_map, m.coarse
     assert m.stiffness_map is stiffness and m.coarse is coarse
-    assert stiffness.matrix.shape == (stiffness.indices.size, m.n_elements)
-    indices = [stiffness.indptr, stiffness.indices, coarse.children]
+    # the maps are laid out without the element scatter plan
+    assert "scatter_plan" not in vars(m)
+    # the coarse level's own coarse level is built on first use, once
+    assert "coarse" not in vars(coarse)
+    assert coarse.coarse is coarse.coarse
+    assert stiffness.matrix.shape == (5 * m.n_nodes, m.n_elements)
+    assert np.array_equal(stiffness.offsets, [-17, -1, 0, 1, 17])
+    indices = [stiffness.offsets, coarse.children]
     values = []
-    for matrix in (stiffness.matrix, coarse.prolongation, coarse.restriction):
+    for matrix in (stiffness.matrix, coarse.stiffness_map.matrix,
+                   coarse.prolongation, coarse.restriction):
         indices += [matrix.indices, matrix.indptr]
         values.append(matrix.data)
     assert all(arr.dtype == np.int32 for arr in indices)

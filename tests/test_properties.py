@@ -113,6 +113,24 @@ def assert_galerkin(fine, p, coarse):
     assert np.all(abs(galerkin - coarse).max(axis=1).toarray().ravel() <= 1e-13 * row_abs)
 
 
+def assert_five_point(a):
+    """Every stored entry of a DIA level is nonzero, and they fill the 5-point pattern.
+
+    DIA stores the band padding and the zeros where a diagonal wraps around a
+    grid row, so the check reads the CSR form, which keeps the nonzeros only.
+    """
+    stride = int(a.offsets.max())     # nx + 1 nodes per grid row
+    csr = a.tocsr()
+    assert np.all(csr.data != 0.0)
+
+    def path(k):
+        return sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(k, k))
+
+    rows = a.shape[0] // stride
+    five_point = sp.kron(sp.eye(rows), path(stride)) + sp.kron(path(rows), sp.eye(stride))
+    assert (csr.astype(bool) != five_point.tocsr().astype(bool)).nnz == 0
+
+
 @PROPERTY_SETTINGS
 @given(mesh=rectangles(even_counts), seed=st.integers(0, 2**32 - 1))
 @example(mesh=build_mesh(40, 24, (-1.0, 1.5, 2.0, 2.75)), seed=1)   # coarsens twice
@@ -120,7 +138,7 @@ def test_assembled_levels_are_galerkin_products(mesh, seed):
     sigma = smooth_conductivity(mesh, np.random.RandomState(seed))
     hierarchy = fem.multigrid(mesh, sigma)
     for a in hierarchy.matrices:
-        assert np.all(a.data != 0.0)
+        assert_five_point(a)
     for a, coarse, p, r in zip(hierarchy.matrices, hierarchy.matrices[1:],
                                hierarchy.prolongations, hierarchy.restrictions):
         assert (r != p.T).nnz == 0
@@ -128,8 +146,8 @@ def test_assembled_levels_are_galerkin_products(mesh, seed):
     # the mesh's own coarse mesh, which the hierarchy skips at 8 cells or fewer
     level = mesh.coarse
     weights = (fem.element_means(sigma) * mesh.element_areas)[level.children].sum(axis=1)
-    coarse = fem._stiffness(level.mesh, weights)
-    assert np.all(coarse.data != 0.0)
+    coarse = fem._stiffness(level, weights)
+    assert_five_point(coarse)
     assert_galerkin(hierarchy.matrices[0], level.prolongation, coarse)
 
 
