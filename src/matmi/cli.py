@@ -310,9 +310,11 @@ def write_vtk(path: str, fields: dict[str, ScalarField]) -> None:
 def write_report_csv(path: str, report: ReconReport) -> None:
     rows = zip(
         report.iterations, report.updates, report.misfits,
-        report.rel_errors, report.abs_errors,
+        report.rel_errors, report.abs_errors, report.cg_iterations, report.transport_factors,
     )
-    _write_atomic(path, _csv(rows, "k,update,misfit,rel_error,abs_error"))
+    _write_atomic(path, _csv(
+        rows, "k,update,misfit,rel_error,abs_error,cg_iterations,transport_factors",
+    ))
 
 
 def _write_keyvalue_csv(path: str, entries: dict[str, float | int | str]) -> None:

@@ -22,15 +22,18 @@ data-on-the-same-mesh mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, transport
 from .fem import ScalarField, VectorField
 from .mesh import Mesh, nested_interpolation
 
 __all__ = [
-    "ForwardResult",
+    "ForwardResult", "DerivativeMaps",
     "rotate", "gauge_field", "compute_field", "forward_map",
     "divergence_identity_error",
 ]
@@ -61,16 +64,49 @@ def gauge_field(mesh: Mesh, shift: tuple[float, float] | None = None) -> VectorF
     return VectorField(mesh, vals)
 
 
+class DerivativeMaps(NamedTuple):
+    """The two sparse maps of the data map's derivative at one conductivity.
+
+    Along a direction ``h`` the derivative is
+    ``(A h + advection @ phi) / M_L``, where ``phi`` solves the Neumann
+    problem with right-hand side ``rhs @ h`` and ``A`` is the data operator.
+    Both are read-only and share the mesh's sparsity pattern.
+    """
+
+    rhs: sp.csr_matrix        # h -> load vector of -div(h E), h averaged per element
+    advection: sp.csr_matrix  # phi -> dA[rot grad(phi)] @ sigma
+
+
 @dataclass(frozen=True)
 class ForwardResult:
     """Field solve output, with the operators built from it."""
 
+    sigma: ScalarField              # the conductivity the field was solved at
     potential: ScalarField          # zero-mean Neumann potential u
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
     cg_iterations: int              # CG iterations of the potential's solve
     hierarchy: fem.Multigrid        # V-cycle hierarchy of the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
+
+    @cached_property
+    def derivative_maps(self) -> DerivativeMaps:
+        """The maps of the derivative at ``sigma``, built on first use and read-only.
+
+        Row i of ``rhs`` holds ``-area/3 * E . grad(phi_i)`` of each element
+        in every column of the element, the weak divergence of ``h E`` with
+        ``h`` at its element mean.
+        """
+        mesh = self.sigma.mesh
+        load = -(mesh.element_areas / 3.0)[:, None] * np.einsum(
+            "md,mkd->mk", self.field.values, mesh.element_gradients
+        )
+        rhs = mesh.assemble(np.broadcast_to(load[:, :, None], (mesh.n_elements, 3, 3)),
+                            read_only=True)
+        del load
+        return DerivativeMaps(
+            rhs, transport.advection_matrix_derivative(self.operator, self.sigma.values)
+        )
 
 
 def compute_field(
@@ -83,7 +119,8 @@ def compute_field(
     function, to solver tolerance.  CG starts from ``guess`` when given, such
     as the potential of a nearby sigma.  The result also carries the
     multigrid hierarchy of the stiffness (its ``matrices[0]``) and the data
-    operator built from this sigma, for callers that reuse them.
+    operator built from this sigma, for callers that reuse them; the maps of
+    the data map's derivative are built from them on first use.
     """
     mesh = sigma.mesh
     if gauge is None:
@@ -98,7 +135,7 @@ def compute_field(
     del gauge, weighted_gauge, rhs
     operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
     return ForwardResult(
-        potential=u, field=field, field_norm=fem.l2_norm_vec(field),
+        sigma=sigma, potential=u, field=field, field_norm=fem.l2_norm_vec(field),
         cg_iterations=len(residuals) - 1, hierarchy=hierarchy, operator=operator,
     )
 

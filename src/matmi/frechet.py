@@ -10,6 +10,14 @@ composite map behind ``forward_map`` (field solve, rotation, stabilized
 advection operator, lumped-mass projection), including the dependence of
 the streamline time scale on the velocity.  Exactness is what makes the
 finite-difference remainder genuinely quadratic.
+
+At a fixed sigma the derivative is ``DF(h) = M_L^-1 (A h + B phi)`` with
+``phi = K^+ C h``: ``A`` is the data operator, ``K`` the stiffness, and
+``C`` (h to the auxiliary right-hand side) and ``B`` (phi to the
+derivative of the operator along ``rot grad(phi)``, applied to sigma) are
+fixed sparse matrices.  ``forward.ForwardResult.derivative_maps`` builds
+``C`` and ``B`` once per field solve, so each direction costs one Neumann
+solve and three sparse products.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, forward, transport
-from .fem import ScalarField, VectorField
+from . import fem, forward
+from .fem import ScalarField
 from .forward import ForwardResult
 
 __all__ = ["DerivativeResult", "frechet_derivative", "fd_validate"]
@@ -41,25 +49,25 @@ def frechet_derivative(
     """Directional derivative of the forward map at ``sigma`` along ``h``.
 
     ``base`` may carry a precomputed ``compute_field(sigma)`` result when many
-    directions are evaluated at the same conductivity; its multigrid hierarchy
-    and data operator are reused.
+    directions are evaluated at the same conductivity; its multigrid
+    hierarchy, data operator and derivative maps are reused.  Raises
+    ``ValueError`` when ``base`` was solved at another conductivity.
     """
     mesh = sigma.mesh
     if h.mesh is not mesh:
         raise ValueError("increment lives on a different mesh")
     if base is None:
         base = forward.compute_field(sigma)
+    elif base.sigma is not sigma and not (
+        base.sigma.mesh is mesh and np.array_equal(base.sigma.values, sigma.values)
+    ):
+        raise ValueError("base field was solved at a different conductivity")
 
+    maps = base.derivative_maps
     # auxiliary Neumann problem: div(sigma grad(phi)) = -div(h E)
-    h_elem = fem.element_means(h)
-    weighted = VectorField(mesh, h_elem[:, None] * base.field.values)
-    rhs = fem.assemble_weak_divergence_rhs(mesh, weighted)
-    phi, _ = fem.solve_neumann(mesh, base.hierarchy, rhs)
-
-    op = base.operator
-    delta_w = VectorField(mesh, forward.rotate(fem.gradient_field(phi).values))
-    d_op_sigma = transport.advection_matrix_derivative(op, delta_w, sigma.values)
-    values = (op.matrix @ h.values + d_op_sigma) / fem.lumped_mass(mesh)
+    phi, _ = fem.solve_neumann(mesh, base.hierarchy, maps.rhs @ h.values)
+    values = base.operator.matrix @ h.values + maps.advection @ phi.values
+    values /= fem.lumped_mass(mesh)
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))
 
 

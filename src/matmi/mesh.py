@@ -163,25 +163,29 @@ class Mesh:
         """The nested level with half the cells per side, built once and read-only."""
         return _halve(self.nx, self.ny, self.bounds)
 
-    def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
-        """Sum (M, 3, 3) element matrices into the mesh's CSR pattern."""
+    def assemble(self, ke: np.ndarray, read_only: bool = False) -> sp.csr_matrix:
+        """Sum (M, 3, 3) element matrices into the mesh's CSR pattern.
+
+        A ``read_only`` matrix shares the plan's read-only pattern instead of
+        a copy, and its values are read-only as well.
+        """
         plan = self.scatter_plan
         # the sequential sum of bincount, without the int64 copy of the slots it takes
         data = np.zeros(plan.indices.size)
         np.add.at(data, plan.slot, ke.ravel())
-        # own index arrays: callers may change the matrix in place (eliminate_zeros)
-        return sp.csr_matrix(
-            (data, plan.indices.copy(), plan.indptr.copy()), shape=(self.n_nodes, self.n_nodes)
-        )
+        shape = (self.n_nodes, self.n_nodes)
+        if not read_only:
+            # own index arrays: callers may change the matrix in place (eliminate_zeros)
+            return sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=shape)
+        matrix = sp.csr_matrix(shape)
+        matrix.data, matrix.indices, matrix.indptr = data, plan.indices, plan.indptr
+        data.setflags(write=False)
+        return matrix
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
         """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
-        matrix = self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS)
-        # never changed, so it shares the plan's read-only pattern instead of a copy
-        matrix.indices, matrix.indptr = self.scatter_plan.indices, self.scatter_plan.indptr
-        matrix.data.setflags(write=False)
-        return matrix
+        return self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS, read_only=True)
 
     @cached_property
     def dissection_order(self) -> np.ndarray:

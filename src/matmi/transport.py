@@ -65,36 +65,45 @@ def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, a=a, tau=tau)
 
 
-def advection_matrix_derivative(
-    op: AdvectionOperator, delta_w: VectorField, s: np.ndarray
-) -> np.ndarray:
-    """``dA @ s``, with ``dA`` the derivative of ``assemble_advection`` in ``delta_w``.
+def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.csr_matrix:
+    """The map ``phi -> dA[rot grad(phi)] @ s``, ``dA`` the derivative of ``assemble_advection``.
 
-    Exact at ``op``'s velocity: differentiates both the advection entries and
-    the streamline time scale, so the data map's linearisation has a
-    quadratic remainder.  The element matrices
-    ``area * (test_i da_j + dtest_i a_j)`` act on the element values of ``s``
-    without being formed.
+    ``rot`` crosses with B0, ``(v1, v2) -> (v2, -v1)``.  Exact at ``op``'s
+    velocity: differentiates both the advection entries and the streamline
+    time scale, so the data map's linearisation has a quadratic remainder.
+    The velocity increment ``dw`` enters the element matrices
+    ``area * (test_i da_j + dtest_i a_j)`` of ``dA`` linearly, so their
+    product with the element values of ``s`` is ``dw . V_i`` per element,
+    with
+
+        V_i = area test_i grad(s) + area (w . grad(s)) (a_i q + tau grad(phi_i)),
+
+    where ``dtau = q . dw``.  With ``dw = sum_k phi_k rot(grad(phi_k))`` the
+    element matrix of the map is ``rot(grad(phi_k)) . V_i``.  The result is
+    read-only and shares the mesh's sparsity pattern.
     """
     mesh = op.mesh
-    if delta_w.mesh is not mesh:
-        raise ValueError("velocity lives on a different mesh")
     a, tau, w = op.a, op.tau, op.velocity.values
+    areas, g = mesh.element_areas, mesh.element_gradients
     # cheap to redo, so the operator does not hold them through the transport solve
     speed = np.hypot(w[:, 0], w[:, 1])
     test = 1.0 / 3.0 + tau[:, None] * a
-    da = np.einsum("md,mkd->mk", delta_w.values, mesh.element_gradients)
-    # d|w| = w.dw/|w|; the derivative of tau*a_i*a_j stays bounded as |w| -> 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dspeed = np.einsum("md,md->m", w, delta_w.values) / speed
-    dspeed[speed == 0.0] = 0.0
-    dtau = -2.0 * mesh.element_diameter * dspeed / (2.0 * speed + TAU_EPS) ** 2
-    dtest = dtau[:, None] * a + tau[:, None] * da
     local = s[mesh.elements]                                  # (M, 3)
-    da_s = mesh.element_areas * np.einsum("mk,mk->m", da, local)
-    a_s = mesh.element_areas * np.einsum("mk,mk->m", a, local)
-    contrib = test * da_s[:, None] + dtest * a_s[:, None]
-    return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
+    grad_s = np.einsum("mk,mkd->md", local, g)
+    a_s = areas * np.einsum("mk,mk->m", a, local)
+    # dtau = -2 diam d|w| / (2|w| + eps)^2 with d|w| = w.dw/|w|; the derivative
+    # of tau*a_i*a_j stays bounded as |w| -> 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = (-2.0 * mesh.element_diameter / (speed * (2.0 * speed + TAU_EPS) ** 2))[:, None] * w
+    q[speed == 0.0] = 0.0
+    v = (areas[:, None] * test)[:, :, None] * grad_s[:, None, :]
+    v += a_s[:, None, None] * (a[:, :, None] * q[:, None, :] + tau[:, None, None] * g)
+    del speed, test, local, grad_s, a_s, q
+    # rot(grad(phi_k)) . V_i = g_k2 V_i1 - g_k1 V_i2
+    ke = np.einsum("mi,mk->mik", v[..., 0], g[..., 1])
+    ke -= np.einsum("mi,mk->mik", v[..., 1], g[..., 0])
+    del v
+    return mesh.assemble(ke, read_only=True)
 
 
 def apply_data_operator(op: AdvectionOperator, sigma: ScalarField) -> ScalarField:

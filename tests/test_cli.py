@@ -179,8 +179,47 @@ def test_invert_synthesized(tmp_path):
     assert int(summary["cg_iterations"]) > 0
     assert 1 <= int(summary["transport_factors"]) <= int(summary["iterations"])
     report = open(os.path.join(out, "report.csv")).read().splitlines()
-    assert report[0] == "k,update,misfit,rel_error,abs_error"
+    assert report[0] == "k,update,misfit,rel_error,abs_error,cg_iterations,transport_factors"
     assert len(report) >= 3
+
+
+def test_report_counts_match_the_solver_calls(tmp_path, monkeypatch):
+    # the per-sweep columns of report.csv add up to the CG iterations and LU
+    # factors the solvers did; file data, so the run does no other solve
+    cfg = write_config(tmp_path)
+    fwd_out = str(tmp_path / "fwd")
+    assert main(["forward", "--config", cfg, "--out", fwd_out]) == 0
+    text = BASE_CONFIG + f"data.source = file\ndata.file = {fwd_out}/data.csv\n"
+    cfg2 = write_config(tmp_path, text, name="run2.cfg")
+
+    counted = {"cg": 0, "factors": 0}
+    pcg, splu = cli.fem._projected_pcg, cli.fem.spla.splu
+
+    def counting_pcg(*args, **kwargs):
+        x, residuals = pcg(*args, **kwargs)
+        counted["cg"] += len(residuals) - 1
+        return x, residuals
+
+    # the transport factor is of the free block; the multigrid's coarse one is smaller
+    free = build_mesh(16, 16).interior_nodes.size
+
+    def counting_splu(matrix, *args, **kwargs):
+        counted["factors"] += matrix.shape[0] == free
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(cli.fem, "_projected_pcg", counting_pcg)
+    monkeypatch.setattr(cli.fem.spla, "splu", counting_splu)
+    out = str(tmp_path / "inv")
+    assert main(["invert", "--config", cfg2, "--out", out]) == 0
+    rows = open(os.path.join(out, "report.csv")).read().splitlines()
+    header = rows[0].split(",")
+    columns = np.array([row.split(",") for row in rows[1:]], dtype=float)
+    cg = columns[:, header.index("cg_iterations")]
+    factors = columns[:, header.index("transport_factors")]
+    assert counted["cg"] > 0 and counted["factors"] >= 1
+    assert cg.sum() == counted["cg"]
+    assert factors.sum() == counted["factors"]
+    assert factors[0] == 0 and factors[1] == 1
 
 
 def test_invert_reverse_example(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matmi import fem, forward, frechet
+from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec
@@ -35,20 +35,39 @@ def test_precomputed_base_changes_nothing(bump32, mesh32):
 
 
 def test_directions_share_the_base_hierarchy(bump32, mesh32, monkeypatch):
+    # N directions on one base build no hierarchy and the derivative maps once
     base = forward.compute_field(bump32)
     built = []
-    original = fem.multigrid
+    maps = []
+    original_multigrid, original_derivative = fem.multigrid, transport.advection_matrix_derivative
 
-    def counting(*args):
+    def counting_multigrid(*args):
         built.append(args)
-        return original(*args)
+        return original_multigrid(*args)
 
-    monkeypatch.setattr(fem, "multigrid", counting)
-    for seed in (46, 47):
+    def counting_derivative(*args):
+        maps.append(args)
+        return original_derivative(*args)
+
+    monkeypatch.setattr(fem, "multigrid", counting_multigrid)
+    monkeypatch.setattr(transport, "advection_matrix_derivative", counting_derivative)
+    for seed in (46, 47, 48, 49, 50):
         frechet.frechet_derivative(bump32, perturbation(mesh32, np.random.RandomState(seed)), base)
-    assert built == []
+    assert built == [] and len(maps) == 1
     frechet.frechet_derivative(bump32, perturbation(mesh32, np.random.RandomState(46)))
-    assert len(built) == 1
+    assert len(built) == 1 and len(maps) == 2
+
+
+def test_base_at_another_conductivity_rejected(bump32, mesh32):
+    h = perturbation(mesh32, np.random.RandomState(49))
+    base = forward.compute_field(bump32)
+    other = ScalarField(mesh32, 1.01 * bump32.values)
+    with pytest.raises(ValueError, match="different conductivity"):
+        frechet.frechet_derivative(other, h, base)
+    # an equal conductivity in another array is the same base
+    same = ScalarField(mesh32, bump32.values.copy())
+    assert np.array_equal(frechet.frechet_derivative(same, h, base).value.values,
+                          frechet.frechet_derivative(bump32, h, base).value.values)
 
 
 def test_linearity_combination(bump32, mesh32):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matmi import fem, forward, recon, transport
+from matmi import cli, fem, forward, recon, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec, random_bump_spec
@@ -232,3 +232,34 @@ def test_qualitative_four_constant_bound(mesh32):
         s2 = make_phantom(random_bump_spec(rng, n_bumps=2), mesh32)
         ratio = recon.stability_check(s1, s2)
         assert ratio <= 4.0
+
+
+def fine_mesh_reconstruction(n, noise_seed=None):
+    """Final relative error of the single bump from 2x fine-mesh data at ``n``,
+    with 1% seeded multiplicative Gaussian noise on the data when a seed is given."""
+    config = cli.RunConfig(mesh_n=n, data_mode="fine-mesh")
+    mesh = config.build_mesh()
+    truth = make_phantom(config.phantom_spec(), mesh)
+    g, _ = cli.synthesize_data(config, mesh, truth)
+    if noise_seed is not None:
+        noise = np.random.default_rng(noise_seed).standard_normal(mesh.n_nodes)
+        g = ScalarField(mesh, g.values * (1.0 + 0.01 * noise))
+    cfg = ReconConfig(sigma0=fem.constant_field(mesh, config.background), truth=truth)
+    _, report = recon.reconstruct(g, cfg)
+    return report.rel_errors[-1]
+
+
+def test_fine_mesh_error_rate_per_halving():
+    # off-mesh data: the error falls about linearly in the cell size; measured
+    # 1.535e-2 / 8.334e-3 / 4.156e-3 at n = 16 / 32 / 64, ratios 1.84 and 2.01
+    errors = [fine_mesh_reconstruction(n) for n in (16, 32, 64)]
+    assert errors[0] / errors[1] >= 1.7
+    assert errors[1] / errors[2] >= 1.7
+
+
+def test_noise_amplification_bounded():
+    # 1% multiplicative noise on fine-mesh data at n = 64 raised the error from
+    # 4.156e-3 by at most 1.197x over the noise seeds 0-9 (worst: seed 6)
+    clean = fine_mesh_reconstruction(64)
+    noisy = [fine_mesh_reconstruction(64, seed) for seed in range(10)]
+    assert max(noisy) <= 1.3 * clean

@@ -149,32 +149,39 @@ def test_streamline_scale_bounded():
 
 
 def test_derivative_reads_stored_streamline_data():
-    # the element matrices of the derivative, as they were assembled before
-    # it was applied element-wise
-    m = build_mesh(16, 16)
+    # the element matrices of the derivative along a velocity increment dw, as
+    # they were assembled before the derivative became a map of phi, with
+    # dw = rot grad(phi): the map must reproduce them on a square and on an
+    # offset, stretched rectangle
     rng = np.random.RandomState(34)
-    w_vals = rng.randn(m.n_elements, 2)
-    w_vals[3] = 0.0
-    dw_vals = rng.randn(m.n_elements, 2)
-    s = rng.randn(m.n_nodes)
-    op = transport.assemble_advection(m, VectorField(m, w_vals))
+    for m in (build_mesh(16, 16), build_mesh(37, 12, (-1.0, 3.0, 0.5, 0.9))):
+        w_vals = rng.randn(m.n_elements, 2)
+        w_vals[3] = 0.0
+        phi = rng.randn(m.n_nodes)
+        s = rng.randn(m.n_nodes)
+        op = transport.assemble_advection(m, VectorField(m, w_vals))
 
-    g = m.element_gradients
-    a = np.einsum("md,mkd->mk", w_vals, g)
-    speed = np.hypot(w_vals[:, 0], w_vals[:, 1])
-    tau = m.element_diameter / (2.0 * speed + transport.TAU_EPS)
-    da = np.einsum("md,mkd->mk", dw_vals, g)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dspeed = np.einsum("md,md->m", w_vals, dw_vals) / speed
-    dspeed[speed == 0.0] = 0.0
-    dtau = -2.0 * m.element_diameter * dspeed / (2.0 * speed + transport.TAU_EPS) ** 2
-    test = 1.0 / 3.0 + tau[:, None] * a
-    dtest = dtau[:, None] * a + tau[:, None] * da
-    ke = m.element_areas[:, None, None] * (
-        test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
-    )
-    expected = m.assemble(ke) @ s
+        g = m.element_gradients
+        dw_vals = forward.rotate(fem.gradient_field(ScalarField(m, phi)).values)
+        a = np.einsum("md,mkd->mk", w_vals, g)
+        speed = np.hypot(w_vals[:, 0], w_vals[:, 1])
+        tau = m.element_diameter / (2.0 * speed + transport.TAU_EPS)
+        da = np.einsum("md,mkd->mk", dw_vals, g)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dspeed = np.einsum("md,md->m", w_vals, dw_vals) / speed
+        dspeed[speed == 0.0] = 0.0
+        dtau = -2.0 * m.element_diameter * dspeed / (2.0 * speed + transport.TAU_EPS) ** 2
+        test = 1.0 / 3.0 + tau[:, None] * a
+        dtest = dtau[:, None] * a + tau[:, None] * da
+        ke = m.element_areas[:, None, None] * (
+            test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
+        )
+        expected = m.assemble(ke) @ s
 
-    got = transport.advection_matrix_derivative(op, VectorField(m, dw_vals), s)
-    assert got.shape == (m.n_nodes,)
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        derivative = transport.advection_matrix_derivative(op, s)
+        assert derivative.shape == (m.n_nodes, m.n_nodes)
+        got = derivative @ phi
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        # read-only, on the mesh's shared pattern
+        assert derivative.indices is m.scatter_plan.indices
+        assert not derivative.data.flags.writeable
