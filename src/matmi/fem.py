@@ -5,7 +5,9 @@ which integrates every product of elementwise constants exactly.  The
 stiffness is linear in the element weights ``area * sigma``: each mesh
 caches that linear map, laid out so that it gives the five diagonals of the
 stiffness (offsets 0, +-1, +-(nx + 1)) in ``dia_matrix`` storage, and an
-assembly applies it.  The pure Neumann system keeps its constant null space;
+assembly applies it.  Mass, advection and the derivative maps sum their
+element matrices onto the mesh's seven diagonals, in ``dia_matrix`` storage.
+The pure Neumann system keeps its constant null space;
 it is solved by conjugate gradients on the mean-zero complement,
 preconditioned by one geometric multigrid V(2,2)-cycle on the nested coarser
 meshes, returning the zero-mean representative.  Each coarse level is the
@@ -17,7 +19,7 @@ SIAM 2000, ch. 2, 3 and 10).  Every level is stored by its diagonals (Saad,
 and each damped-Jacobi sweep is one product with the level's iteration
 matrix, also stored by its diagonals.  A Dirichlet solve reads only
 the free rows of the operator, takes the prescribed values from the rhs and
-refines the free values from a sparse LU of the free block, in the mesh's
+refines the free values from a sparse LU of the CSR free block, in the mesh's
 geometric nested-dissection order (A. George, "Nested dissection of a
 regular finite element mesh", SIAM J. Numer. Anal. 10(2), 1973).  The
 Neumann solve takes a starting guess and the Dirichlet solve a held LU, so a
@@ -156,7 +158,7 @@ def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
+def mass_matrix(mesh: Mesh) -> sp.dia_matrix:
     """Consistent P1 mass matrix (the L2 Gram matrix), cached read-only on the mesh."""
     return mesh.mass_matrix
 
@@ -199,7 +201,7 @@ SOLVER_TOL = 1e-12
 
 
 def dirichlet_system(
-    matrix: sp.csr_matrix,
+    matrix: sp.spmatrix,
     rhs: np.ndarray,
     dirichlet_nodes: np.ndarray,
     dirichlet_values: np.ndarray,
@@ -420,7 +422,7 @@ class FreeBlockLU:
 
 def solve_dirichlet(
     mesh: Mesh,
-    matrix: sp.csr_matrix,
+    matrix: sp.spmatrix,
     rhs: np.ndarray,
     dirichlet_nodes: np.ndarray,
     factor: FreeBlockLU | None = None,
@@ -434,8 +436,8 @@ def solve_dirichlet(
     the LU held by ``factor``, which may belong to an earlier, nearby matrix
     (the chord method; Kelley, *Iterative Methods for Linear and Nonlinear
     Equations*, 1995, §5.4).  When a step cuts the free-row residual by less
-    than 10x, that LU is dropped and the free block of ``matrix`` is factored
-    in the mesh's nested-dissection order with diagonal pivots preferred
+    than 10x, that LU is dropped and the free block of ``matrix``, in CSR, is
+    factored in the mesh's nested-dissection order with diagonal pivots preferred
     (George, SIAM J. Numer. Anal. 10(2), 1973); a fresh factor normally
     needs one solve.  The loop stops once the free-row residual is at most
     ``SOLVER_TOL * ||rhs||``, which equals the residual of the
@@ -461,7 +463,7 @@ def solve_dirichlet(
         if factor.lu is None:
             try:
                 factor.lu = spla.splu(
-                    matrix[free][:, free].tocsc(), permc_spec="NATURAL",
+                    matrix.tocsr()[free][:, free].tocsc(), permc_spec="NATURAL",
                     options=dict(SymmetricMode=True),
                 )
             except RuntimeError as exc:

@@ -70,11 +70,12 @@ class DerivativeMaps(NamedTuple):
     Along a direction ``h`` the derivative is
     ``(A h + advection @ phi) / M_L``, where ``phi`` solves the Neumann
     problem with right-hand side ``rhs @ h`` and ``A`` is the data operator.
-    Both are read-only and share the mesh's sparsity pattern.
+    Both are stored by the mesh's seven diagonals, and their values are
+    read-only.
     """
 
-    rhs: sp.csr_matrix        # h -> load vector of -div(h E), h averaged per element
-    advection: sp.csr_matrix  # phi -> dA[rot grad(phi)] @ sigma
+    rhs: sp.dia_matrix        # h -> load vector of -div(h E), h averaged per element
+    advection: sp.dia_matrix  # phi -> dA[rot grad(phi)] @ sigma
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class ForwardResult:
         load = -(mesh.element_areas / 3.0)[:, None] * np.einsum(
             "md,mkd->mk", self.field.values, mesh.element_gradients
         )
-        rhs = mesh.assemble(np.broadcast_to(load[:, :, None], (mesh.n_elements, 3, 3)),
-                            read_only=True)
+        rhs = mesh.assemble(np.broadcast_to(load[:, :, None], (mesh.n_elements, 3, 3)))
+        rhs.data.setflags(write=False)
         del load
         return DerivativeMaps(
             rhs, transport.advection_matrix_derivative(self.operator, self.sigma.values)

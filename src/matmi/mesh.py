@@ -3,7 +3,8 @@
 Every grid cell is split along the same diagonal (lower-left to upper-right),
 which keeps refinement nested: the node set of an ``n`` mesh is a subset of
 the node set of the corresponding ``2n`` mesh.  Nodes are numbered row-major,
-``index = j*(nx+1) + i``, so matrix sparsity patterns are reproducible.
+``index = j*(nx+1) + i``, so every P1 coupling lies on one of the seven
+diagonals ``0, +-1, +-(nx+1), +-(nx+2)``, by which operators are stored.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Mesh", "ScatterPlan", "StiffnessMap", "CoarseLevel", "MAX_ELEMENTS",
+    "Mesh", "DiagonalLayout", "StiffnessMap", "CoarseLevel", "MAX_ELEMENTS",
     "build_mesh", "nested_interpolation",
 ]
 
@@ -26,17 +27,21 @@ _LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
 #: largest node block the nested dissection leaves undivided
 DISSECTION_LEAF = 16
 
-#: most elements a mesh may have: the stiffness map stores 7 entries per
-#: element, and every index array is int32, as scipy stores indices below 2**31
+#: most elements a mesh may have: scipy stores indices below 2**31 as int32, and the
+#: stiffness map's 7 entries per element outnumber any other index (slots < 7 n_nodes)
 MAX_ELEMENTS = (2**31 - 1) // 7
 
 
-class ScatterPlan(NamedTuple):
-    """CSR pattern of the P1 couplings and where each element-matrix entry lands in it."""
+class DiagonalLayout(NamedTuple):
+    """Where each element-matrix entry lands in ``dia_matrix`` data of the seven diagonals.
 
-    indptr: np.ndarray    # (n_nodes + 1,) int32
-    indices: np.ndarray   # (nnz,) int32, ascending within each row
-    slot: np.ndarray      # (9 * n_elements,) int32, CSR position of each ke.ravel() entry
+    Entry ``ke[m].ravel()[3a + b]``, of ``(i, j) = (elements[m, a], elements[m, b])``,
+    lands in flat slot ``d * n_nodes + j`` with ``offsets[d] = j - i``: scipy's
+    ``data[d, j] = A[j - offsets[d], j]``.
+    """
+
+    offsets: np.ndarray   # (7,) int32: -(nx + 2), -(nx + 1), -1, 0, 1, nx + 1, nx + 2
+    slot: np.ndarray      # (9 * n_elements,) int32, data position of each ke.ravel() entry
 
 
 class StiffnessMap(NamedTuple):
@@ -93,27 +98,20 @@ class Mesh:
         return float(np.hypot(self.dx, self.dy))
 
     @cached_property
-    def scatter_plan(self) -> ScatterPlan:
-        """Sparsity plan of every element assembly, built once and read-only."""
-        n = self.n_nodes
-        # row-major keys of the entries sort into CSR order; a stable argsort
-        # and a cumsum need half the transient memory of np.unique's inverse
-        keys = np.repeat(self.elements * n, 3, axis=1).ravel()
-        keys += np.tile(self.elements, (1, 3)).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        # int32, as scipy stores indices below 2**31 entries
-        slot = np.empty(keys.size, dtype=np.int32)
-        slot[order] = np.cumsum(first, dtype=np.int32) - 1
-        keys = keys[first]
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        plan = ScatterPlan(indptr, (keys % n).astype(np.int32), slot)
-        for arr in plan:
+    def diagonal_layout(self) -> DiagonalLayout:
+        """The diagonal of every element-matrix entry, built once and read-only."""
+        n, stride = self.n_nodes, self.nx + 1
+        offsets = np.array([-stride - 1, -stride, -1, 0, 1, stride, stride + 1], dtype=np.int32)
+        elements = self.elements.astype(np.int32)
+        # (i, j) = (elements[m, a], elements[m, b]) is pair 3a + b; j - i is
+        # the same for every lower (even) and every upper (odd) element
+        diagonal = np.searchsorted(offsets, elements[:2, None, :] - elements[:2, :, None])
+        slot = np.tile(elements, (1, 3)).reshape(-1, 2, 9)
+        slot += (diagonal * n).reshape(2, 9).astype(np.int32)
+        layout = DiagonalLayout(offsets, slot.ravel())
+        for arr in layout:
             arr.setflags(write=False)
-        return plan
+        return layout
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -123,22 +121,15 @@ class Mesh:
     def stiffness_map(self) -> StiffnessMap:
         """The stiffness as a linear map of the element weights, built once and read-only.
 
-        Element ``m`` adds ``w[m] * grad(phi_i) . grad(phi_j)`` to entry ``(i, j)``.
-        The cell-diagonal couplings are exact zeros (the right angles sit off
-        the diagonal), so every entry lies on one of the five diagonals.  Each
-        row of ``matrix`` lists its elements in ascending order, so
-        ``matrix @ w`` sums each entry in the order in which ``assemble`` sums
-        the element matrices, bit for bit.
+        Element ``m`` adds ``w[m] * grad(phi_i) . grad(phi_j)`` to the slot of
+        ``(i, j)`` in ``diagonal_layout``.  The cell-diagonal couplings are exact
+        zeros (the right angles sit off the diagonal), so every entry lies on the
+        middle five diagonals.  Each row of ``matrix`` lists its elements in
+        ascending order, so ``matrix @ w`` sums each entry in the order in which
+        ``assemble`` sums the element matrices, bit for bit.
         """
-        n, stride = self.n_nodes, self.nx + 1
-        offsets = np.array([-stride, -1, 0, 1, stride], dtype=np.int32)
-        elements = self.elements.astype(np.int32)
-        # (i, j) = (elements[m, a], elements[m, b]) is pair 3a + b; j - i is
-        # the same for every lower (even) and every upper (odd) element
-        diagonal = np.searchsorted(offsets, (elements[:2, None, :] - elements[:2, :, None]))
-        rows = np.tile(elements, (1, 3)).reshape(-1, 2, 9)
-        rows += (diagonal * n).reshape(2, 9).astype(np.int32)
-        del elements
+        n = self.n_nodes
+        layout = self.diagonal_layout
         g = self.element_gradients
         coupling = np.einsum("mid,mjd->mij", g, g).reshape(-1, 9)
         kept = coupling != 0.0
@@ -147,45 +138,42 @@ class Mesh:
         np.cumsum(kept.sum(axis=1), out=by_element[1:])
         data = coupling[kept]
         del coupling
-        rows = rows.reshape(-1, 9)[kept]
+        # drop the first diagonal: row d * n_nodes + j of the map is slot (d + 1) * n_nodes + j
+        rows = layout.slot.reshape(-1, 9)[kept] - np.int32(n)
         del kept
         # CSC to CSR is a stable counting sort, so each row's elements ascend
         matrix = sp.csc_matrix(
             (data, rows, by_element), shape=(5 * n, self.n_elements),
         ).tocsr()
         del data, rows, by_element
-        for arr in (matrix.data, matrix.indices, matrix.indptr, offsets):
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
             arr.setflags(write=False)
-        return StiffnessMap(matrix, offsets)
+        return StiffnessMap(matrix, layout.offsets[1:-1])
 
     @cached_property
     def coarse(self) -> CoarseLevel:
         """The nested level with half the cells per side, built once and read-only."""
         return _halve(self.nx, self.ny, self.bounds)
 
-    def assemble(self, ke: np.ndarray, read_only: bool = False) -> sp.csr_matrix:
-        """Sum (M, 3, 3) element matrices into the mesh's CSR pattern.
+    def assemble(self, ke: np.ndarray) -> sp.dia_matrix:
+        """Sum (M, 3, 3) element matrices onto the mesh's seven diagonals.
 
-        A ``read_only`` matrix shares the plan's read-only pattern instead of
-        a copy, and its values are read-only as well.
+        Each entry sums its element contributions in element order.  The band
+        padding and the node pairs that wrap around a grid row hold zeros.
         """
-        plan = self.scatter_plan
+        layout = self.diagonal_layout
+        n = self.n_nodes
         # the sequential sum of bincount, without the int64 copy of the slots it takes
-        data = np.zeros(plan.indices.size)
-        np.add.at(data, plan.slot, ke.ravel())
-        shape = (self.n_nodes, self.n_nodes)
-        if not read_only:
-            # own index arrays: callers may change the matrix in place (eliminate_zeros)
-            return sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=shape)
-        matrix = sp.csr_matrix(shape)
-        matrix.data, matrix.indices, matrix.indptr = data, plan.indices, plan.indptr
-        data.setflags(write=False)
-        return matrix
+        data = np.zeros(layout.offsets.size * n)
+        np.add.at(data, layout.slot, ke.ravel())
+        return sp.dia_matrix((data.reshape(-1, n), layout.offsets), shape=(n, n))
 
     @cached_property
-    def mass_matrix(self) -> sp.csr_matrix:
+    def mass_matrix(self) -> sp.dia_matrix:
         """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
-        return self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS, read_only=True)
+        matrix = self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS)
+        matrix.data.setflags(write=False)
+        return matrix
 
     @cached_property
     def dissection_order(self) -> np.ndarray:

@@ -55,16 +55,21 @@ def collar_taper(distance: np.ndarray, collar_width: float) -> np.ndarray:
 def make_phantom(spec: PhantomSpec, mesh: Mesh) -> ScalarField:
     """Evaluate the phantom at the mesh nodes.
 
-    Raises ``ValueError`` for invalid parameters or if the field falls below
-    the admissibility floor anywhere.
+    Raises ``ValueError`` for invalid parameters, a width among them whose
+    square float64 cannot hold, or if the field is below the floor anywhere.
     """
     if spec.collar_width <= 0.0:
         raise ValueError(f"collar width must be positive, got {spec.collar_width}")
     if spec.background <= 0.0:
         raise ValueError(f"background must be positive, got {spec.background}")
     for b in spec.bumps:
-        if b.width <= 0.0:
-            raise ValueError(f"bump width must be positive, got {b.width}")
+        # a square that underflows gives 0/0 at a node on the centre, and
+        # Python raises OverflowError on one past the float64 range
+        with np.errstate(over="ignore", under="ignore"):
+            if not (b.width > 0.0 and 0.0 < np.square(b.width) < np.inf):
+                raise ValueError(
+                    f"bump width must be positive, with a square float64 holds; got {b.width}"
+                )
         if b.amplitude <= -spec.background:
             raise ValueError(
                 f"bump amplitude {b.amplitude} would cancel the background"
@@ -73,11 +78,12 @@ def make_phantom(spec: PhantomSpec, mesh: Mesh) -> ScalarField:
     taper = collar_taper(boundary_distance(mesh, x, y), spec.collar_width)
     values = np.full(mesh.n_nodes, float(spec.background))
     for b in spec.bumps:
-        blob = b.amplitude * np.exp(
-            -((x - b.center[0]) ** 2 + (y - b.center[1]) ** 2) / (2.0 * b.width**2)
-        )
+        with np.errstate(over="ignore"):   # off a narrow bump's centre: exp(-inf) = 0
+            blob = b.amplitude * np.exp(
+                -((x - b.center[0]) ** 2 + (y - b.center[1]) ** 2) / (2.0 * b.width**2)
+            )
         values += blob * taper
-    if np.any(values < LAMBDA_FLOOR):
+    if not np.all(values >= LAMBDA_FLOOR):
         bad = int(np.argmin(values))
         raise ValueError(
             f"phantom dips to {values[bad]:.3e} at node {bad}, "

@@ -45,7 +45,7 @@ class AdvectionOperator:
 
     mesh: Mesh
     velocity: VectorField
-    matrix: sp.csr_matrix       # advection + lumped-mass reaction, all rows
+    matrix: sp.dia_matrix       # advection + lumped-mass reaction, all rows
     a: np.ndarray               # (M, 3) w . grad(phi_k) per element
     tau: np.ndarray             # per-element streamline time scale
 
@@ -61,11 +61,11 @@ def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     test = 1.0 / 3.0 + tau[:, None] * a
     ke = mesh.element_areas[:, None, None] * test[:, :, None] * a[:, None, :]
     matrix = mesh.assemble(ke)
-    matrix = (matrix + sp.diags(fem.lumped_mass(mesh))).tocsr()
+    matrix.setdiag(matrix.diagonal() + fem.lumped_mass(mesh))
     return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, a=a, tau=tau)
 
 
-def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.csr_matrix:
+def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.dia_matrix:
     """The map ``phi -> dA[rot grad(phi)] @ s``, ``dA`` the derivative of ``assemble_advection``.
 
     ``rot`` crosses with B0, ``(v1, v2) -> (v2, -v1)``.  Exact at ``op``'s
@@ -80,7 +80,7 @@ def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.csr_
 
     where ``dtau = q . dw``.  With ``dw = sum_k phi_k rot(grad(phi_k))`` the
     element matrix of the map is ``rot(grad(phi_k)) . V_i``.  The result is
-    read-only and shares the mesh's sparsity pattern.
+    stored by the mesh's seven diagonals, and its values are read-only.
     """
     mesh = op.mesh
     a, tau, w = op.a, op.tau, op.velocity.values
@@ -103,7 +103,9 @@ def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.csr_
     ke = np.einsum("mi,mk->mik", v[..., 0], g[..., 1])
     ke -= np.einsum("mi,mk->mik", v[..., 1], g[..., 0])
     del v
-    return mesh.assemble(ke, read_only=True)
+    matrix = mesh.assemble(ke)
+    matrix.data.setflags(write=False)
+    return matrix
 
 
 def apply_data_operator(op: AdvectionOperator, sigma: ScalarField) -> ScalarField:

@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import matmi
-from matmi import cli
+from matmi import cli, recon
 from matmi.cli import ConfigError, RunConfig, parse_config, main
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
@@ -374,6 +376,39 @@ def test_background_below_floor_names_its_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["phantom", "forward", "invert"])
+@pytest.mark.parametrize("width", ["1e-300", "1e300"])
+def test_bump_width_without_a_float64_square_names_its_key(tmp_path, capsys, command, width):
+    # 1e-300: 2 w**2 underflowed to 0, phantom wrote NaN and exited 0, and
+    # forward and invert let a ValueError escape; 1e300: w**2 raised OverflowError
+    cfg = write_config(tmp_path, f"mesh.n = 8\nphantom.bumps = 0.5 0.5 0.1 {width}\n")
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert "phantom.bumps" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("width", ["1e-300", "1e300"])
+def test_study_row_with_a_bump_width_without_a_float64_square_fails(tmp_path, width):
+    # both widths let an exception escape main
+    text = f"mesh.n = 8\nphantom.bumps = 0.5 0.5 0.1 {width}\nstudy.amplitude_scales = 1 2\n"
+    out = str(tmp_path / "out")
+    assert main(["study", "--config", write_config(tmp_path, text), "--out", out]) == 0
+    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["failed: ConfigError"] * 2
+
+
+def test_narrow_bump_evaluates_to_its_limit(tmp_path):
+    # 2 w**2 is a positive subnormal: off the centre node the Gaussian is 0
+    cfg = write_config(tmp_path, "mesh.n = 8\nphantom.bumps = 0.5 0.5 0.1 1e-160\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["phantom", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    values = np.loadtxt(os.path.join(out, "phantom.csv"), delimiter=",", skiprows=1)[:, 2]
+    assert sorted(set(values)) == [0.2, 0.2 + 0.1]
+
+
+@pytest.mark.parametrize("command", ["phantom", "forward", "invert"])
 @pytest.mark.parametrize("phantom, key", [
     ("phantom.background = 1e300\n", "phantom.background must"),
     ("phantom.background = 1e149\nphantom.bumps = 0.5 0.5 1e150 0.12\n", "phantom.bumps"),
@@ -592,3 +627,125 @@ recon.tolerance_update = 1e-10
     # discretisation level rather than the solver floor
     assert float(summary["final_rel_error"]) < 0.05
     assert float(summary["final_rel_error"]) > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# input boundary property
+
+#: floats log-uniform in magnitude over the float64 range, of either sign
+wide_floats = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-323, 307),
+)
+#: edge text for a number: tiny, huge, negative, empty, not finite, log-uniform
+edge_numbers = st.one_of(
+    st.sampled_from(["0", "-0", "1e-300", "1e300", "-1", "", "nan", "inf", "1e309", "x"]),
+    wide_floats.map(repr),
+)
+
+
+def mostly(plausible, edge=edge_numbers):
+    """Plausible values two times in three, so that some runs get past the parser."""
+    return st.integers(0, 2).flatmap(lambda k: edge if k == 0 else plausible)
+
+
+def floats_text(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+#: mesh sizes up to 12, or edge sizes that are rejected before a mesh is built
+sizes = mostly(
+    st.integers(1, 12).map(str), st.sampled_from(["0", "-1", "", "99999", "1e3", "2.5"]),
+)
+bump = st.tuples(
+    mostly(floats_text(0.0, 1.0)), mostly(floats_text(0.0, 1.0)),
+    mostly(floats_text(-0.15, 0.5)), mostly(floats_text(0.02, 0.3)),
+).map(" ".join)
+
+#: a value for each key of the config table, at most 2 study rows by 2
+KEY_VALUES = {
+    "mesh.n": sizes,
+    "domain.x_min": mostly(floats_text(-1.0, 0.5)),
+    "domain.x_max": mostly(floats_text(0.6, 3.0)),
+    "domain.y_min": mostly(floats_text(-1.0, 0.5)),
+    "domain.y_max": mostly(floats_text(0.6, 3.0)),
+    "phantom.background": mostly(floats_text(0.01, 5.0)),
+    "phantom.collar_width": mostly(floats_text(0.01, 0.4)),
+    "phantom.bumps": st.lists(bump, max_size=2).map(" ; ".join),
+    "recon.max_iterations": mostly(
+        st.sampled_from(["1", "2", "5", "30"]), st.sampled_from(["0", "-5", "", "2.5"]),
+    ),
+    "recon.tolerance_update": mostly(st.floats(-12.0, -2.0).map(lambda e: repr(10.0**e))),
+    "recon.tolerance_misfit": mostly(st.floats(-12.0, -2.0).map(lambda e: repr(10.0**e))),
+    "recon.initial_model": st.sampled_from(["background", "phantom", "", "other"]),
+    "data.source": st.sampled_from(["synthesize", "file", "", "other"]),
+    "data.file": st.sampled_from(["", "/nonexistent/data.csv"]),
+    "data.truth": st.sampled_from(["phantom", "background", "", "other"]),
+    "data.mode": st.sampled_from(["in-crime", "fine-mesh", "", "other"]),
+    "study.mesh_sizes": st.lists(sizes, max_size=2).map(" ".join),
+    "study.amplitude_scales": st.lists(mostly(floats_text(-2.0, 3.0)), max_size=2).map(" ".join),
+    "output.vtk": st.sampled_from(["true", "false", "", "maybe"]),
+}
+
+
+def test_key_values_cover_the_config_table():
+    assert set(KEY_VALUES) == set(cli._KEYS)
+
+
+@st.composite
+def config_texts(draw):
+    """Config text of mesh.n and up to four of the other keys."""
+    keys = draw(st.sets(st.sampled_from(sorted(set(KEY_VALUES) - {"mesh.n"})), max_size=4))
+    lines = [f"{key} = {draw(KEY_VALUES[key])}" for key in ["mesh.n", *sorted(keys)]]
+    return "\n".join(lines) + "\n"
+
+
+def assert_written_numbers_finite(out):
+    """Every number in the files under ``out`` is finite, but the documented NaNs.
+
+    Those are the fit of a report with fewer than 5 usable errors, and, in a
+    study, the fit of an unfittable row and every column of a failed row.
+    """
+    for name in os.listdir(out):
+        lines = open(os.path.join(out, name)).read().splitlines()
+        if name == "summary.csv":
+            summary = dict(line.split(",", 1) for line in lines[1:])
+            report = np.loadtxt(os.path.join(out, "report.csv"), delimiter=",",
+                                skiprows=1, ndmin=2)
+            errors = report[:, 4]
+            usable = np.isfinite(errors) & (errors > 10 * recon.SOLVER_FLOOR)
+            if usable.sum() < 5:
+                lines = [line for line in lines
+                         if line not in ("fitted_c,nan", "fit_r_squared,nan")]
+        if name == "study.csv":
+            header = lines[0].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            lines = [",".join(v for k, v in row.items()
+                              if k not in ("fitted_c", "fit_r_squared"))
+                     for row in rows if row["status"] == "ok"]
+        for line in lines:
+            for token in line.replace(",", " ").split():
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), f"{name}: {line}"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(text=config_texts())
+@example(text="mesh.n = 8\nphantom.bumps = 0.5 0.5 0.1 1e-300\nstudy.amplitude_scales = 1\n")
+@example(text="mesh.n = 8\nphantom.bumps = 0.5 0.5 0.1 1e300\nstudy.amplitude_scales = 1\n")
+def test_input_boundary_exit_codes_and_finite_output(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as handle:
+            handle.write(text)
+        for command in ("phantom", "forward", "invert", "study"):
+            out = os.path.join(tmp, command)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main([command, "--config", cfg, "--out", out])
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_SOLVER)
+            if code == cli.EXIT_OK:
+                assert_written_numbers_finite(out)

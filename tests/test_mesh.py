@@ -179,17 +179,19 @@ def test_odd_mesh_has_no_coarse_mesh():
 def test_mesh_caches_are_lazy_and_read_only():
     m = build_mesh(16, 12)
     # build_mesh builds none of them: the first assembly or multigrid does
-    assert not {"scatter_plan", "stiffness_map", "coarse"} & set(vars(m))
+    assert not {"diagonal_layout", "stiffness_map", "coarse"} & set(vars(m))
     stiffness, coarse = m.stiffness_map, m.coarse
     assert m.stiffness_map is stiffness and m.coarse is coarse
-    # the maps are laid out without the element scatter plan
-    assert "scatter_plan" not in vars(m)
+    # the map takes its rows from the one diagonal layout of the mesh
+    layout = m.diagonal_layout
+    assert vars(m)["diagonal_layout"] is layout
+    assert np.array_equal(layout.offsets, [-18, -17, -1, 0, 1, 17, 18])
     # the coarse level's own coarse level is built on first use, once
     assert "coarse" not in vars(coarse)
     assert coarse.coarse is coarse.coarse
     assert stiffness.matrix.shape == (5 * m.n_nodes, m.n_elements)
     assert np.array_equal(stiffness.offsets, [-17, -1, 0, 1, 17])
-    indices = [stiffness.offsets, coarse.children]
+    indices = [layout.offsets, layout.slot, stiffness.offsets, coarse.children]
     values = []
     for matrix in (stiffness.matrix, coarse.stiffness_map.matrix,
                    coarse.prolongation, coarse.restriction):

@@ -47,8 +47,11 @@ def coo_reference(mesh, ke):
     return matrix, row_abs
 
 
-def assert_matches_coo(mesh, ke, matrix):
+def assert_matches_coo(mesh, ke, assembled):
+    """The CSR form of an assembled DIA matrix has the reference's nonzeros."""
+    matrix = assembled.tocsr()
     reference, row_abs = coo_reference(mesh, ke)
+    reference.eliminate_zeros()
     assert np.array_equal(matrix.indptr, reference.indptr)
     assert np.array_equal(matrix.indices, reference.indices)
     row = np.repeat(np.arange(mesh.n_nodes), np.diff(reference.indptr))
@@ -202,15 +205,39 @@ def test_assemble_matches_scipy_coo(mesh, seed):
 
 @PROPERTY_SETTINGS
 @given(mesh=rectangles())
-def test_scatter_plan_read_only_int32(mesh):
-    plan = mesh.scatter_plan
-    assert plan.slot.size == 9 * mesh.n_elements
-    assert plan.indptr.size == mesh.n_nodes + 1
-    for arr in plan:
+def test_diagonal_layout_is_frozen_int32(mesh):
+    layout = mesh.diagonal_layout
+    assert layout.slot.size == 9 * mesh.n_elements
+    assert layout.slot.min() >= 0 and layout.slot.max() < 7 * mesh.n_nodes
+    for arr in layout:
         assert arr.dtype == np.int32
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
+    # slot d * n_nodes + j holds entry (j - offsets[d], j) of each element pair (i, j)
+    diagonal, column = np.divmod(layout.slot, mesh.n_nodes)
+    assert np.array_equal(column, np.tile(mesh.elements, (1, 3)).ravel())
+    row = column - layout.offsets[diagonal]
+    assert np.array_equal(row, np.repeat(mesh.elements, 3, axis=1).ravel())
+
+
+#: counts in [1, 40], with the one-cell strips drawn often
+strip_counts = st.one_of(st.just(1), counts)
+
+
+@PROPERTY_SETTINGS
+@given(mesh=rectangles(strip_counts), seed=st.integers(0, 2**32 - 1))
+@example(mesh=build_mesh(1, 1), seed=0)
+@example(mesh=build_mesh(1, 7, (0.0, 0.1, 0.0, 1.0)), seed=1)
+@example(mesh=build_mesh(9, 1, (-2.0, 1.0, 0.5, 0.6)), seed=2)
+def test_diagonal_product_matches_csr_bitwise(mesh, seed):
+    # the DIA product adds the stored zeros the CSR form drops, which changes no bit
+    rng = np.random.RandomState(seed)
+    ke = rng.randn(mesh.n_elements, 3, 3)
+    ke[rng.rand(mesh.n_elements) < 0.5] = 0.0
+    matrix = mesh.assemble(ke)
+    v = rng.randn(mesh.n_nodes)
+    assert np.array_equal(matrix @ v, matrix.tocsr() @ v)
 
 
 @PROPERTY_SETTINGS
@@ -222,9 +249,11 @@ def test_changing_a_matrix_leaves_next_assembly_unchanged(mesh, seed):
     zeroed = ke.copy()
     zeroed[: mesh.n_elements // 2] = 0.0
     first = mesh.assemble(zeroed)
-    first.eliminate_zeros()
-    assert first.nnz < mesh.scatter_plan.indices.size
+    assert first.tocsr().nnz < mesh.assemble(ke).tocsr().nnz
     first.data *= 2.0
+    # every assembly shares the layout's offsets, so they are read-only
+    with pytest.raises(ValueError):
+        first.offsets[0] = 1
     assert_matches_coo(mesh, ke, mesh.assemble(ke))
     assert_matches_coo(mesh, zeroed, mesh.assemble(zeroed))
 

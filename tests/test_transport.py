@@ -182,6 +182,7 @@ def test_derivative_reads_stored_streamline_data():
         assert derivative.shape == (m.n_nodes, m.n_nodes)
         got = derivative @ phi
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        # read-only, on the mesh's shared pattern
-        assert derivative.indices is m.scatter_plan.indices
+        # read-only values
         assert not derivative.data.flags.writeable
+        with pytest.raises(ValueError):
+            derivative.data[0, 0] = 1.0
