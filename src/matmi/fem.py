@@ -1,23 +1,21 @@
 """P1 finite element operators and sparse linear solvers.
 
 Assembly uses a one-point centroid rule with vertex-averaged coefficients,
-which integrates every product of elementwise constants exactly.  The
-stiffness is linear in the element weights ``area * sigma``: each mesh
-caches that linear map, laid out so that it gives the five diagonals of the
-stiffness (offsets 0, +-1, +-(nx + 1)) in ``dia_matrix`` storage, and an
-assembly applies it.  Mass, advection and the derivative maps sum their
-element matrices onto the mesh's seven diagonals, in ``dia_matrix`` storage.
-The pure Neumann system keeps its constant null space;
-it is solved by conjugate gradients on the mean-zero complement,
-preconditioned by one geometric multigrid V(2,2)-cycle on the nested coarser
-meshes, returning the zero-mean representative.  Each coarse level is the
-coarse mesh's stiffness with each element weighted by the sum of its four
-children's weights, which equals the Galerkin product ``P^T A P`` under full
-coarsening (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed.,
-SIAM 2000, ch. 2, 3 and 10).  Every level is stored by its diagonals (Saad,
-*Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003, §3.4),
-and each damped-Jacobi sweep is one product with the level's iteration
-matrix, also stored by its diagonals.  A Dirichlet solve reads only
+which integrates every product of elementwise constants exactly.  Each
+element is a translate of one of the mesh's two reference triangles, so
+every operator is a stencil on the grid (see ``mesh``): the stiffness is the
+reference couplings ``grad(phi_a) . grad(phi_b)`` times the grid of element
+weights ``area * sigma``, on the five diagonals 0, +-1, +-(nx + 1).
+The pure Neumann system keeps its constant null space; it is solved by
+conjugate gradients on the mean-zero complement, preconditioned by one
+geometric multigrid V(2,2)-cycle on the nested coarser grids, returning the
+zero-mean representative.  Each coarse level weights each element by the sum
+of its four children's weights, which equals the Galerkin product
+``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A Multigrid
+Tutorial*, 2nd ed., SIAM 2000, ch. 2, 3 and 10), and each damped-Jacobi
+sweep is one product with the level's iteration matrix, stored by its
+diagonals like the level (Saad, *Iterative Methods for Sparse Linear
+Systems*, 2nd ed., SIAM 2003, §3.4).  A Dirichlet solve reads only
 the free rows of the operator, takes the prescribed values from the rhs and
 refines the free values from a sparse LU of the CSR free block, in the mesh's
 geometric nested-dissection order (A. George, "Nested dissection of a
@@ -35,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import CoarseLevel, Mesh
+from .mesh import Mesh
 
 __all__ = [
     "ScalarField", "VectorField", "SolverError",
@@ -89,22 +87,21 @@ def constant_field(mesh: Mesh, value: float) -> ScalarField:
 
 def interpolate(mesh: Mesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> ScalarField:
     """Nodal interpolation of ``fn(x, y)`` (must accept numpy arrays)."""
-    return ScalarField(mesh, np.asarray(fn(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float))
+    x, y = mesh.nodes.T
+    return ScalarField(mesh, np.asarray(fn(x, y), dtype=float))
 
 
 def element_means(field: ScalarField) -> np.ndarray:
     """Vertex average of a P1 field on each element (its value at the centroid)."""
-    v, e = field.values, field.mesh.elements
+    v = field.mesh.gather(field.values)
     # the sum and order of mean(axis=1), without its slow reduction over rows of three
-    return (v[e[:, 0]] + v[e[:, 1]] + v[e[:, 2]]) / 3.0
+    return (v[:, 0] + v[:, 1] + v[:, 2]) / 3.0
 
 
 def gradient_field(field: ScalarField) -> VectorField:
     """Elementwise-constant gradient of a P1 field."""
     mesh = field.mesh
-    vals = field.values[mesh.elements]                       # (M, 3)
-    grads = np.einsum("mk,mkd->md", vals, mesh.element_gradients)
-    return VectorField(mesh, grads)
+    return VectorField(mesh, mesh.gradient(field.values))
 
 
 def _check_same_mesh(a, b) -> Mesh:
@@ -120,11 +117,11 @@ def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix
     """Stiffness matrix of ``integral(sigma grad(u) . grad(phi))``, in CSR.
 
     ``sigma`` is evaluated per element as the vertex average, and the mesh's
-    stiffness map is applied to the element weights ``area * sigma``.  The
-    result stores the nonzeros of the 5-point pattern, its columns ascending.
+    stiffness stencil is applied to the element weights ``area * sigma``.
+    The result stores the nonzeros of the 5-point pattern, its columns ascending.
     Raises ``ValueError`` if any nodal coefficient is non-positive.
     """
-    return _stiffness(mesh, _element_weights(mesh, sigma)).tocsr()
+    return mesh.stiffness(_element_weights(mesh, sigma)).tocsr()
 
 
 def _element_weights(mesh: Mesh, sigma: ScalarField) -> np.ndarray:
@@ -137,25 +134,16 @@ def _element_weights(mesh: Mesh, sigma: ScalarField) -> np.ndarray:
         raise ValueError(
             f"conductivity must be positive, node {bad} has value {sigma.values[bad]}"
         )
-    return element_means(sigma) * mesh.element_areas
-
-
-def _stiffness(level: Mesh | CoarseLevel, weights: np.ndarray) -> sp.dia_matrix:
-    """Stiffness of the element weights ``area * sigma`` on a mesh or coarse level, as DIA."""
-    stiffness = level.stiffness_map
-    data = (stiffness.matrix @ weights).reshape(5, -1)
-    n = data.shape[1]
-    return sp.dia_matrix((data, stiffness.offsets), shape=(n, n))
+    return element_means(sigma) * mesh.area
 
 
 def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
     """Load vector with entries ``-integral(field . grad(phi_i))``."""
     if field.mesh is not mesh:
         raise ValueError("field lives on a different mesh")
-    contrib = -mesh.element_areas[:, None] * np.einsum(
-        "md,mkd->mk", field.values, mesh.element_gradients
-    )
-    return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
+    contrib = mesh.dot_gradients(field.values)
+    contrib *= -mesh.area
+    return mesh.scatter(contrib)
 
 
 def mass_matrix(mesh: Mesh) -> sp.dia_matrix:
@@ -179,7 +167,7 @@ def l2_norm(field: ScalarField) -> float:
 
 def l2_norm_vec(field: VectorField) -> float:
     """Area-weighted L2 norm of an elementwise-constant vector field."""
-    return float(np.sqrt(np.sum(field.mesh.element_areas * np.sum(field.values**2, axis=1))))
+    return float(np.sqrt(np.sum(field.mesh.area * np.sum(field.values**2, axis=1))))
 
 
 def gradient_sup(field: ScalarField) -> float:
@@ -231,17 +219,14 @@ COARSEST_CELLS = 8
 class Multigrid:
     """Geometric multigrid hierarchy of a Neumann stiffness matrix.
 
-    ``matrices[0]`` is the fine stiffness; ``matrices[l + 1]`` is the
-    stiffness of the next nested coarse mesh, each coarse element weighted by
-    the sum of its four children's weights.  With full coarsening each coarse
-    hat function is the interpolation ``P_l`` of itself on the finer mesh, so
-    this equals the Galerkin operator ``R_l matrices[l] P_l``, ``R_l = P_l^T``
-    stored as CSR, without the rounding-level couplings the product would
-    store.  Every level is a five-diagonal ``dia_matrix``, and so is the
-    damped-Jacobi iteration matrix ``smoothers[l] = I - w D_l^-1 A_l`` of
-    each level above the coarsest, with ``relaxation[l] = w D_l^-1``: a
-    sweep ``x <- x + w D^-1 (r - A x)`` is ``x <- S x + c`` with
-    ``c = w D^-1 r`` formed once per visit, one product and one add.  The
+    ``matrices[0]`` is the fine stiffness and ``matrices[l + 1]`` its Galerkin
+    operator ``R_l matrices[l] P_l`` on the next nested grid (``R_l = P_l^T``
+    as CSR), assembled from summed weights without the rounding-level
+    couplings the product would store.  Every level is a five-diagonal
+    ``dia_matrix``, and so is the damped-Jacobi iteration matrix
+    ``smoothers[l] = I - w D_l^-1 A_l`` of each level above the coarsest, with
+    ``relaxation[l] = w D_l^-1``: a sweep ``x <- x + w D^-1 (r - A x)`` is
+    ``x <- S x + c`` with ``c = w D^-1 r`` formed once per visit.  The
     coarsest level is solved by a sparse LU of its matrix with node 0 pinned.
     """
 
@@ -290,18 +275,18 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
 
     The mesh is coarsened while both cell counts are even and above
     ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh itself.
-    The coarse levels, their stiffness maps and the transfers are cached on
-    the mesh, so a build only sums weights and applies the maps.  Raises
-    ``ValueError`` if any nodal coefficient is non-positive.
+    The coarse levels and their transfers are cached on the mesh, so a build
+    only sums weights and applies the stencils.  Raises ``ValueError`` if
+    any nodal coefficient is non-positive.
     """
     weights = _element_weights(mesh, sigma)
-    matrices = [_stiffness(mesh, weights)]
+    matrices = [mesh.stiffness(weights)]
     prolongations, restrictions = [], []
     level = mesh
     while level.nx % 2 == 0 and level.ny % 2 == 0 and min(level.nx, level.ny) > COARSEST_CELLS:
         level = level.coarse
-        weights = sum(weights[c] for c in level.children.T)
-        matrices.append(_stiffness(level, weights))
+        weights = level.coarsen(weights)
+        matrices.append(level.stiffness(weights))
         prolongations.append(level.prolongation)
         restrictions.append(level.restriction)
     try:

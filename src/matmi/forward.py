@@ -99,10 +99,9 @@ class ForwardResult:
         ``h`` at its element mean.
         """
         mesh = self.sigma.mesh
-        load = -(mesh.element_areas / 3.0)[:, None] * np.einsum(
-            "md,mkd->mk", self.field.values, mesh.element_gradients
-        )
-        rhs = mesh.assemble(np.broadcast_to(load[:, :, None], (mesh.n_elements, 3, 3)))
+        load = -(mesh.area / 3.0) * mesh.dot_gradients(self.field.values)
+        load = load.reshape(mesh.ny, mesh.nx, 2, 3)
+        rhs = mesh.assemble(lambda t, i, k: load[:, :, t, i])
         rhs.data.setflags(write=False)
         del load
         return DerivativeMaps(
@@ -175,12 +174,7 @@ def divergence_identity_error(field: VectorField) -> float:
     b = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, w))
     # the edge opposite local vertex k has (w.n)|e| = -2|T| w.grad(phi_k); a
     # constant flux against a test function linear along the edge: half to each end
-    ends = mesh.elements[:, [[1, 2], [2, 0], [0, 1]]]
-    j, i = np.divmod(ends, mesh.nx + 1)
-    # a boundary facet has both ends on the same side of the rectangle
-    facet = (i == 0).all(2) | (i == mesh.nx).all(2) | (j == 0).all(2) | (j == mesh.ny).all(2)
-    half = -mesh.element_areas[:, None] * np.einsum("md,mkd->mk", w, mesh.element_gradients)
-    b += np.bincount(ends[facet].ravel(), np.repeat(half[facet], 2), mesh.n_nodes)
+    b += mesh.boundary_facet_sum(-mesh.area * mesh.dot_gradients(w))
 
     cx, cy = (max(d for d in range(1, min(n, 8) + 1) if n % d == 0) for n in (mesh.nx, mesh.ny))
     p = nested_interpolation(mesh.nx, mesh.ny, cx, cy)

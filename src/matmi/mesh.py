@@ -1,25 +1,38 @@
-"""Uniform triangulation of a rectangle with P1 element bookkeeping.
+"""Uniform triangulation of a rectangle, stored as its grid.
 
-Every grid cell is split along the same diagonal (lower-left to upper-right),
-which keeps refinement nested: the node set of an ``n`` mesh is a subset of
-the node set of the corresponding ``2n`` mesh.  Nodes are numbered row-major,
-``index = j*(nx+1) + i``, so every P1 coupling lies on one of the seven
-diagonals ``0, +-1, +-(nx+1), +-(nx+2)``, by which operators are stored.
+Each cell is split along its lower-left to upper-right diagonal into a lower
+triangle ``(ll, lr, ur)`` and an upper one ``(ll, ur, ul)``, counterclockwise:
+element ``2 c + t`` is the type-``t`` triangle (0 lower, 1 upper) of cell
+``c = j*nx + i``, and node ``j*(nx+1) + i`` is grid point ``(j, i)``.  All
+triangles of a type are translates, so a mesh keeps its grid and the two
+reference triangles.  Local vertex ``k`` of type ``t`` is the node grid
+shifted by ``_SHIFT[t][k]``, so gathers, scatters and assembly are sums of
+grid slices in element order: stencils (Trottenberg, Oosterlee & Schüller,
+*Multigrid*, 2001, §1.3.4) stored by the seven diagonals ``0, +-1,
++-(nx+1), +-(nx+2)`` (Saad, *Iterative Methods*, 2nd ed., 2003, §3.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "Mesh", "DiagonalLayout", "StiffnessMap", "CoarseLevel", "MAX_ELEMENTS",
-    "build_mesh", "nested_interpolation",
-]
+__all__ = ["Mesh", "CoarseLevel", "MAX_ELEMENTS", "build_mesh", "nested_interpolation"]
+
+#: grid shift (row, column) of local vertex k of triangle type t from its cell's
+#: lower-left node: lower (ll, lr, ur) and upper (ll, ur, ul)
+_SHIFT = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
+#: (t, k) of every local vertex, ordered so that each node takes its terms in element
+#: order: the element whose vertex k is node q lies in cell q - _SHIFT[t][k], so the
+#: larger the shift the earlier the cell, and the lower type comes first in a cell
+_VERTICES = sorted(((t, k) for t in range(2) for k in range(3)),
+                   key=lambda p: (-_SHIFT[p[0]][p[1]][0], -_SHIFT[p[0]][p[1]][1], p[0]))
+#: (t, a, b) of every element-matrix entry, in the element order of column b's terms
+_BLOCKS = [(t, a, b) for t, b in _VERTICES for a in range(3)]
 
 #: consistent P1 mass matrix of a triangle, divided by its area
 _LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
@@ -27,39 +40,101 @@ _LOCAL_MASS = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
 #: largest node block the nested dissection leaves undivided
 DISSECTION_LEAF = 16
 
-#: most elements a mesh may have: scipy stores indices below 2**31 as int32, and the
-#: stiffness map's 7 entries per element outnumber any other index (slots < 7 n_nodes)
-MAX_ELEMENTS = (2**31 - 1) // 7
+#: most elements a mesh may have.  SuperLU indexes the transport factor with
+#: int32, and its fill grows as N log N in the N free nodes: nnz(L) + nnz(U)
+#: was 36 N at n = 32 and 92 N at n = 512, 14.6 N more per doubling of n.  At
+#: 2**24 elements (n = 2896) that extrapolates to 1.1e9, half of 2**31; the CSR
+#: free block (7 entries a node) and ``nested_interpolation`` (3) stay below.
+MAX_ELEMENTS = 2**24
 
 
-class DiagonalLayout(NamedTuple):
-    """Where each element-matrix entry lands in ``dia_matrix`` data of the seven diagonals.
+def _reference_triangles(dx: float, dy: float) -> tuple[float, np.ndarray]:
+    """Area and (2, 3, 2) P1 basis gradients of the lower and upper triangle of a cell.
 
-    Entry ``ke[m].ravel()[3a + b]``, of ``(i, j) = (elements[m, a], elements[m, b])``,
-    lands in flat slot ``d * n_nodes + j`` with ``offsets[d] = j - i``: scipy's
-    ``data[d, j] = A[j - offsets[d], j]``.
+    A gradient is the edge opposite its vertex turned by 90 degrees, over
+    twice the area.  Raises ``ValueError`` when one is zero or not finite.
     """
+    twice_area = dx * dy
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        grads = np.array([[[-dy, 0.0], [dy, -dx], [-0.0, dx]],
+                          [[-0.0, -dx], [dy, 0.0], [-dy, dx]]]) / twice_area
+    if not (0.0 < twice_area < np.inf and np.isfinite(grads).all()):
+        raise ValueError(f"degenerate {dx} x {dy} cells with 2*area={twice_area}")
+    grads.setflags(write=False)
+    return 0.5 * twice_area, grads
 
-    offsets: np.ndarray   # (7,) int32: -(nx + 2), -(nx + 1), -1, 0, 1, nx + 1, nx + 2
-    slot: np.ndarray      # (9 * n_elements,) int32, data position of each ke.ravel() entry
 
+def _sum_blocks(nx: int, ny: int, block: Callable, offsets: list[int]) -> sp.dia_matrix:
+    """Sum the element-matrix entries ``block(t, a, b)`` onto the diagonals ``offsets``.
 
-class StiffnessMap(NamedTuple):
-    """The P1 stiffness as a linear map of the element weights ``area * sigma``, in DIA order.
-
-    ``(matrix @ w).reshape(5, n_nodes)`` is the ``scipy.sparse.dia_matrix``
-    data of the stiffness for the diagonals ``offsets``: row
-    ``d * n_nodes + j`` of ``matrix`` gives entry ``(j - offsets[d], j)``.
-    Rows of the band padding and of the node pairs that wrap around a grid
-    row list no element, so their data is zero.
+    ``block(t, a, b)`` is entry ``(a, b)`` of the type-``t`` element matrices
+    as an ``(ny, nx)`` grid over the cells, or a scalar, or None for zeros.
+    It couples the node at ``_SHIFT[t][a]`` from each cell to the column at
+    ``_SHIFT[t][b]``, and scipy's DIA data holds ``A[col - offset, col]`` at
+    ``(d, col)``, so each block adds to one slice of one diagonal.
     """
+    stride = nx + 1
+    diagonal = {offset: d for d, offset in enumerate(offsets)}
+    data = np.zeros((len(offsets), ny + 1, nx + 1))
+    for t, a, b in _BLOCKS:
+        entries = block(t, a, b)
+        if entries is None:
+            continue
+        (row_a, col_a), (row_b, col_b) = _SHIFT[t][a], _SHIFT[t][b]
+        d = diagonal[(row_b - row_a) * stride + col_b - col_a]
+        data[d, row_b:row_b + ny, col_b:col_b + nx] += entries
+    n = stride * (ny + 1)
+    offsets = np.array(offsets, dtype=np.int32)
+    offsets.setflags(write=False)
+    return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n))
 
-    matrix: sp.csr_matrix  # (5 * n_nodes, n_elements)
-    offsets: np.ndarray    # (5,) int32: -(nx + 1), -1, 0, 1, nx + 1
+
+class _Grid:
+    """A mesh or coarse level: ``nx``, ``ny``, ``bounds`` and reference ``gradients``."""
+
+    def stiffness(self, weights: np.ndarray) -> sp.dia_matrix:
+        """P1 stiffness of the element weights ``area * sigma``, on the diagonals 0, +-1, +-(nx+1).
+
+        Each element adds its weight times the reference couplings
+        ``grad(phi_a) . grad(phi_b)``; the cell-diagonal ones are exact zeros
+        (the right angles sit off the diagonal) and are skipped.
+        """
+        nx, ny = self.nx, self.ny
+        couplings = np.einsum("tid,tjd->tij", self.gradients, self.gradients)
+        w = weights.reshape(ny, nx, 2)
+
+        def block(t, a, b):
+            return None if couplings[t, a, b] == 0.0 else w[:, :, t] * couplings[t, a, b]
+
+        return _sum_blocks(nx, ny, block, [-(nx + 1), -1, 0, 1, nx + 1])
+
+    @cached_property
+    def coarse(self) -> CoarseLevel:
+        """The nested level with half the cells per side, built once and read-only."""
+        nx, ny = self.nx, self.ny
+        if nx % 2 or ny % 2:
+            raise ValueError(f"cannot halve {nx} x {ny} cells")
+        cx, cy = nx // 2, ny // 2
+        x_min, x_max, y_min, y_max = self.bounds
+        _, gradients = _reference_triangles((x_max - x_min) / cx, (y_max - y_min) / cy)
+        p = nested_interpolation(nx, ny, cx, cy)
+        r = p.T.tocsr()
+        for arr in (p.data, p.indices, p.indptr, r.data, r.indices, r.indptr):
+            arr.setflags(write=False)
+        return CoarseLevel(cx, cy, self.bounds, gradients, p, r)
+
+
+def _by_type(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """``rows[m] @ matrices[t]`` for each element ``m = 2 c + t``."""
+    x = rows.reshape(-1, 2, rows.shape[-1])
+    out = np.empty((x.shape[0], 2, matrices.shape[-1]))
+    for t in range(2):
+        np.matmul(x[:, t], matrices[t], out=out[:, t])
+    return out.reshape(-1, matrices.shape[-1])
 
 
 @dataclass(frozen=True)
-class Mesh:
+class Mesh(_Grid):
     """Structured conforming triangulation of ``[x_min, x_max] x [y_min, y_max]``."""
 
     nx: int
@@ -68,21 +143,16 @@ class Mesh:
     x_max: float
     y_min: float
     y_max: float
-    nodes: np.ndarray            # (n_nodes, 2)
-    elements: np.ndarray         # (n_elements, 3) node indices, counterclockwise
-    boundary_nodes: np.ndarray   # sorted indices of nodes on the rectangle boundary
-    interior_nodes: np.ndarray   # sorted indices of the other nodes
-    element_areas: np.ndarray    # (n_elements,)
-    element_gradients: np.ndarray  # (n_elements, 3, 2) P1 basis gradients
-    element_centroids: np.ndarray  # (n_elements, 2)
+    area: float                  # of every element
+    gradients: np.ndarray        # (2, 3, 2) P1 basis gradients of the lower and upper type
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (self.nx + 1) * (self.ny + 1)
 
     @property
     def n_elements(self) -> int:
-        return self.elements.shape[0]
+        return 2 * self.nx * self.ny
 
     @property
     def dx(self) -> float:
@@ -97,83 +167,105 @@ class Mesh:
         """Longest edge of any element (the cell diagonal)."""
         return float(np.hypot(self.dx, self.dy))
 
-    @cached_property
-    def diagonal_layout(self) -> DiagonalLayout:
-        """The diagonal of every element-matrix entry, built once and read-only."""
-        n, stride = self.n_nodes, self.nx + 1
-        offsets = np.array([-stride - 1, -stride, -1, 0, 1, stride, stride + 1], dtype=np.int32)
-        elements = self.elements.astype(np.int32)
-        # (i, j) = (elements[m, a], elements[m, b]) is pair 3a + b; j - i is
-        # the same for every lower (even) and every upper (odd) element
-        diagonal = np.searchsorted(offsets, elements[:2, None, :] - elements[:2, :, None])
-        slot = np.tile(elements, (1, 3)).reshape(-1, 2, 9)
-        slot += (diagonal * n).reshape(2, 9).astype(np.int32)
-        layout = DiagonalLayout(offsets, slot.ravel())
-        for arr in layout:
-            arr.setflags(write=False)
-        return layout
-
     @property
     def bounds(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.x_max, self.y_min, self.y_max)
 
-    @cached_property
-    def stiffness_map(self) -> StiffnessMap:
-        """The stiffness as a linear map of the element weights, built once and read-only.
+    @property
+    def nodes(self) -> np.ndarray:
+        """(n_nodes, 2) node coordinates, built on each call."""
+        gx, gy = np.meshgrid(np.linspace(self.x_min, self.x_max, self.nx + 1),
+                             np.linspace(self.y_min, self.y_max, self.ny + 1))
+        return np.column_stack([gx.ravel(), gy.ravel()])
 
-        Element ``m`` adds ``w[m] * grad(phi_i) . grad(phi_j)`` to the slot of
-        ``(i, j)`` in ``diagonal_layout``.  The cell-diagonal couplings are exact
-        zeros (the right angles sit off the diagonal), so every entry lies on the
-        middle five diagonals.  Each row of ``matrix`` lists its elements in
-        ascending order, so ``matrix @ w`` sums each entry in the order in which
-        ``assemble`` sums the element matrices, bit for bit.
-        """
-        n = self.n_nodes
-        layout = self.diagonal_layout
-        g = self.element_gradients
-        coupling = np.einsum("mid,mjd->mij", g, g).reshape(-1, 9)
-        kept = coupling != 0.0
-        # the kept entries element by element: the map's transpose, in CSC
-        by_element = np.zeros(self.n_elements + 1, dtype=np.int32)
-        np.cumsum(kept.sum(axis=1), out=by_element[1:])
-        data = coupling[kept]
-        del coupling
-        # drop the first diagonal: row d * n_nodes + j of the map is slot (d + 1) * n_nodes + j
-        rows = layout.slot.reshape(-1, 9)[kept] - np.int32(n)
-        del kept
-        # CSC to CSR is a stable counting sort, so each row's elements ascend
-        matrix = sp.csc_matrix(
-            (data, rows, by_element), shape=(5 * n, self.n_elements),
-        ).tocsr()
-        del data, rows, by_element
-        for arr in (matrix.data, matrix.indices, matrix.indptr):
-            arr.setflags(write=False)
-        return StiffnessMap(matrix, layout.offsets[1:-1])
+    @property
+    def elements(self) -> np.ndarray:
+        """(n_elements, 3) node indices of each element, counterclockwise, built on each call."""
+        return self.gather(np.arange(self.n_nodes))
+
+    @property
+    def element_centroids(self) -> np.ndarray:
+        """(n_elements, 2) means of each element's vertices, built on each call."""
+        p = self.gather(self.nodes)
+        return (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
 
     @cached_property
-    def coarse(self) -> CoarseLevel:
-        """The nested level with half the cells per side, built once and read-only."""
-        return _halve(self.nx, self.ny, self.bounds)
+    def boundary_nodes(self) -> np.ndarray:
+        """Sorted indices of the nodes on the rectangle boundary, built once and read-only."""
+        # by grid index: comparing coordinates misclassifies offset or tiny domains
+        j, i = np.divmod(np.arange(self.n_nodes), self.nx + 1)
+        nodes = np.flatnonzero((i == 0) | (i == self.nx) | (j == 0) | (j == self.ny))
+        nodes.setflags(write=False)
+        return nodes
 
-    def assemble(self, ke: np.ndarray) -> sp.dia_matrix:
-        """Sum (M, 3, 3) element matrices onto the mesh's seven diagonals.
+    @property
+    def interior_nodes(self) -> np.ndarray:
+        """Sorted indices of the other nodes."""
+        return np.setdiff1d(np.arange(self.n_nodes), self.boundary_nodes)
 
-        Each entry sums its element contributions in element order.  The band
-        padding and the node pairs that wrap around a grid row hold zeros.
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """(n_elements, 3, ...) values at each element's vertices of a nodal (n_nodes, ...) array."""
+        nx, ny, rest = self.nx, self.ny, values.shape[1:]
+        grid = values.reshape(ny + 1, nx + 1, *rest)
+        out = np.empty((ny, nx, 2, 3, *rest), dtype=values.dtype)
+        for t, shifts in enumerate(_SHIFT):
+            for k, (row, col) in enumerate(shifts):
+                out[:, :, t, k] = grid[row:row + ny, col:col + nx]
+        return out.reshape(-1, 3, *rest)
+
+    def scatter(self, contributions: np.ndarray) -> np.ndarray:
+        """Nodal sums, from zero in element order, of (n_elements, 3) vertex contributions."""
+        nx, ny = self.nx, self.ny
+        c = contributions.reshape(ny, nx, 2, 3)
+        out = np.zeros((ny + 1, nx + 1))
+        for t, k in _VERTICES:
+            row, col = _SHIFT[t][k]
+            out[row:row + ny, col:col + nx] += c[:, :, t, k]
+        return out.ravel()
+
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """(n_elements, 2) gradient of the P1 function of nodal ``values``."""
+        return _by_type(self.gather(values), self.gradients)
+
+    def dot_gradients(self, vectors: np.ndarray) -> np.ndarray:
+        """(n_elements, 3) ``v . grad(phi_k)`` of an (n_elements, 2) elementwise field."""
+        return _by_type(vectors, self.gradients.transpose(0, 2, 1))
+
+    def boundary_facet_sum(self, facet_values: np.ndarray) -> np.ndarray:
+        """Nodal sums of (n_elements, 3) values on the edges opposite each vertex, boundary only.
+
+        Each boundary edge adds its value to both its ends, the two terms of a node in any order.
         """
-        layout = self.diagonal_layout
-        n = self.n_nodes
-        # the sequential sum of bincount, without the int64 copy of the slots it takes
-        data = np.zeros(layout.offsets.size * n)
-        np.add.at(data, layout.slot, ke.ravel())
-        return sp.dia_matrix((data.reshape(-1, n), layout.offsets), shape=(n, n))
+        nx, ny = self.nx, self.ny
+        f = facet_values.reshape(ny, nx, 2, 3)
+        out = np.zeros((ny + 1, nx + 1))
+        # bottom and right edges are opposite ur and ll of lower triangles,
+        # top and left edges opposite ll and ur of upper ones
+        for side, values in ((out[0], f[0, :, 0, 2]), (out[:, nx], f[:, -1, 0, 0]),
+                             (out[ny], f[-1, :, 1, 0]), (out[:, 0], f[:, 0, 1, 1])):
+            side[:-1] += values
+            side[1:] += values
+        return out.ravel()
+
+    def assemble(self, block: Callable) -> sp.dia_matrix:
+        """Sum element matrices ``block(t, a, b)`` (see ``_sum_blocks``) onto seven diagonals."""
+        stride = self.nx + 1
+        offsets = [-stride - 1, -stride, -1, 0, 1, stride, stride + 1]
+        return _sum_blocks(self.nx, self.ny, block, offsets)
 
     @cached_property
     def mass_matrix(self) -> sp.dia_matrix:
         """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
-        matrix = self.assemble(self.element_areas[:, None, None] * _LOCAL_MASS)
+        matrix = self.assemble(lambda t, a, b: self.area * _LOCAL_MASS[a, b])
         matrix.data.setflags(write=False)
         return matrix
+
+    @cached_property
+    def lumped_mass(self) -> np.ndarray:
+        """Row-sum lumped mass as a diagonal vector, built once and read-only."""
+        diag = self.scatter(np.broadcast_to(self.area / 3.0, (self.n_elements, 3)))
+        diag.setflags(write=False)
+        return diag
 
     @cached_property
     def dissection_order(self) -> np.ndarray:
@@ -213,67 +305,30 @@ class Mesh:
         order.setflags(write=False)
         return order
 
-    @cached_property
-    def lumped_mass(self) -> np.ndarray:
-        """Row-sum lumped mass as a diagonal vector, built once and read-only."""
-        diag = np.bincount(
-            self.elements.ravel(), weights=np.repeat(self.element_areas / 3.0, 3),
-            minlength=self.n_nodes,
-        )
-        diag.setflags(write=False)
-        return diag
-
 
 @dataclass(frozen=True)
-class CoarseLevel:
-    """The nested mesh with half the cells per side, as far as a multigrid reads it.
-
-    It keeps its cell counts and bounds, its stiffness map, the fine elements
-    inside each of its elements and the transfers to the finer mesh; the
-    next level is built on first use, like ``Mesh.coarse``.
-    """
+class CoarseLevel(_Grid):
+    """The nested grid with half the cells per side, as far as a multigrid reads it."""
 
     nx: int
     ny: int
     bounds: tuple[float, float, float, float]
-    stiffness_map: StiffnessMap
-    children: np.ndarray          # (2 * nx * ny, 4) int32 fine elements inside each element
+    gradients: np.ndarray         # (2, 3, 2) reference gradients of its triangles
     prolongation: sp.csr_matrix   # coarse -> fine P1 interpolation
     restriction: sp.csr_matrix    # its transpose, as CSR
 
-    @cached_property
-    def coarse(self) -> CoarseLevel:
-        """The next nested level, built once and read-only."""
-        return _halve(self.nx, self.ny, self.bounds)
+    def coarsen(self, weights: np.ndarray) -> np.ndarray:
+        """Element weights of this level: each sums the four finer ones inside it, in order.
 
-
-def _halve(nx: int, ny: int, bounds: tuple[float, float, float, float]) -> CoarseLevel:
-    """The level with half of the ``nx x ny`` cells per side over ``bounds``.
-
-    Both cell counts must be even.  Coarse element ``e`` is the union of the
-    fine elements ``children[e]``: a coarse cell's lower triangle holds the
-    lower triangles of its lower-left and upper-right fine cells and both
-    triangles of its lower-right one, its upper triangle the rest.  The
-    coarse mesh itself is dropped once its stiffness map is built.
-    """
-    if nx % 2 or ny % 2:
-        raise ValueError(f"cannot halve {nx} x {ny} cells")
-    cx, cy = nx // 2, ny // 2
-    stiffness = build_mesh(cx, cy, bounds).stiffness_map
-    cj, ci = np.divmod(np.arange(cx * cy, dtype=np.int32), cx)
-    lower_left = 2 * cj * nx + 2 * ci      # fine cell index, elements 2c and 2c + 1
-    lower_right, upper_left = lower_left + 1, lower_left + nx
-    upper_right = upper_left + 1
-    children = np.empty((2 * cx * cy, 4), dtype=np.int32)
-    children[0::2] = np.column_stack([
-        2 * lower_left, 2 * lower_right, 2 * lower_right + 1, 2 * upper_right])
-    children[1::2] = np.column_stack([
-        2 * lower_left + 1, 2 * upper_left, 2 * upper_left + 1, 2 * upper_right + 1])
-    p = nested_interpolation(nx, ny, cx, cy)
-    r = p.T.tocsr()
-    for arr in (children, p.data, p.indices, p.indptr, r.data, r.indices, r.indptr):
-        arr.setflags(write=False)
-    return CoarseLevel(cx, cy, bounds, stiffness, children, p, r)
+        A lower triangle holds the lower ones of the lower-left and upper-right
+        fine cells and both of the lower-right one, an upper triangle the rest.
+        """
+        w = weights.reshape(2 * self.ny, 2 * self.nx, 2)
+        ll, lr, ul, ur = w[0::2, 0::2], w[0::2, 1::2], w[1::2, 0::2], w[1::2, 1::2]
+        out = np.empty((self.ny, self.nx, 2))
+        out[..., 0] = ll[..., 0] + lr[..., 0] + lr[..., 1] + ur[..., 0]
+        out[..., 1] = ll[..., 1] + ul[..., 0] + ul[..., 1] + ur[..., 1]
+        return out.ravel()
 
 
 def build_mesh(
@@ -285,67 +340,27 @@ def build_mesh(
 
     ``bounds`` is ``(x_min, x_max, y_min, y_max)``.  Raises ``ValueError`` for
     non-positive subdivision counts or more than ``MAX_ELEMENTS`` elements,
-    which it checks before allocating, for degenerate bounds, and for an element
-    whose area or basis gradients are zero or not finite in float64.
+    which it checks before allocating, for degenerate bounds, for cells whose
+    area or basis gradients are zero or not finite in float64, and for grid
+    lines that float64 does not keep apart.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be positive, got nx={nx}, ny={ny}")
     if 2 * nx * ny > MAX_ELEMENTS:
         raise ValueError(
             f"{nx} x {ny} cells give {2 * nx * ny} elements, more than the int32 "
-            f"index arrays hold ({MAX_ELEMENTS})"
+            f"indices of the sparse solves hold ({MAX_ELEMENTS})"
         )
     x_min, x_max, y_min, y_max = (float(v) for v in bounds)
     if not (0.0 < x_max - x_min < np.inf and 0.0 < y_max - y_min < np.inf):
         raise ValueError(f"degenerate bounds {bounds}")
-
-    xs = np.linspace(x_min, x_max, nx + 1)
-    ys = np.linspace(y_min, y_max, ny + 1)
-    gx, gy = np.meshgrid(xs, ys)               # row-major: j*(nx+1) + i
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny))
-    ii = ii.ravel()
-    jj = jj.ravel()
-    a = jj * (nx + 1) + ii          # lower-left corner of each cell
-    b = a + 1
-    c = b + (nx + 1)
-    d = a + (nx + 1)
-    # diagonal a-c: triangles (a, b, c) and (a, c, d), both counterclockwise
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
-    elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
-
-    p = nodes[elements]                               # (M, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]          # edge opposite each vertex
-    # bounds that float64 holds can still give a zero, infinite or NaN geometry
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / twice_area[:, None, None]
-    sound = (0.0 < twice_area) & (twice_area < np.inf)
-    if not (sound.all() and np.isfinite(grads).all()):
-        bad = int(np.argmin(sound & np.isfinite(grads).all(axis=(1, 2))))
-        raise ValueError(f"degenerate element {bad} with 2*area={twice_area[bad]}")
-    areas = 0.5 * twice_area
-    centroids = p.mean(axis=1)
-
-    # by grid index: comparing coordinates misclassifies offset or tiny domains
-    node_j, node_i = np.divmod(np.arange(nodes.shape[0]), nx + 1)
-    on_boundary = (node_i == 0) | (node_i == nx) | (node_j == 0) | (node_j == ny)
-    boundary = np.flatnonzero(on_boundary)
-    interior = np.flatnonzero(~on_boundary)
-
-    for arr in (nodes, elements, boundary, areas, grads, centroids, interior):
-        arr.setflags(write=False)
-
+    for lo, hi, n in ((x_min, x_max, nx), (y_min, y_max, ny)):
+        if not np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0.0):
+            raise ValueError(f"degenerate cells: float64 does not separate {n} cells of [{lo}, {hi}]")
+    area, gradients = _reference_triangles((x_max - x_min) / nx, (y_max - y_min) / ny)
     return Mesh(
         nx=nx, ny=ny, x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
-        nodes=nodes, elements=elements, boundary_nodes=boundary, interior_nodes=interior,
-        element_areas=areas, element_gradients=grads, element_centroids=centroids,
+        area=area, gradients=gradients,
     )
 
 

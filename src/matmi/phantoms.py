@@ -74,7 +74,7 @@ def make_phantom(spec: PhantomSpec, mesh: Mesh) -> ScalarField:
             raise ValueError(
                 f"bump amplitude {b.amplitude} would cancel the background"
             )
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    x, y = mesh.nodes.T
     taper = collar_taper(boundary_distance(mesh, x, y), spec.collar_width)
     values = np.full(mesh.n_nodes, float(spec.background))
     for b in spec.bumps:

@@ -54,13 +54,13 @@ def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     """Assemble the stabilized advection-reaction operator for velocity ``w``."""
     if w.mesh is not mesh:
         raise ValueError("velocity lives on a different mesh")
-    a = np.einsum("md,mkd->mk", w.values, mesh.element_gradients)
+    a = mesh.dot_gradients(w.values)
     speed = np.hypot(w.values[:, 0], w.values[:, 1])
     tau = mesh.element_diameter / (2.0 * speed + TAU_EPS)
     # row i, column j: area * (w.grad phi_j) * (1/3 + tau * w.grad phi_i)
-    test = 1.0 / 3.0 + tau[:, None] * a
-    ke = mesh.element_areas[:, None, None] * test[:, :, None] * a[:, None, :]
-    matrix = mesh.assemble(ke)
+    row = (mesh.area * (1.0 / 3.0 + tau[:, None] * a)).reshape(mesh.ny, mesh.nx, 2, 3)
+    column = a.reshape(mesh.ny, mesh.nx, 2, 3)
+    matrix = mesh.assemble(lambda t, i, j: row[:, :, t, i] * column[:, :, t, j])
     matrix.setdiag(matrix.diagonal() + fem.lumped_mass(mesh))
     return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, a=a, tau=tau)
 
@@ -84,26 +84,29 @@ def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.dia_
     """
     mesh = op.mesh
     a, tau, w = op.a, op.tau, op.velocity.values
-    areas, g = mesh.element_areas, mesh.element_gradients
+    area, g = mesh.area, mesh.gradients
     # cheap to redo, so the operator does not hold them through the transport solve
     speed = np.hypot(w[:, 0], w[:, 1])
     test = 1.0 / 3.0 + tau[:, None] * a
-    local = s[mesh.elements]                                  # (M, 3)
-    grad_s = np.einsum("mk,mkd->md", local, g)
-    a_s = areas * np.einsum("mk,mk->m", a, local)
+    local = mesh.gather(s)                                    # (M, 3)
+    grad_s = mesh.gradient(s)
+    # summed in vertex order: einsum may fuse and reorder the products
+    a_s = area * (a * local).sum(axis=1)
     # dtau = -2 diam d|w| / (2|w| + eps)^2 with d|w| = w.dw/|w|; the derivative
     # of tau*a_i*a_j stays bounded as |w| -> 0
     with np.errstate(invalid="ignore", divide="ignore"):
         q = (-2.0 * mesh.element_diameter / (speed * (2.0 * speed + TAU_EPS) ** 2))[:, None] * w
     q[speed == 0.0] = 0.0
-    v = (areas[:, None] * test)[:, :, None] * grad_s[:, None, :]
-    v += a_s[:, None, None] * (a[:, :, None] * q[:, None, :] + tau[:, None, None] * g)
-    del speed, test, local, grad_s, a_s, q
+    v = (area * test)[:, :, None] * grad_s[:, None, :]
+    # tau grad(phi_i), element by element: each type's gradients over its cells
+    tau_g = (tau.reshape(-1, 2)[:, :, None, None] * g).reshape(-1, 3, 2)
+    v += a_s[:, None, None] * (a[:, :, None] * q[:, None, :] + tau_g)
+    del speed, test, local, grad_s, a_s, q, tau_g
     # rot(grad(phi_k)) . V_i = g_k2 V_i1 - g_k1 V_i2
-    ke = np.einsum("mi,mk->mik", v[..., 0], g[..., 1])
-    ke -= np.einsum("mi,mk->mik", v[..., 1], g[..., 0])
-    del v
-    matrix = mesh.assemble(ke)
+    v = v.reshape(mesh.ny, mesh.nx, 2, 3, 2)
+    matrix = mesh.assemble(
+        lambda t, i, k: v[:, :, t, i, 0] * g[t, k, 1] - v[:, :, t, i, 1] * g[t, k, 0]
+    )
     matrix.data.setflags(write=False)
     return matrix
 

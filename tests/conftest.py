@@ -58,3 +58,40 @@ def smooth_conductivity(mesh, rng):
     y = (mesh.nodes[:, 1] - mesh.y_min) / (mesh.y_max - mesh.y_min)
     a, b, c, d = rng.uniform(-1.0, 1.0, 4)
     return fem.ScalarField(mesh, np.exp(1.5 * np.sin(3 * a * x + 2 * b * y + c) + 0.5 * d))
+
+
+def element_geometry(mesh):
+    """Areas, (M, 3, 2) P1 basis gradients and centroids of each element, from its nodes.
+
+    The element-by-element formulas, independent of the mesh's two reference
+    triangles, as a reference for the grid operators.
+    """
+    p = mesh.nodes[mesh.elements]                              # (M, 3, 2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]                  # edge opposite each vertex
+    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / twice_area[:, None, None]
+    return 0.5 * twice_area, grads, p.mean(axis=1)
+
+
+def element_blocks(mesh, ke):
+    """The ``Mesh.assemble`` block function of (M, 3, 3) element matrices."""
+    k = ke.reshape(mesh.ny, mesh.nx, 2, 3, 3)
+    return lambda t, a, b: k[:, :, t, a, b]
+
+
+def add_at_assembly(mesh, ke):
+    """(7, n_nodes) DIA data of (M, 3, 3) element matrices, summed entry by entry.
+
+    One sequential ``np.add.at`` in element order onto the diagonals
+    ``0, +-1, +-(nx+1), +-(nx+2)``: entry ``(i, j)`` goes to ``(d, j)`` with
+    ``offsets[d] = j - i``, scipy's DIA convention.
+    """
+    stride = mesh.nx + 1
+    offsets = np.array([-stride - 1, -stride, -1, 0, 1, stride, stride + 1])
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    data = np.zeros(7 * mesh.n_nodes)
+    np.add.at(data, np.searchsorted(offsets, cols - rows) * mesh.n_nodes + cols, ke.ravel())
+    return data.reshape(7, mesh.n_nodes)

@@ -293,6 +293,24 @@ def test_malformed_data_file_rejected(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_data_file_from_a_shifted_mesh_rejected(tmp_path, capsys):
+    # a relative tolerance scales with the coordinates: at x = 1000 it passed a
+    # file written on a mesh shifted by 0.006, 4.8% of a cell
+    domain = "mesh.n = 8\ndomain.x_min = {:.17g}\ndomain.x_max = {:.17g}\nphantom.bumps =\n"
+    text = domain.format(1000.0, 1001.0)
+    out = str(tmp_path / "out")
+    assert main(["forward", "--config", write_config(tmp_path, text), "--out", out]) == 0
+    data_file = os.path.join(out, "data.csv")
+    shifted = str(tmp_path / "shifted")
+    shifted_text = domain.format(1000.006, 1001.006)
+    assert main(["forward", "--config", write_config(tmp_path, shifted_text, "shifted.cfg"),
+                 "--out", shifted]) == 0
+    for source, code in ((data_file, cli.EXIT_OK), (os.path.join(shifted, "data.csv"), cli.EXIT_CONFIG)):
+        cfg = write_config(tmp_path, text + f"recon.max_iterations = 2\ndata.source = file\ndata.file = {source}\n")
+        assert main(["invert", "--config", cfg, "--out", str(tmp_path / "inv")]) == code
+    assert "do not match the mesh" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("node", ["boundary", "interior"])
 def test_nonfinite_data_file_rejected(tmp_path, node):
     mesh = build_mesh(16, 16)
@@ -435,9 +453,9 @@ def test_large_conductivity_below_ceiling_runs(tmp_path, command, background):
 
 
 @pytest.mark.parametrize("text, key", [
-    ("mesh.n = 12386\n", "mesh.n"),
-    ("mesh.n = 6193\ndata.mode = fine-mesh\n", "mesh.n"),
-    ("study.mesh_sizes = 8 12386\n", "study.mesh_sizes"),
+    ("mesh.n = 2897\n", "mesh.n"),
+    ("mesh.n = 1449\ndata.mode = fine-mesh\n", "mesh.n"),
+    ("study.mesh_sizes = 8 2897\n", "study.mesh_sizes"),
     ("study.mesh_sizes = 8 0\n", "study.mesh_sizes"),
 ])
 def test_mesh_size_beyond_int32_indices_rejected(text, key):
@@ -447,9 +465,9 @@ def test_mesh_size_beyond_int32_indices_rejected(text, key):
 
 
 def test_largest_mesh_sizes_accepted():
-    assert parse_config("mesh.n = 12385\n").mesh_n == 12385
-    assert parse_config("mesh.n = 6192\ndata.mode = fine-mesh\n").mesh_n == 6192
-    assert parse_config("study.mesh_sizes = 12385\n").mesh_sizes == (12385,)
+    assert parse_config("mesh.n = 2896\n").mesh_n == 2896
+    assert parse_config("mesh.n = 1448\ndata.mode = fine-mesh\n").mesh_n == 1448
+    assert parse_config("study.mesh_sizes = 2896\n").mesh_sizes == (2896,)
 
 
 def test_in_crime_study_row_solves_the_truth_field_once(tmp_path, monkeypatch):

@@ -18,12 +18,14 @@ from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 from matmi.phantoms import Bump, PhantomSpec, make_phantom
 
-from conftest import smooth_conductivity
+from conftest import add_at_assembly, element_blocks, element_geometry, smooth_conductivity
 
 #: counts in [3, 40], with multiples of 4 and 8 drawn often enough to coarsen twice
 counts = st.one_of(st.integers(3, 40), st.sampled_from([12, 16, 20, 24, 32, 40]))
 #: even counts in [2, 40], so that the mesh itself has a nested coarse mesh
 even_counts = st.one_of(st.integers(1, 20).map(lambda k: 2 * k), st.sampled_from([16, 24, 32, 40]))
+#: counts in [1, 40], with the one-cell strips drawn often
+strip_counts = st.one_of(st.just(1), counts)
 
 
 @st.composite
@@ -146,10 +148,10 @@ def test_assembled_levels_are_galerkin_products(mesh, seed):
                                hierarchy.prolongations, hierarchy.restrictions):
         assert (r != p.T).nnz == 0
         assert_galerkin(a, p, coarse)
-    # the mesh's own coarse mesh, which the hierarchy skips at 8 cells or fewer
+    # the mesh's own coarse level, which the hierarchy skips at 8 cells or fewer
     level = mesh.coarse
-    weights = (fem.element_means(sigma) * mesh.element_areas)[level.children].sum(axis=1)
-    coarse = fem._stiffness(level, weights)
+    areas, _, _ = element_geometry(mesh)
+    coarse = level.stiffness(level.coarsen(fem.element_means(sigma) * areas))
     assert_five_point(coarse)
     assert_galerkin(hierarchy.matrices[0], level.prolongation, coarse)
 
@@ -200,29 +202,25 @@ def test_transport_solve_matches_full_system(mesh, seed):
 @given(mesh=rectangles(), seed=st.integers(0, 2**32 - 1))
 def test_assemble_matches_scipy_coo(mesh, seed):
     ke = np.random.RandomState(seed).randn(mesh.n_elements, 3, 3)
-    assert_matches_coo(mesh, ke, mesh.assemble(ke))
+    assert_matches_coo(mesh, ke, mesh.assemble(element_blocks(mesh, ke)))
 
 
 @PROPERTY_SETTINGS
-@given(mesh=rectangles())
-def test_diagonal_layout_is_frozen_int32(mesh):
-    layout = mesh.diagonal_layout
-    assert layout.slot.size == 9 * mesh.n_elements
-    assert layout.slot.min() >= 0 and layout.slot.max() < 7 * mesh.n_nodes
-    for arr in layout:
-        assert arr.dtype == np.int32
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1
-    # slot d * n_nodes + j holds entry (j - offsets[d], j) of each element pair (i, j)
-    diagonal, column = np.divmod(layout.slot, mesh.n_nodes)
-    assert np.array_equal(column, np.tile(mesh.elements, (1, 3)).ravel())
-    row = column - layout.offsets[diagonal]
-    assert np.array_equal(row, np.repeat(mesh.elements, 3, axis=1).ravel())
-
-
-#: counts in [1, 40], with the one-cell strips drawn often
-strip_counts = st.one_of(st.just(1), counts)
+@given(mesh=rectangles(strip_counts), seed=st.integers(0, 2**32 - 1))
+@example(mesh=build_mesh(1, 1), seed=0)
+@example(mesh=build_mesh(9, 1, (-2.0, 1.0, 0.5, 0.6)), seed=2)
+def test_assemble_sums_each_entry_in_element_order(mesh, seed):
+    # bit for bit the sequential add of every element-matrix entry onto the
+    # diagonals, in element order: the grid slices keep each entry's order
+    ke = np.random.RandomState(seed).randn(mesh.n_elements, 3, 3)
+    matrix = mesh.assemble(element_blocks(mesh, ke))
+    assert np.array_equal(matrix.offsets, [-(mesh.nx + 2), -(mesh.nx + 1), -1, 0, 1,
+                                           mesh.nx + 1, mesh.nx + 2])
+    assert np.array_equal(matrix.data, add_at_assembly(mesh, ke))
+    contributions = ke[:, 0]
+    reference = np.zeros(mesh.n_nodes)
+    np.add.at(reference, mesh.elements.ravel(), contributions.ravel())
+    assert np.array_equal(mesh.scatter(contributions), reference)
 
 
 @PROPERTY_SETTINGS
@@ -235,7 +233,7 @@ def test_diagonal_product_matches_csr_bitwise(mesh, seed):
     rng = np.random.RandomState(seed)
     ke = rng.randn(mesh.n_elements, 3, 3)
     ke[rng.rand(mesh.n_elements) < 0.5] = 0.0
-    matrix = mesh.assemble(ke)
+    matrix = mesh.assemble(element_blocks(mesh, ke))
     v = rng.randn(mesh.n_nodes)
     assert np.array_equal(matrix @ v, matrix.tocsr() @ v)
 
@@ -248,14 +246,14 @@ def test_changing_a_matrix_leaves_next_assembly_unchanged(mesh, seed):
     # half the elements contribute nothing, so some entries sum to exact zeros
     zeroed = ke.copy()
     zeroed[: mesh.n_elements // 2] = 0.0
-    first = mesh.assemble(zeroed)
-    assert first.tocsr().nnz < mesh.assemble(ke).tocsr().nnz
+    first = mesh.assemble(element_blocks(mesh, zeroed))
+    assert first.tocsr().nnz < mesh.assemble(element_blocks(mesh, ke)).tocsr().nnz
     first.data *= 2.0
-    # every assembly shares the layout's offsets, so they are read-only
+    # the offsets of every assembly are read-only
     with pytest.raises(ValueError):
         first.offsets[0] = 1
-    assert_matches_coo(mesh, ke, mesh.assemble(ke))
-    assert_matches_coo(mesh, zeroed, mesh.assemble(zeroed))
+    assert_matches_coo(mesh, ke, mesh.assemble(element_blocks(mesh, ke)))
+    assert_matches_coo(mesh, zeroed, mesh.assemble(element_blocks(mesh, zeroed)))
 
 
 def cell_aspect(mesh):

@@ -6,6 +6,8 @@ from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 from matmi.phantoms import PhantomSpec, Bump, make_phantom
 
+from conftest import element_blocks, element_geometry
+
 
 def velocity(mesh, fn):
     c = mesh.element_centroids
@@ -161,7 +163,7 @@ def test_derivative_reads_stored_streamline_data():
         s = rng.randn(m.n_nodes)
         op = transport.assemble_advection(m, VectorField(m, w_vals))
 
-        g = m.element_gradients
+        areas, g, _ = element_geometry(m)
         dw_vals = forward.rotate(fem.gradient_field(ScalarField(m, phi)).values)
         a = np.einsum("md,mkd->mk", w_vals, g)
         speed = np.hypot(w_vals[:, 0], w_vals[:, 1])
@@ -173,10 +175,10 @@ def test_derivative_reads_stored_streamline_data():
         dtau = -2.0 * m.element_diameter * dspeed / (2.0 * speed + transport.TAU_EPS) ** 2
         test = 1.0 / 3.0 + tau[:, None] * a
         dtest = dtau[:, None] * a + tau[:, None] * da
-        ke = m.element_areas[:, None, None] * (
+        ke = areas[:, None, None] * (
             test[:, :, None] * da[:, None, :] + dtest[:, :, None] * a[:, None, :]
         )
-        expected = m.assemble(ke) @ s
+        expected = m.assemble(element_blocks(m, ke)) @ s
 
         derivative = transport.advection_matrix_derivative(op, s)
         assert derivative.shape == (m.n_nodes, m.n_nodes)
