@@ -87,8 +87,7 @@ def constant_field(mesh: Mesh, value: float) -> ScalarField:
 
 def interpolate(mesh: Mesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> ScalarField:
     """Nodal interpolation of ``fn(x, y)`` (must accept numpy arrays)."""
-    x, y = mesh.nodes.T
-    return ScalarField(mesh, np.asarray(fn(x, y), dtype=float))
+    return ScalarField(mesh, np.asarray(fn(*mesh.nodes.T), dtype=float))
 
 
 def element_means(field: ScalarField) -> np.ndarray:
@@ -100,8 +99,7 @@ def element_means(field: ScalarField) -> np.ndarray:
 
 def gradient_field(field: ScalarField) -> VectorField:
     """Elementwise-constant gradient of a P1 field."""
-    mesh = field.mesh
-    return VectorField(mesh, mesh.gradient(field.values))
+    return VectorField(field.mesh, field.mesh.gradient(field.values))
 
 
 def _check_same_mesh(a, b) -> Mesh:
@@ -141,9 +139,7 @@ def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
     """Load vector with entries ``-integral(field . grad(phi_i))``."""
     if field.mesh is not mesh:
         raise ValueError("field lives on a different mesh")
-    contrib = mesh.dot_gradients(field.values)
-    contrib *= -mesh.area
-    return mesh.scatter(contrib)
+    return mesh.scatter(-mesh.area * mesh.dot_gradients(field.values))
 
 
 def mass_matrix(mesh: Mesh) -> sp.dia_matrix:

@@ -100,8 +100,7 @@ class ForwardResult:
         """
         mesh = self.sigma.mesh
         load = -(mesh.area / 3.0) * mesh.dot_gradients(self.field.values)
-        load = load.reshape(mesh.ny, mesh.nx, 2, 3)
-        rhs = mesh.assemble(lambda t, i, k: load[:, :, t, i])
+        rhs = mesh.assemble(lambda t, i, k: load[t::2, i])
         rhs.data.setflags(write=False)
         del load
         return DerivativeMaps(

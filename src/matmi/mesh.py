@@ -49,11 +49,8 @@ MAX_ELEMENTS = 2**24
 
 
 def _reference_triangles(dx: float, dy: float) -> tuple[float, np.ndarray]:
-    """Area and (2, 3, 2) P1 basis gradients of the lower and upper triangle of a cell.
-
-    A gradient is the edge opposite its vertex turned by 90 degrees, over
-    twice the area.  Raises ``ValueError`` when one is zero or not finite.
-    """
+    """Area and (2, 3, 2) P1 basis gradients (the opposite edges turned by 90 degrees over
+    twice the area) of a cell's lower and upper triangle; ``ValueError`` if not finite."""
     twice_area = dx * dy
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         grads = np.array([[[-dy, 0.0], [dy, -dx], [-0.0, dx]],
@@ -67,11 +64,12 @@ def _reference_triangles(dx: float, dy: float) -> tuple[float, np.ndarray]:
 def _sum_blocks(nx: int, ny: int, block: Callable, offsets: list[int]) -> sp.dia_matrix:
     """Sum the element-matrix entries ``block(t, a, b)`` onto the diagonals ``offsets``.
 
-    ``block(t, a, b)`` is entry ``(a, b)`` of the type-``t`` element matrices
-    as an ``(ny, nx)`` grid over the cells, or a scalar, or None for zeros.
-    It couples the node at ``_SHIFT[t][a]`` from each cell to the column at
-    ``_SHIFT[t][b]``, and scipy's DIA data holds ``A[col - offset, col]`` at
-    ``(d, col)``, so each block adds to one slice of one diagonal.
+    ``block(t, a, b)`` is entry ``(a, b)`` of the matrices of the type-``t``
+    elements, in cell order (rows ``t::2`` of a per-element array), or None
+    for zeros.  It couples the node at
+    ``_SHIFT[t][a]`` from each cell to the column at ``_SHIFT[t][b]``, and
+    scipy's DIA data holds ``A[col - offset, col]`` at ``(d, col)``, so each
+    block adds to one slice of one diagonal.
     """
     stride = nx + 1
     diagonal = {offset: d for d, offset in enumerate(offsets)}
@@ -82,10 +80,8 @@ def _sum_blocks(nx: int, ny: int, block: Callable, offsets: list[int]) -> sp.dia
             continue
         (row_a, col_a), (row_b, col_b) = _SHIFT[t][a], _SHIFT[t][b]
         d = diagonal[(row_b - row_a) * stride + col_b - col_a]
-        data[d, row_b:row_b + ny, col_b:col_b + nx] += entries
+        data[d, row_b:row_b + ny, col_b:col_b + nx] += entries.reshape(ny, nx)
     n = stride * (ny + 1)
-    offsets = np.array(offsets, dtype=np.int32)
-    offsets.setflags(write=False)
     return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n))
 
 
@@ -101,10 +97,9 @@ class _Grid:
         """
         nx, ny = self.nx, self.ny
         couplings = np.einsum("tid,tjd->tij", self.gradients, self.gradients)
-        w = weights.reshape(ny, nx, 2)
 
         def block(t, a, b):
-            return None if couplings[t, a, b] == 0.0 else w[:, :, t] * couplings[t, a, b]
+            return None if couplings[t, a, b] == 0.0 else weights[t::2] * couplings[t, a, b]
 
         return _sum_blocks(nx, ny, block, [-(nx + 1), -1, 0, 1, nx + 1])
 
@@ -126,11 +121,10 @@ class _Grid:
 
 def _by_type(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """``rows[m] @ matrices[t]`` for each element ``m = 2 c + t``."""
-    x = rows.reshape(-1, 2, rows.shape[-1])
-    out = np.empty((x.shape[0], 2, matrices.shape[-1]))
+    out = np.empty((rows.shape[0], matrices.shape[-1]))
     for t in range(2):
-        np.matmul(x[:, t], matrices[t], out=out[:, t])
-    return out.reshape(-1, matrices.shape[-1])
+        np.matmul(rows[t::2], matrices[t], out=out[t::2])
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,8 +180,14 @@ class Mesh(_Grid):
     @property
     def element_centroids(self) -> np.ndarray:
         """(n_elements, 2) means of each element's vertices, built on each call."""
-        p = self.gather(self.nodes)
-        return (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+        nx, ny = self.nx, self.ny
+        xs = np.linspace(self.x_min, self.x_max, nx + 1)
+        ys = np.linspace(self.y_min, self.y_max, ny + 1)
+        out = np.empty((ny, nx, 2, 2))
+        for t, ((r0, c0), (r1, c1), (r2, c2)) in enumerate(_SHIFT):
+            out[:, :, t, 0] = (xs[c0:c0 + nx] + xs[c1:c1 + nx] + xs[c2:c2 + nx]) / 3.0
+            out[:, :, t, 1] = ((ys[r0:r0 + ny] + ys[r1:r1 + ny] + ys[r2:r2 + ny]) / 3.0)[:, None]
+        return out.reshape(-1, 2)
 
     @cached_property
     def boundary_nodes(self) -> np.ndarray:
@@ -204,7 +204,7 @@ class Mesh(_Grid):
         return np.setdiff1d(np.arange(self.n_nodes), self.boundary_nodes)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
-        """(n_elements, 3, ...) values at each element's vertices of a nodal (n_nodes, ...) array."""
+        """(n_elements, 3, ...) values at each element's vertices of an (n_nodes, ...) array."""
         nx, ny, rest = self.nx, self.ny, values.shape[1:]
         grid = values.reshape(ny + 1, nx + 1, *rest)
         out = np.empty((ny, nx, 2, 3, *rest), dtype=values.dtype)
@@ -256,8 +256,10 @@ class Mesh(_Grid):
     @cached_property
     def mass_matrix(self) -> sp.dia_matrix:
         """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
-        matrix = self.assemble(lambda t, a, b: self.area * _LOCAL_MASS[a, b])
+        cells = self.nx * self.ny
+        matrix = self.assemble(lambda t, a, b: np.full(cells, self.area * _LOCAL_MASS[a, b]))
         matrix.data.setflags(write=False)
+        matrix.offsets.setflags(write=False)
         return matrix
 
     @cached_property
@@ -356,7 +358,7 @@ def build_mesh(
         raise ValueError(f"degenerate bounds {bounds}")
     for lo, hi, n in ((x_min, x_max, nx), (y_min, y_max, ny)):
         if not np.all(np.diff(np.linspace(lo, hi, n + 1)) > 0.0):
-            raise ValueError(f"degenerate cells: float64 does not separate {n} cells of [{lo}, {hi}]")
+            raise ValueError(f"degenerate bounds: float64 cannot split [{lo}, {hi}] into {n} cells")
     area, gradients = _reference_triangles((x_max - x_min) / nx, (y_max - y_min) / ny)
     return Mesh(
         nx=nx, ny=ny, x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,

@@ -58,9 +58,8 @@ def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
     speed = np.hypot(w.values[:, 0], w.values[:, 1])
     tau = mesh.element_diameter / (2.0 * speed + TAU_EPS)
     # row i, column j: area * (w.grad phi_j) * (1/3 + tau * w.grad phi_i)
-    row = (mesh.area * (1.0 / 3.0 + tau[:, None] * a)).reshape(mesh.ny, mesh.nx, 2, 3)
-    column = a.reshape(mesh.ny, mesh.nx, 2, 3)
-    matrix = mesh.assemble(lambda t, i, j: row[:, :, t, i] * column[:, :, t, j])
+    row = mesh.area * (1.0 / 3.0 + tau[:, None] * a)
+    matrix = mesh.assemble(lambda t, i, j: row[t::2, i] * a[t::2, j])
     matrix.setdiag(matrix.diagonal() + fem.lumped_mass(mesh))
     return AdvectionOperator(mesh=mesh, velocity=w, matrix=matrix, a=a, tau=tau)
 
@@ -103,10 +102,7 @@ def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.dia_
     v += a_s[:, None, None] * (a[:, :, None] * q[:, None, :] + tau_g)
     del speed, test, local, grad_s, a_s, q, tau_g
     # rot(grad(phi_k)) . V_i = g_k2 V_i1 - g_k1 V_i2
-    v = v.reshape(mesh.ny, mesh.nx, 2, 3, 2)
-    matrix = mesh.assemble(
-        lambda t, i, k: v[:, :, t, i, 0] * g[t, k, 1] - v[:, :, t, i, 1] * g[t, k, 0]
-    )
+    matrix = mesh.assemble(lambda t, i, k: v[t::2, i, 0] * g[t, k, 1] - v[t::2, i, 1] * g[t, k, 0])
     matrix.data.setflags(write=False)
     return matrix
 

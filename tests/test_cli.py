@@ -305,8 +305,10 @@ def test_data_file_from_a_shifted_mesh_rejected(tmp_path, capsys):
     shifted_text = domain.format(1000.006, 1001.006)
     assert main(["forward", "--config", write_config(tmp_path, shifted_text, "shifted.cfg"),
                  "--out", shifted]) == 0
-    for source, code in ((data_file, cli.EXIT_OK), (os.path.join(shifted, "data.csv"), cli.EXIT_CONFIG)):
-        cfg = write_config(tmp_path, text + f"recon.max_iterations = 2\ndata.source = file\ndata.file = {source}\n")
+    shifted_data = os.path.join(shifted, "data.csv")
+    for source, code in ((data_file, cli.EXIT_OK), (shifted_data, cli.EXIT_CONFIG)):
+        run = text + f"recon.max_iterations = 2\ndata.source = file\ndata.file = {source}\n"
+        cfg = write_config(tmp_path, run)
         assert main(["invert", "--config", cfg, "--out", str(tmp_path / "inv")]) == code
     assert "do not match the mesh" in capsys.readouterr().err
 

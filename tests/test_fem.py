@@ -9,7 +9,9 @@ from matmi import mesh as mesh_module
 from matmi.mesh import build_mesh, nested_interpolation
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
-from conftest import add_at_assembly, element_blocks, element_geometry, smooth_conductivity
+from conftest import (
+    add_at_assembly, element_blocks, element_geometry, smooth_conductivity,
+)
 
 
 def relative_row_sums(a):
@@ -49,7 +51,8 @@ def test_stiffness_stores_no_zero(mesh16):
     # the same element matrices scattered without dropping the zeros
     areas, g, _ = element_geometry(mesh16)
     weight = fem.element_means(sigma) * areas
-    full = mesh16.assemble(element_blocks(mesh16, weight[:, None, None] * np.einsum("mid,mjd->mij", g, g)))
+    ke = weight[:, None, None] * np.einsum("mid,mjd->mij", g, g)
+    full = mesh16.assemble(element_blocks(mesh16, ke))
     assert full.nnz > a.nnz
     v = np.random.RandomState(5).randn(mesh16.n_nodes)
     assert np.array_equal(a @ v, full @ v)
@@ -179,7 +182,8 @@ def test_scatters_match_add_at(nx, ny, bounds):
     dyadic = nx in (64, 128)
     lumped = add_at_reference(m.n_nodes, nodes, np.repeat(areas / 3.0, 3))
     assert_matches_reference(m.lumped_mass, lumped, dyadic)
-    mass = add_at_assembly(m, areas[:, None, None] * (np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0))
+    local_mass = np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0
+    mass = add_at_assembly(m, areas[:, None, None] * local_mass)
     assert_matches_reference(m.mass_matrix.data, mass, dyadic)
 
     field = VectorField(m, np.random.RandomState(nx).randn(m.n_elements, 2))

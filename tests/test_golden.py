@@ -11,7 +11,8 @@ import os
 import numpy as np
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-_spec = importlib.util.spec_from_file_location("golden_cases", os.path.join(GOLDEN, "regenerate.py"))
+_spec = importlib.util.spec_from_file_location(
+    "golden_cases", os.path.join(GOLDEN, "regenerate.py"))
 cases = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cases)
 

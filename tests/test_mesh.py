@@ -91,7 +91,8 @@ def test_basis_gradients_partition_of_unity():
 
 
 @pytest.mark.parametrize("nx, ny, bounds", [
-    (4, 7, (0.0, 3.0, 0.0, 1.0)), (37, 12, (-1.0, 3.0, 0.5, 0.9)), (100, 100, (0.0, 16.0, 0.0, 1.0)),
+    (4, 7, (0.0, 3.0, 0.0, 1.0)), (37, 12, (-1.0, 3.0, 0.5, 0.9)),
+    (100, 100, (0.0, 16.0, 0.0, 1.0)),
 ])
 def test_reference_triangles_match_every_element(nx, ny, bounds):
     # each element's own geometry, from its node coordinates: the cross product
@@ -194,7 +195,8 @@ def test_coarse_weights_sum_the_children_tiling_their_parent(nx, ny, bounds):
         assert np.array_equal(np.sort(summed)[-2:], [0.0, 1.0])
         parent_of[e] = np.argmax(summed)
     children = np.argsort(parent_of, kind="stable").reshape(parent_mesh.n_elements, 4)
-    assert np.array_equal(parent_of[children], np.repeat(np.arange(parent_mesh.n_elements)[:, None], 4, 1))
+    parents = np.repeat(np.arange(parent_mesh.n_elements)[:, None], 4, axis=1)
+    assert np.array_equal(parent_of[children], parents)
     fine_areas, _, fine_centroids = element_geometry(fine)
     parent_areas, _, _ = element_geometry(parent_mesh)
     np.testing.assert_allclose(coarse.coarsen(fine_areas), parent_areas, rtol=1e-13)
