@@ -49,8 +49,11 @@ MAX_ELEMENTS = 2**24
 
 
 def _reference_triangles(dx: float, dy: float) -> tuple[float, np.ndarray]:
-    """Area and (2, 3, 2) P1 basis gradients (the opposite edges turned by 90 degrees over
-    twice the area) of a cell's lower and upper triangle; ``ValueError`` if not finite."""
+    """Area and (2, 3, 2) P1 basis gradients of a cell's lower and upper triangle.
+
+    A gradient is the opposite edge turned by 90 degrees over twice the area.
+    Raises ``ValueError`` when the area or a gradient is zero or not finite.
+    """
     twice_area = dx * dy
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         grads = np.array([[[-dy, 0.0], [dy, -dx], [-0.0, dx]],
@@ -65,11 +68,10 @@ def _sum_blocks(nx: int, ny: int, block: Callable, offsets: list[int]) -> sp.dia
     """Sum the element-matrix entries ``block(t, a, b)`` onto the diagonals ``offsets``.
 
     ``block(t, a, b)`` is entry ``(a, b)`` of the matrices of the type-``t``
-    elements, in cell order (rows ``t::2`` of a per-element array), or None
-    for zeros.  It couples the node at
-    ``_SHIFT[t][a]`` from each cell to the column at ``_SHIFT[t][b]``, and
-    scipy's DIA data holds ``A[col - offset, col]`` at ``(d, col)``, so each
-    block adds to one slice of one diagonal.
+    elements in cell order (rows ``t::2`` of a per-element array), or None
+    for zeros.  It couples the node at ``_SHIFT[t][a]`` from each cell to the
+    column at ``_SHIFT[t][b]``; scipy's DIA data holds ``A[col - offset, col]``
+    at ``(d, col)``, so each block adds to one slice of one diagonal.
     """
     stride = nx + 1
     diagonal = {offset: d for d, offset in enumerate(offsets)}
@@ -216,11 +218,10 @@ class Mesh(_Grid):
     def scatter(self, contributions: np.ndarray) -> np.ndarray:
         """Nodal sums, from zero in element order, of (n_elements, 3) vertex contributions."""
         nx, ny = self.nx, self.ny
-        c = contributions.reshape(ny, nx, 2, 3)
         out = np.zeros((ny + 1, nx + 1))
         for t, k in _VERTICES:
             row, col = _SHIFT[t][k]
-            out[row:row + ny, col:col + nx] += c[:, :, t, k]
+            out[row:row + ny, col:col + nx] += contributions[t::2, k].reshape(ny, nx)
         return out.ravel()
 
     def gradient(self, values: np.ndarray) -> np.ndarray:

@@ -26,22 +26,27 @@ def committed_files():
     return out
 
 
+def number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
 def numeric_columns(text):
-    """Columns of numbers by header name for a CSV file, else one column of every number."""
+    """Columns by header name for a CSV file, else one column of every token.
+
+    Cells that are not numbers read as NaN; a column without numbers is left out.
+    """
     lines = text.splitlines()
     if "," in lines[0]:
         names = lines[0].split(",")
         rows = [line.split(",") for line in lines[1:]]
         columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
     else:
-        columns = {"all numbers": text.split()}
-    out = {}
-    for name, cells in columns.items():
-        try:
-            out[name] = np.array([float(c) for c in cells])
-        except ValueError:
-            continue
-    return out
+        columns = {"all tokens": text.split()}
+    out = {name: np.array([number(c) for c in cells]) for name, cells in columns.items()}
+    return {name: values for name, values in out.items() if not np.isnan(values).all()}
 
 
 def describe_difference(path, expected, got):
@@ -53,11 +58,12 @@ def describe_difference(path, expected, got):
             lines.append(f"  column {name!r}: {a.shape} golden values, "
                          f"{None if b is None else b.shape} now")
             continue
-        diff = np.abs(a - b)
-        if not (diff > 0).any() and np.array_equal(np.isnan(a), np.isnan(b)):
+        with np.errstate(invalid="ignore"):
+            diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+        if not (diff != 0).any():
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(diff > 0, diff / np.abs(a), 0.0)
+            rel = np.where(diff != 0, diff / np.abs(a), 0.0)
         lines.append(f"  column {name!r}: largest absolute difference {np.nanmax(diff):.3e}, "
                      f"largest relative {np.nanmax(rel):.3e}")
     return "\n".join(lines)
