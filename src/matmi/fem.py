@@ -40,7 +40,7 @@ __all__ = [
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
-    "Multigrid", "multigrid", "solve_neumann", "FreeBlockLU", "solve_dirichlet",
+    "Multigrid", "multigrid", "one_level", "solve_neumann", "FreeBlockLU", "solve_dirichlet",
     "l2_norm", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
 
@@ -285,12 +285,7 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
         matrices.append(level.stiffness(weights))
         prolongations.append(level.prolongation)
         restrictions.append(level.restriction)
-    try:
-        coarse_lu = spla.splu(
-            matrices[-1].tocsr()[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
-        )
-    except RuntimeError as exc:
-        raise SolverError(f"coarse multigrid factor failed: {exc}", [np.inf]) from exc
+    coarse_lu = _pinned_lu(matrices[-1])
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
     smoothers = tuple(map(_jacobi_smoother, matrices, relaxation))
     return Multigrid(
@@ -298,6 +293,29 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
         restrictions=tuple(restrictions), relaxation=relaxation, smoothers=smoothers,
         coarse_lu=coarse_lu,
     )
+
+
+def one_level(matrix: sp.spmatrix) -> Multigrid:
+    """The hierarchy whose coarsest level is ``matrix`` itself: its V-cycle is an exact solve.
+
+    Preconditioned by it, CG on ``matrix`` converges in one or two steps, so
+    many solves of one stiffness repay the cost of its factor.
+    """
+    return Multigrid(
+        matrices=(matrix,), prolongations=(), restrictions=(), relaxation=(), smoothers=(),
+        coarse_lu=_pinned_lu(matrix),
+    )
+
+
+def _pinned_lu(matrix: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a Neumann stiffness with node 0 pinned, in minimum-degree order.
+
+    Raises ``SolverError`` when SuperLU fails to factor it.
+    """
+    try:
+        return spla.splu(matrix.tocsr()[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"coarse multigrid factor failed: {exc}", [np.inf]) from exc
 
 
 def _projected_pcg(

@@ -65,17 +65,19 @@ def gauge_field(mesh: Mesh, shift: tuple[float, float] | None = None) -> VectorF
 
 
 class DerivativeMaps(NamedTuple):
-    """The two sparse maps of the data map's derivative at one conductivity.
+    """The sparse maps of the data map's derivative at one conductivity, and a stiffness factor.
 
     Along a direction ``h`` the derivative is
     ``(A h + advection @ phi) / M_L``, where ``phi`` solves the Neumann
     problem with right-hand side ``rhs @ h`` and ``A`` is the data operator.
-    Both are stored by the mesh's seven diagonals, and their values are
-    read-only.
+    Both maps are stored by the mesh's seven diagonals, and their values are
+    read-only.  ``factor`` is the one-level hierarchy of the stiffness, whose
+    exact solve preconditions each direction's Neumann solve.
     """
 
     rhs: sp.dia_matrix        # h -> load vector of -div(h E), h averaged per element
     advection: sp.dia_matrix  # phi -> dA[rot grad(phi)] @ sigma
+    factor: fem.Multigrid     # fem.one_level of the sigma-weighted stiffness
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class ForwardResult:
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
     cg_iterations: int              # CG iterations of the potential's solve
-    hierarchy: fem.Multigrid        # V-cycle hierarchy of the sigma-weighted stiffness
+    stiffness: sp.dia_matrix        # the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
 
     @cached_property
@@ -96,16 +98,16 @@ class ForwardResult:
 
         Row i of ``rhs`` holds ``-area/3 * E . grad(phi_i)`` of each element
         in every column of the element, the weak divergence of ``h E`` with
-        ``h`` at its element mean.
+        ``h`` at its element mean.  The stiffness is factored last, once the
+        maps' temporaries are freed.
         """
         mesh = self.sigma.mesh
         load = -(mesh.area / 3.0) * mesh.dot_gradients(self.field.values)
         rhs = mesh.assemble(lambda t, i, k: load[t::2, i])
         rhs.data.setflags(write=False)
         del load
-        return DerivativeMaps(
-            rhs, transport.advection_matrix_derivative(self.operator, self.sigma.values)
-        )
+        advection = transport.advection_matrix_derivative(self.operator, self.sigma.values)
+        return DerivativeMaps(rhs, advection, fem.one_level(self.stiffness))
 
 
 def compute_field(
@@ -116,10 +118,11 @@ def compute_field(
     The conductivity must be strictly positive at every node.  The returned
     field satisfies ``integral(sigma E . grad(phi)) = 0`` for every P1 test
     function, to solver tolerance.  CG starts from ``guess`` when given, such
-    as the potential of a nearby sigma.  The result also carries the
-    multigrid hierarchy of the stiffness (its ``matrices[0]``) and the data
-    operator built from this sigma, for callers that reuse them; the maps of
-    the data map's derivative are built from them on first use.
+    as the potential of a nearby sigma, and is preconditioned by a multigrid
+    V-cycle whose hierarchy is dropped after this solve.  The result carries
+    the stiffness and the data operator built from this sigma, for callers
+    that reuse them; the maps of the data map's derivative, and the factor of
+    the stiffness that its directions' solves share, are built on first use.
     """
     mesh = sigma.mesh
     if gauge is None:
@@ -128,14 +131,15 @@ def compute_field(
     weighted_gauge = VectorField(mesh, fem.element_means(sigma)[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
     u, residuals = fem.solve_neumann(mesh, hierarchy, rhs, guess)
+    stiffness = hierarchy.matrices[0]
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     # the advection assembly is the peak of a field solve: free its inputs
     # first, which lowered the peak RSS of a reconstruction that holds an LU
-    del gauge, weighted_gauge, rhs
+    del gauge, weighted_gauge, rhs, hierarchy
     operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
     return ForwardResult(
         sigma=sigma, potential=u, field=field, field_norm=fem.l2_norm_vec(field),
-        cg_iterations=len(residuals) - 1, hierarchy=hierarchy, operator=operator,
+        cg_iterations=len(residuals) - 1, stiffness=stiffness, operator=operator,
     )
 
 

@@ -16,8 +16,11 @@ At a fixed sigma the derivative is ``DF(h) = M_L^-1 (A h + B phi)`` with
 ``C`` (h to the auxiliary right-hand side) and ``B`` (phi to the
 derivative of the operator along ``rot grad(phi)``, applied to sigma) are
 fixed sparse matrices.  ``forward.ForwardResult.derivative_maps`` builds
-``C`` and ``B`` once per field solve, so each direction costs one Neumann
-solve and three sparse products.
+``C``, ``B`` and a sparse LU of ``K`` once per field solve.  Each direction
+then costs three sparse products and a Neumann solve by CG preconditioned by
+that LU, which takes one or two steps where a multigrid V-cycle takes a dozen
+or, on stretched cells, a hundred.  The factor repays its cost from a few
+directions on.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ def frechet_derivative(
     """Directional derivative of the forward map at ``sigma`` along ``h``.
 
     ``base`` may carry a precomputed ``compute_field(sigma)`` result when many
-    directions are evaluated at the same conductivity; its multigrid
-    hierarchy, data operator and derivative maps are reused.  Raises
-    ``ValueError`` when ``base`` was solved at another conductivity.
+    directions are evaluated at the same conductivity; its data operator,
+    derivative maps and stiffness factor are reused.  The auxiliary Neumann
+    solve is CG preconditioned by that factor, to the same residual contract
+    as every Neumann solve.  Raises ``ValueError`` when ``base`` was solved at
+    another conductivity.
     """
     mesh = sigma.mesh
     if h.mesh is not mesh:
@@ -65,7 +70,7 @@ def frechet_derivative(
 
     maps = base.derivative_maps
     # auxiliary Neumann problem: div(sigma grad(phi)) = -div(h E)
-    phi, _ = fem.solve_neumann(mesh, base.hierarchy, maps.rhs @ h.values)
+    phi, _ = fem.solve_neumann(mesh, maps.factor, maps.rhs @ h.values)
     values = base.operator.matrix @ h.values + maps.advection @ phi.values
     values /= fem.lumped_mass(mesh)
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))

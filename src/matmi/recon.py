@@ -124,7 +124,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
                 report,
             )
         result = forward.compute_field(sigma, guess=potential)
-        # the hierarchy is freed before the transport solve
+        # the stiffness and the field are freed before the transport solve
         op, potential, cg_iterations = result.operator, result.potential, result.cg_iterations
         del result
         predicted = transport.apply_data_operator(op, sigma)

@@ -96,13 +96,26 @@ def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.dia_
     with np.errstate(invalid="ignore", divide="ignore"):
         q = (-2.0 * mesh.element_diameter / (speed * (2.0 * speed + TAU_EPS) ** 2))[:, None] * w
     q[speed == 0.0] = 0.0
-    v = (area * test)[:, :, None] * grad_s[:, None, :]
-    # tau grad(phi_i), element by element: each type's gradients over its cells
-    tau_g = (tau.reshape(-1, 2)[:, :, None, None] * g).reshape(-1, 3, 2)
-    v += a_s[:, None, None] * (a[:, :, None] * q[:, None, :] + tau_g)
-    del speed, test, local, grad_s, a_s, q, tau_g
+    del speed, local
+
+    def by_type(x):
+        """View of an (M, ...) per-element array as (2, ..., cells): the cells of each type last."""
+        return np.moveaxis(x.reshape(-1, 2, *x.shape[1:]), 0, -1)
+
+    # V[t, i, :, c] of the type-t element of cell c, so that every block reads
+    # contiguous rows; each entry takes the same products and sums as per element
+    a, q, tau, a_s = by_type(a), by_type(q)[:, None], by_type(tau)[:, None, None], by_type(a_s)
+    v = np.empty((2, 3, 2, mesh.nx * mesh.ny))
+    np.multiply(by_type(area * test)[:, :, None], by_type(grad_s)[:, None], out=v)
+    del test, grad_s
+    # a_s (a_i q + tau grad(phi_i)), with each type's gradients over its cells
+    terms = np.multiply(a[:, :, None], q)
+    terms += tau * g[..., None]
+    terms *= a_s[:, None, None]
+    v += terms
+    del terms
     # rot(grad(phi_k)) . V_i = g_k2 V_i1 - g_k1 V_i2
-    matrix = mesh.assemble(lambda t, i, k: v[t::2, i, 0] * g[t, k, 1] - v[t::2, i, 1] * g[t, k, 0])
+    matrix = mesh.assemble(lambda t, i, k: v[t, i, 0] * g[t, k, 1] - v[t, i, 1] * g[t, k, 0])
     matrix.data.setflags(write=False)
     return matrix
 

@@ -455,6 +455,9 @@ def test_multigrid_singular_coarse_factor_is_solver_error(n):
     tiny = fem.constant_field(mesh, np.nextafter(0.0, 1.0))
     with np.errstate(divide="ignore"), pytest.raises(fem.SolverError, match="coarse"):
         fem.multigrid(mesh, tiny)
+    # the one-level hierarchy factors the fine stiffness through the same helper
+    with pytest.raises(fem.SolverError, match="coarse"):
+        fem.one_level(fem.assemble_weighted_stiffness(mesh, tiny))
 
 
 def assert_interpolates_affine_exactly(nx, ny, cx, cy, bounds):

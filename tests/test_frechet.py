@@ -6,7 +6,7 @@ from matmi.fem import ScalarField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec
 
-from conftest import perturbation
+from conftest import perturbation, smooth_conductivity
 
 
 def test_constant_sigma_constant_h(mesh32):
@@ -35,27 +35,60 @@ def test_precomputed_base_changes_nothing(bump32, mesh32):
 
 
 def test_directions_share_the_base_hierarchy(bump32, mesh32, monkeypatch):
-    # N directions on one base build no hierarchy and the derivative maps once
+    # N directions on one base build no hierarchy, and the derivative maps and
+    # the stiffness factor once
     base = forward.compute_field(bump32)
-    built = []
-    maps = []
-    original_multigrid, original_derivative = fem.multigrid, transport.advection_matrix_derivative
+    built, factored, maps = [], [], []
 
-    def counting_multigrid(*args):
-        built.append(args)
-        return original_multigrid(*args)
+    def counting(calls, original):
+        def wrapped(*args):
+            calls.append(args)
+            return original(*args)
+        return wrapped
 
-    def counting_derivative(*args):
-        maps.append(args)
-        return original_derivative(*args)
-
-    monkeypatch.setattr(fem, "multigrid", counting_multigrid)
-    monkeypatch.setattr(transport, "advection_matrix_derivative", counting_derivative)
+    monkeypatch.setattr(fem, "multigrid", counting(built, fem.multigrid))
+    monkeypatch.setattr(fem, "one_level", counting(factored, fem.one_level))
+    monkeypatch.setattr(transport, "advection_matrix_derivative",
+                        counting(maps, transport.advection_matrix_derivative))
     for seed in (46, 47, 48, 49, 50):
         frechet.frechet_derivative(bump32, perturbation(mesh32, np.random.RandomState(seed)), base)
-    assert built == [] and len(maps) == 1
+    assert built == [] and len(factored) == 1 and len(maps) == 1
     frechet.frechet_derivative(bump32, perturbation(mesh32, np.random.RandomState(46)))
-    assert len(built) == 1 and len(maps) == 2
+    assert len(built) == 1 and len(factored) == 2 and len(maps) == 2
+
+
+@pytest.mark.parametrize("nx, ny, bounds", [
+    (32, 32, (0, 1, 0, 1)), (32, 32, (0, 4, 0, 0.25)), (16, 36, (0, 4, 0, 0.5)),
+])
+def test_directions_solve_in_two_steps(nx, ny, bounds, monkeypatch):
+    # the factor-preconditioned auxiliary solve takes at most two CG steps, also
+    # on cells of aspect 16-18 where a V-cycle takes over a hundred, and matches
+    # a V-cycle solve driven ten times below the residual contract.  The
+    # directions vary along the long side: variation across a thin domain puts
+    # the rounding floor of a Neumann solve near SOLVER_TOL for any preconditioner
+    mesh = build_mesh(nx, ny, bounds)
+    sigma = smooth_conductivity(mesh, np.random.RandomState(53))
+    base = forward.compute_field(sigma)
+    maps = base.derivative_maps
+    reference = fem.multigrid(mesh, sigma).vcycle
+    xi = (mesh.nodes[:, 0] - mesh.x_min) / (mesh.x_max - mesh.x_min)
+    iterations = []
+    original = fem._projected_pcg
+
+    def counting(*args):
+        x, residuals = original(*args)
+        iterations.append(len(residuals) - 1)
+        return x, residuals
+
+    monkeypatch.setattr(fem, "_projected_pcg", counting)
+    for k in (1, 2, 3):
+        h = ScalarField(mesh, sigma.values * np.sin(2 * np.pi * k * xi) / 2)
+        df = frechet.frechet_derivative(sigma, h, base).value.values
+        phi, _ = original(base.stiffness, maps.rhs @ h.values, reference, 1e-13,
+                          10 * mesh.n_nodes)
+        expected = (base.operator.matrix @ h.values + maps.advection @ phi) / fem.lumped_mass(mesh)
+        assert np.abs(df - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert len(iterations) == 3 and max(iterations) <= 2
 
 
 def test_base_at_another_conductivity_rejected(bump32, mesh32):
