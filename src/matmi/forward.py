@@ -17,6 +17,11 @@ same discrete advection-reaction operator used by the reconstruction's
 transport solve, projected back to nodes by the lumped mass matrix.  Sharing
 the operator makes the reconstruction's fixed point exact in the
 data-on-the-same-mesh mode.
+
+The result of a field solve keeps the stiffness, not its multigrid
+hierarchy, which is dropped once the potential is found.  On first use it
+builds the two sparse maps of the data map's derivative and one sparse LU of
+the stiffness, which the auxiliary Neumann solves of all directions share.
 """
 
 from __future__ import annotations
@@ -98,16 +103,17 @@ class ForwardResult:
 
         Row i of ``rhs`` holds ``-area/3 * E . grad(phi_i)`` of each element
         in every column of the element, the weak divergence of ``h E`` with
-        ``h`` at its element mean.  The stiffness is factored last, once the
-        maps' temporaries are freed.
+        ``h`` at its element mean.  The stiffness is factored first, so that
+        the maps' temporaries reuse the memory its workspace frees.
         """
         mesh = self.sigma.mesh
+        factor = fem.one_level(self.stiffness)
         load = -(mesh.area / 3.0) * mesh.dot_gradients(self.field.values)
         rhs = mesh.assemble(lambda t, i, k: load[t::2, i])
         rhs.data.setflags(write=False)
         del load
         advection = transport.advection_matrix_derivative(self.operator, self.sigma.values)
-        return DerivativeMaps(rhs, advection, fem.one_level(self.stiffness))
+        return DerivativeMaps(rhs, advection, factor)
 
 
 def compute_field(
