@@ -21,7 +21,11 @@ refines the free values from a sparse LU of the CSR free block, in the mesh's
 geometric nested-dissection order (A. George, "Nested dissection of a
 regular finite element mesh", SIAM J. Numer. Anal. 10(2), 1973).  The
 Neumann solve takes a starting guess and the Dirichlet solve a held LU, so a
-run of nearby systems can reuse the last potential and the last factor.
+run of nearby systems can reuse the last potential and the last factor.  A
+run of Neumann solves with one matrix is instead preconditioned by
+``one_level``, the hierarchy whose only level is the matrix: its V-cycle is
+the sparse LU solve with node 0 pinned, in minimum-degree order, that every
+hierarchy uses on its coarsest level, and CG then takes one or two steps.
 """
 
 from __future__ import annotations
