@@ -8,11 +8,11 @@ reference couplings ``grad(phi_a) . grad(phi_b)`` times the grid of element
 weights ``area * sigma``, on the five diagonals 0, +-1, +-(nx + 1).
 The pure Neumann system keeps its constant null space; it is solved by
 conjugate gradients on the mean-zero complement, preconditioned by one
-geometric multigrid V(2,2)-cycle on the nested coarser grids, returning the
-zero-mean representative.  Each coarse level weights each element by the sum
-of its four children's weights, which equals the Galerkin product
-``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A Multigrid
-Tutorial*, 2nd ed., SIAM 2000, ch. 2, 3 and 10), and each damped-Jacobi
+geometric multigrid V(2,2)-cycle on the mesh's chain of ``coarse`` meshes,
+returning the zero-mean representative.  Each coarse mesh weights each
+element by the sum of its four children's weights, which equals the Galerkin
+product ``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A
+Multigrid Tutorial*, 2nd ed., SIAM 2000, ch. 2, 3 and 10), and each damped-Jacobi
 sweep is one product with the level's iteration matrix, stored by its
 diagonals like the level (Saad, *Iterative Methods for Sparse Linear
 Systems*, 2nd ed., SIAM 2003, §3.4).  A Dirichlet solve reads only
@@ -104,12 +104,6 @@ def element_means(field: ScalarField) -> np.ndarray:
 def gradient_field(field: ScalarField) -> VectorField:
     """Elementwise-constant gradient of a P1 field."""
     return VectorField(field.mesh, field.mesh.gradient(field.values))
-
-
-def _check_same_mesh(a, b) -> Mesh:
-    if a.mesh is not b.mesh:
-        raise ValueError("fields live on different meshes")
-    return a.mesh
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +269,7 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
 
     The mesh is coarsened while both cell counts are even and above
     ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh itself.
-    The coarse levels and their transfers are cached on the mesh, so a build
+    Each mesh caches its coarse mesh and the transfers to it, so a build
     only sums weights and applies the stencils.  Raises ``ValueError`` if
     any nodal coefficient is non-positive.
     """
@@ -284,11 +278,11 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
     prolongations, restrictions = [], []
     level = mesh
     while level.nx % 2 == 0 and level.ny % 2 == 0 and min(level.nx, level.ny) > COARSEST_CELLS:
-        level = level.coarse
-        weights = level.coarsen(weights)
-        matrices.append(level.stiffness(weights))
         prolongations.append(level.prolongation)
         restrictions.append(level.restriction)
+        weights = level.coarsen(weights)
+        level = level.coarse
+        matrices.append(level.stiffness(weights))
     coarse_lu = _pinned_lu(matrices[-1])
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
     smoothers = tuple(map(_jacobi_smoother, matrices, relaxation))
@@ -334,7 +328,8 @@ def _projected_pcg(
 
     Starts from the projection of ``x0`` (zero when not given) and stops at
     ``||r|| <= tol * ||b||``, relative to ``b`` whatever the start.  Raises
-    ``SolverError`` at the first residual that is not finite.
+    ``SolverError`` at the first residual that is not finite, and at a restart
+    whose true residual stalls at the rounding floor above ``tol``.
     """
     n = b.shape[0]
 
@@ -365,6 +360,7 @@ def _projected_pcg(
     z = project(precondition(r))
     p = z.copy()
     rz = r @ z
+    restarted = np.inf   # the true residual at the last restart
     for _ in range(max_iter):
         ap = a @ p
         alpha = rz / (p @ ap)
@@ -379,6 +375,16 @@ def _projected_pcg(
             rel = np.linalg.norm(r) / b_norm
         if converged(rel):
             return project(x), residuals
+        if restart:
+            # a solve that converges does so at its first or second restart; one
+            # that does not halve the last restart's residual sits at the floor
+            if not rel < 0.5 * restarted:
+                raise SolverError(
+                    f"CG stalled at residual {rel:.3e} above {tol} "
+                    f"after {len(residuals) - 1} iterations",
+                    residuals,
+                )
+            restarted = rel
         z = project(precondition(r))
         rz_next = r @ z
         # the old direction is not conjugate to the true residual: restart from z

@@ -10,6 +10,9 @@ shifted by ``_SHIFT[t][k]``, so gathers, scatters and assembly are sums of
 grid slices in element order: stencils (Trottenberg, Oosterlee & Schüller,
 *Multigrid*, 2001, §1.3.4) stored by the seven diagonals ``0, +-1,
 +-(nx+1), +-(nx+2)`` (Saad, *Iterative Methods*, 2nd ed., 2003, §3.4).
+A mesh with even counts nests a mesh with half the cells per side, its
+``coarse`` mesh, which it caches with the transfers between the two; a
+multigrid walks this chain of meshes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Mesh", "CoarseLevel", "MAX_ELEMENTS", "build_mesh", "nested_interpolation"]
+__all__ = ["Mesh", "MAX_ELEMENTS", "build_mesh", "nested_interpolation"]
 
 #: grid shift (row, column) of local vertex k of triangle type t from its cell's
 #: lower-left node: lower (ll, lr, ur) and upper (ll, ur, ul)
@@ -87,38 +90,11 @@ def _sum_blocks(nx: int, ny: int, block: Callable, offsets: list[int]) -> sp.dia
     return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n))
 
 
-class _Grid:
-    """A mesh or coarse level: ``nx``, ``ny``, ``bounds`` and reference ``gradients``."""
-
-    def stiffness(self, weights: np.ndarray) -> sp.dia_matrix:
-        """P1 stiffness of the element weights ``area * sigma``, on the diagonals 0, +-1, +-(nx+1).
-
-        Each element adds its weight times the reference couplings
-        ``grad(phi_a) . grad(phi_b)``; the cell-diagonal ones are exact zeros
-        (the right angles sit off the diagonal) and are skipped.
-        """
-        nx, ny = self.nx, self.ny
-        couplings = np.einsum("tid,tjd->tij", self.gradients, self.gradients)
-
-        def block(t, a, b):
-            return None if couplings[t, a, b] == 0.0 else weights[t::2] * couplings[t, a, b]
-
-        return _sum_blocks(nx, ny, block, [-(nx + 1), -1, 0, 1, nx + 1])
-
-    @cached_property
-    def coarse(self) -> CoarseLevel:
-        """The nested level with half the cells per side, built once and read-only."""
-        nx, ny = self.nx, self.ny
-        if nx % 2 or ny % 2:
-            raise ValueError(f"cannot halve {nx} x {ny} cells")
-        cx, cy = nx // 2, ny // 2
-        x_min, x_max, y_min, y_max = self.bounds
-        _, gradients = _reference_triangles((x_max - x_min) / cx, (y_max - y_min) / cy)
-        p = nested_interpolation(nx, ny, cx, cy)
-        r = p.T.tocsr()
-        for arr in (p.data, p.indices, p.indptr, r.data, r.indices, r.indptr):
-            arr.setflags(write=False)
-        return CoarseLevel(cx, cy, self.bounds, gradients, p, r)
+def _read_only(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix``, its data and index arrays made read-only."""
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.setflags(write=False)
+    return matrix
 
 
 def _by_type(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -130,7 +106,7 @@ def _by_type(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Mesh(_Grid):
+class Mesh:
     """Structured conforming triangulation of ``[x_min, x_max] x [y_min, y_max]``."""
 
     nx: int
@@ -254,6 +230,53 @@ class Mesh(_Grid):
         offsets = [-stride - 1, -stride, -1, 0, 1, stride, stride + 1]
         return _sum_blocks(self.nx, self.ny, block, offsets)
 
+    def stiffness(self, weights: np.ndarray) -> sp.dia_matrix:
+        """P1 stiffness of the element weights ``area * sigma``, on the diagonals 0, +-1, +-(nx+1).
+
+        Each element adds its weight times the reference couplings
+        ``grad(phi_a) . grad(phi_b)``; the cell-diagonal ones are exact zeros
+        (the right angles sit off the diagonal) and are skipped.
+        """
+        nx, ny = self.nx, self.ny
+        couplings = np.einsum("tid,tjd->tij", self.gradients, self.gradients)
+
+        def block(t, a, b):
+            return None if couplings[t, a, b] == 0.0 else weights[t::2] * couplings[t, a, b]
+
+        return _sum_blocks(nx, ny, block, [-(nx + 1), -1, 0, 1, nx + 1])
+
+    @cached_property
+    def coarse(self) -> Mesh:
+        """The nested mesh with half the cells per side, built once."""
+        if self.nx % 2 or self.ny % 2:
+            raise ValueError(f"cannot halve {self.nx} x {self.ny} cells")
+        return build_mesh(self.nx // 2, self.ny // 2, self.bounds)
+
+    @cached_property
+    def prolongation(self) -> sp.csr_matrix:
+        """P1 interpolation from ``coarse`` to this mesh, built once and read-only."""
+        coarse = self.coarse
+        return _read_only(nested_interpolation(self.nx, self.ny, coarse.nx, coarse.ny))
+
+    @cached_property
+    def restriction(self) -> sp.csr_matrix:
+        """The transpose of ``prolongation``, as CSR, built once and read-only."""
+        return _read_only(self.prolongation.T.tocsr())
+
+    def coarsen(self, weights: np.ndarray) -> np.ndarray:
+        """Element weights of ``coarse``: each sums the four of this mesh inside it, in order.
+
+        A lower triangle holds the lower ones of the lower-left and upper-right
+        fine cells and both of the lower-right one, an upper triangle the rest.
+        """
+        coarse = self.coarse
+        w = weights.reshape(self.ny, self.nx, 2)
+        ll, lr, ul, ur = w[0::2, 0::2], w[0::2, 1::2], w[1::2, 0::2], w[1::2, 1::2]
+        out = np.empty((coarse.ny, coarse.nx, 2))
+        out[..., 0] = ll[..., 0] + lr[..., 0] + lr[..., 1] + ur[..., 0]
+        out[..., 1] = ll[..., 1] + ul[..., 0] + ul[..., 1] + ur[..., 1]
+        return out.ravel()
+
     @cached_property
     def mass_matrix(self) -> sp.dia_matrix:
         """Consistent P1 mass matrix (the L2 Gram matrix), built once and read-only."""
@@ -307,31 +330,6 @@ class Mesh(_Grid):
         order = (j0[block] + row) * (self.nx + 1) + i0[block] + col
         order.setflags(write=False)
         return order
-
-
-@dataclass(frozen=True)
-class CoarseLevel(_Grid):
-    """The nested grid with half the cells per side, as far as a multigrid reads it."""
-
-    nx: int
-    ny: int
-    bounds: tuple[float, float, float, float]
-    gradients: np.ndarray         # (2, 3, 2) reference gradients of its triangles
-    prolongation: sp.csr_matrix   # coarse -> fine P1 interpolation
-    restriction: sp.csr_matrix    # its transpose, as CSR
-
-    def coarsen(self, weights: np.ndarray) -> np.ndarray:
-        """Element weights of this level: each sums the four finer ones inside it, in order.
-
-        A lower triangle holds the lower ones of the lower-left and upper-right
-        fine cells and both of the lower-right one, an upper triangle the rest.
-        """
-        w = weights.reshape(2 * self.ny, 2 * self.nx, 2)
-        ll, lr, ul, ur = w[0::2, 0::2], w[0::2, 1::2], w[1::2, 0::2], w[1::2, 1::2]
-        out = np.empty((self.ny, self.nx, 2))
-        out[..., 0] = ll[..., 0] + lr[..., 0] + lr[..., 1] + ur[..., 0]
-        out[..., 1] = ll[..., 1] + ul[..., 0] + ul[..., 1] + ur[..., 1]
-        return out.ravel()
 
 
 def build_mesh(

@@ -53,8 +53,17 @@ class ReconConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tolerance_update <= 0.0 or self.tolerance_misfit <= 0.0:
+        if not (self.tolerance_update > 0.0 and self.tolerance_misfit > 0.0):
             raise ValueError("tolerances must be positive")
+        # a NaN fails the admissibility check of sweep 0, which names its node
+        _reject_nodes("sigma0", self.sigma0, np.isinf(self.sigma0.values))
+
+
+def _reject_nodes(name: str, f: ScalarField, bad: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first node where ``bad`` holds."""
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise ValueError(f"{name} is not finite at node {node}: {f.values[node]}")
 
 
 @dataclass
@@ -94,11 +103,15 @@ class ReconReport:
 
 
 def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, ReconReport]:
-    """Run the fixed-point iteration until a stopping rule fires."""
+    """Run the fixed-point iteration until a stopping rule fires.
+
+    Raises ``ValueError`` naming the first node where ``g`` is not finite.
+    """
     mesh = g.mesh
     sigma0 = config.sigma0
     if sigma0.mesh is not mesh:
         raise ValueError("initial guess lives on a different mesh")
+    _reject_nodes("g", g, ~np.isfinite(g.values))
     truth = config.truth
     truth_norm = fem.l2_norm(truth) if truth is not None else np.nan
 
@@ -187,7 +200,9 @@ def stability_check(sigma1: ScalarField, sigma2: ScalarField) -> float:
     combination reducing to a constant).  Raises ``ValueError`` when the
     data difference sits at the solver floor.
     """
-    mesh = fem._check_same_mesh(sigma1, sigma2)
+    mesh = sigma1.mesh
+    if sigma2.mesh is not mesh:
+        raise ValueError("fields live on different meshes")
     f1 = forward.forward_map(sigma1)
     f2 = forward.forward_map(sigma2)
     num = fem.l2_norm(ScalarField(mesh, sigma1.values - sigma2.values))

@@ -91,6 +91,19 @@ def test_directions_solve_in_two_steps(nx, ny, bounds, monkeypatch):
     assert len(iterations) == 3 and max(iterations) <= 2
 
 
+def test_solve_at_the_rounding_floor_fails_fast():
+    # on cells of aspect 16 this direction's true residual stalls near 1.8e-12,
+    # above SOLVER_TOL: CG must give up once a restart stops halving it, not
+    # restart until its cap of 10 n iterations
+    mesh = build_mesh(32, 32, (0, 4, 0, 0.25))
+    sigma = smooth_conductivity(mesh, np.random.RandomState(0))
+    h = smooth_conductivity(mesh, np.random.RandomState(51))
+    with pytest.raises(fem.SolverError, match="stalled") as err:
+        frechet.frechet_derivative(sigma, h)
+    assert len(err.value.residuals) - 1 <= 20
+    assert min(err.value.residuals) > fem.SOLVER_TOL
+
+
 def test_base_at_another_conductivity_rejected(bump32, mesh32):
     h = perturbation(mesh32, np.random.RandomState(49))
     base = forward.compute_field(bump32)

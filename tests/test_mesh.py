@@ -184,31 +184,27 @@ def test_coarse_weights_sum_the_children_tiling_their_parent(nx, ny, bounds):
     coarse = fine.coarse
     assert (coarse.nx, coarse.ny) == (nx // 2, ny // 2)
     assert coarse.bounds == fine.bounds
-    # the level keeps no mesh: rebuild the one its counts and bounds describe
-    parent_mesh = build_mesh(coarse.nx, coarse.ny, coarse.bounds)
     # the children of each coarse element, read off the weight sum of each fine element
     parent_of = np.empty(fine.n_elements, dtype=int)
     for e in range(fine.n_elements):
         unit = np.zeros(fine.n_elements)
         unit[e] = 1.0
-        summed = coarse.coarsen(unit)
+        summed = fine.coarsen(unit)
         assert np.array_equal(np.sort(summed)[-2:], [0.0, 1.0])
         parent_of[e] = np.argmax(summed)
-    children = np.argsort(parent_of, kind="stable").reshape(parent_mesh.n_elements, 4)
-    parents = np.repeat(np.arange(parent_mesh.n_elements)[:, None], 4, axis=1)
+    children = np.argsort(parent_of, kind="stable").reshape(coarse.n_elements, 4)
+    parents = np.repeat(np.arange(coarse.n_elements)[:, None], 4, axis=1)
     assert np.array_equal(parent_of[children], parents)
     fine_areas, _, fine_centroids = element_geometry(fine)
-    parent_areas, _, _ = element_geometry(parent_mesh)
-    np.testing.assert_allclose(coarse.coarsen(fine_areas), parent_areas, rtol=1e-13)
+    parent_areas, _, _ = element_geometry(coarse)
+    np.testing.assert_allclose(fine.coarsen(fine_areas), parent_areas, rtol=1e-13)
     # every child's centroid lies inside its parent: barycentric coordinates in [0, 1]
-    parent = parent_mesh.nodes[parent_mesh.elements]                 # (M_c, 3, 2)
+    parent = coarse.nodes[coarse.elements]                           # (M_c, 3, 2)
     centroids = fine_centroids[children]                              # (M_c, 4, 2)
     basis = np.stack([parent[:, 1] - parent[:, 0], parent[:, 2] - parent[:, 0]], axis=-1)
     local = np.linalg.solve(basis[:, None], (centroids - parent[:, None, 0])[..., None])[..., 0]
     lam = np.concatenate([1.0 - local.sum(axis=-1, keepdims=True), local], axis=-1)
     assert lam.min() > 0.0 and lam.max() < 1.0
-    # the level's reference triangles are the coarse mesh's
-    np.testing.assert_array_equal(coarse.gradients, parent_mesh.gradients)
 
 
 def test_odd_mesh_has_no_coarse_mesh():
@@ -219,16 +215,21 @@ def test_odd_mesh_has_no_coarse_mesh():
 def test_mesh_caches_are_lazy_and_read_only():
     m = build_mesh(16, 12)
     # build_mesh builds none of them: the first assembly or multigrid does
-    assert not {"coarse", "mass_matrix", "lumped_mass", "dissection_order"} & set(vars(m))
+    lazy = {"coarse", "prolongation", "restriction", "mass_matrix", "lumped_mass",
+            "dissection_order"}
+    assert not lazy & set(vars(m))
     coarse = m.coarse
     assert m.coarse is coarse
-    # the coarse level's own coarse level is built on first use, once
-    assert "coarse" not in vars(coarse)
+    # the coarse mesh's own coarse mesh and transfers are built on first use, once
+    assert not lazy & set(vars(coarse))
     assert coarse.coarse is coarse.coarse
+    assert m.prolongation is m.prolongation and m.restriction is m.restriction
+    assert m.prolongation.shape == (m.n_nodes, coarse.n_nodes)
+    assert (m.restriction != m.prolongation.T).nnz == 0
     assert np.array_equal(m.mass_matrix.offsets, [-18, -17, -1, 0, 1, 17, 18])
     assert np.array_equal(m.stiffness(np.ones(m.n_elements)).offsets, [-17, -1, 0, 1, 17])
     indices, values = [], [m.gradients, coarse.gradients, m.boundary_nodes]
-    for matrix in (coarse.prolongation, coarse.restriction):
+    for matrix in (m.prolongation, m.restriction):
         indices += [matrix.indices, matrix.indptr]
         values.append(matrix.data)
     assert all(arr.dtype == np.int32 for arr in indices)

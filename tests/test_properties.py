@@ -148,12 +148,11 @@ def test_assembled_levels_are_galerkin_products(mesh, seed):
                                hierarchy.prolongations, hierarchy.restrictions):
         assert (r != p.T).nnz == 0
         assert_galerkin(a, p, coarse)
-    # the mesh's own coarse level, which the hierarchy skips at 8 cells or fewer
-    level = mesh.coarse
+    # the mesh's own coarse mesh, which the hierarchy skips at 8 cells or fewer
     areas, _, _ = element_geometry(mesh)
-    coarse = level.stiffness(level.coarsen(fem.element_means(sigma) * areas))
+    coarse = mesh.coarse.stiffness(mesh.coarsen(fem.element_means(sigma) * areas))
     assert_five_point(coarse)
-    assert_galerkin(hierarchy.matrices[0], level.prolongation, coarse)
+    assert_galerkin(hierarchy.matrices[0], mesh.prolongation, coarse)
 
 
 @PROPERTY_SETTINGS

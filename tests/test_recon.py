@@ -123,6 +123,23 @@ def test_nan_initial_guess_rejected_before_any_solve(mesh16):
     assert err.value.report.iterations == []
 
 
+def test_nonfinite_inputs_rejected_before_any_solve(mesh16, monkeypatch):
+    sigma0 = fem.constant_field(mesh16, 0.2)
+    for key in ("tolerance_update", "tolerance_misfit"):
+        with pytest.raises(ValueError, match="tolerances"):
+            ReconConfig(sigma0=sigma0, **{key: np.nan})
+    values = np.full(mesh16.n_nodes, 0.2)
+    values[40] = np.inf
+    with pytest.raises(ValueError, match="sigma0 is not finite at node 40"):
+        ReconConfig(sigma0=ScalarField(mesh16, values))
+    solves = []
+    monkeypatch.setattr(forward, "compute_field", lambda *args, **kw: solves.append(args))
+    values[40] = np.nan
+    with pytest.raises(ValueError, match="g is not finite at node 40"):
+        recon.reconstruct(ScalarField(mesh16, values), ReconConfig(sigma0=sigma0))
+    assert solves == []
+
+
 def test_mesh_mismatch(mesh16, mesh32):
     g = fem.constant_field(mesh16, 0.2)
     with pytest.raises(ValueError):
