@@ -15,17 +15,16 @@ product ``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A
 Multigrid Tutorial*, 2nd ed., SIAM 2000, ch. 2, 3 and 10), and each damped-Jacobi
 sweep is one product with the level's iteration matrix, stored by its
 diagonals like the level (Saad, *Iterative Methods for Sparse Linear
-Systems*, 2nd ed., SIAM 2003, §3.4).  A Dirichlet solve reads only
-the free rows of the operator, takes the prescribed values from the rhs and
-refines the free values from a sparse LU of the CSR free block, in the mesh's
-geometric nested-dissection order (A. George, "Nested dissection of a
-regular finite element mesh", SIAM J. Numer. Anal. 10(2), 1973).  The
-Neumann solve takes a starting guess and the Dirichlet solve a held LU, so a
-run of nearby systems can reuse the last potential and the last factor.  A
-run of Neumann solves with one matrix is instead preconditioned by
-``one_level``, the hierarchy whose only level is the matrix: its V-cycle is
-the sparse LU solve with node 0 pinned, in minimum-degree order, that every
-hierarchy uses on its coarsest level, and CG then takes one or two steps.
+Systems*, 2nd ed., SIAM 2003, §3.4).  The coarsest level is solved
+exactly by ``pinned_solve`` with its ``pinned_lu``, a sparse LU with node 0
+pinned; a run of Neumann solves with one matrix is preconditioned by that
+exact solve on the matrix itself, and CG then takes one or two steps.  A
+Dirichlet solve prescribes the boundary nodes: it reads only the interior
+rows, takes the boundary values from the rhs and refines the interior values
+from a held sparse LU of the CSR interior block, in the mesh's geometric
+nested-dissection order (A. George, "Nested dissection of a regular finite
+element mesh", SIAM J. Numer. Anal. 10(2), 1973).  Every sparse LU comes
+from one helper, which reports a SuperLU failure as ``SolverError``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ __all__ = [
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
-    "Multigrid", "multigrid", "one_level", "solve_neumann", "FreeBlockLU", "solve_dirichlet",
+    "Multigrid", "multigrid", "pinned_lu", "pinned_solve", "solve_neumann",
+    "FreeBlockLU", "solve_dirichlet",
     "l2_norm", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
 
@@ -221,7 +221,7 @@ class Multigrid:
     ``smoothers[l] = I - w D_l^-1 A_l`` of each level above the coarsest, with
     ``relaxation[l] = w D_l^-1``: a sweep ``x <- x + w D^-1 (r - A x)`` is
     ``x <- S x + c`` with ``c = w D^-1 r`` formed once per visit.  The
-    coarsest level is solved by a sparse LU of its matrix with node 0 pinned.
+    coarsest level is solved exactly by ``pinned_solve`` with ``coarse_lu``.
     """
 
     matrices: tuple[sp.dia_matrix, ...]
@@ -234,9 +234,7 @@ class Multigrid:
     def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One V(2,2) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
         if level == len(self.prolongations):
-            x = np.zeros_like(r)
-            x[1:] = self.coarse_lu.solve(r[1:])
-            return x - x.mean()
+            return pinned_solve(self.coarse_lu, r)
         smoother = self.smoothers[level]
         c = self.relaxation[level] * r
         x = c.copy()                      # the first sweep, from zero
@@ -283,7 +281,7 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
         weights = level.coarsen(weights)
         level = level.coarse
         matrices.append(level.stiffness(weights))
-    coarse_lu = _pinned_lu(matrices[-1])
+    coarse_lu = pinned_lu(matrices[-1])
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
     smoothers = tuple(map(_jacobi_smoother, matrices, relaxation))
     return Multigrid(
@@ -293,27 +291,28 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
     )
 
 
-def one_level(matrix: sp.spmatrix) -> Multigrid:
-    """The hierarchy whose coarsest level is ``matrix`` itself: its V-cycle is an exact solve.
-
-    Preconditioned by it, CG on ``matrix`` converges in one or two steps, so
-    many solves of one stiffness repay the cost of its factor.
-    """
-    return Multigrid(
-        matrices=(matrix,), prolongations=(), restrictions=(), relaxation=(), smoothers=(),
-        coarse_lu=_pinned_lu(matrix),
-    )
+def _splu(matrix: sp.csc_matrix, failure: str, **options) -> spla.SuperLU:
+    """SuperLU factor of ``matrix``; raises ``SolverError`` starting ``failure`` if it fails."""
+    try:
+        return spla.splu(matrix, **options)
+    except RuntimeError as exc:
+        raise SolverError(f"{failure}: {exc}", [np.inf]) from exc
 
 
-def _pinned_lu(matrix: sp.spmatrix) -> spla.SuperLU:
+def pinned_lu(matrix: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of a Neumann stiffness with node 0 pinned, in minimum-degree order.
 
     Raises ``SolverError`` when SuperLU fails to factor it.
     """
-    try:
-        return spla.splu(matrix.tocsr()[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SolverError(f"coarse multigrid factor failed: {exc}", [np.inf]) from exc
+    return _splu(matrix.tocsr()[1:, 1:].tocsc(), "coarse multigrid factor failed",
+                 permc_spec="MMD_AT_PLUS_A")
+
+
+def pinned_solve(lu: spla.SuperLU, r: np.ndarray) -> np.ndarray:
+    """The zero-mean solution of ``A x = r`` for a mean-zero ``r``, by ``lu = pinned_lu(A)``."""
+    x = np.zeros_like(r)
+    x[1:] = lu.solve(r[1:])
+    return x - x.mean()
 
 
 def _projected_pcg(
@@ -398,19 +397,20 @@ def _projected_pcg(
 
 
 def solve_neumann(
-    mesh: Mesh, hierarchy: Multigrid, rhs: np.ndarray, guess: ScalarField | None = None,
+    mesh: Mesh, matrix: sp.spmatrix, rhs: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray], guess: ScalarField | None = None,
 ) -> tuple[ScalarField, list[float]]:
-    """Solve the singular Neumann system of ``hierarchy.matrices[0]``.
+    """Solve the singular Neumann system of ``matrix``.
 
     Returns the zero-mean representative and the CG residual history, whose
     length less one is the iteration count.  The mean of the rhs is
     projected out, which makes the system consistent.  CG starts from
-    ``guess`` when given, and is preconditioned by one V-cycle of
-    ``hierarchy``, so solves of one matrix share its set-up.
+    ``guess`` when given, and applies ``precondition`` to each mean-zero
+    residual: a ``Multigrid.vcycle`` of ``matrix``, or ``pinned_solve`` with
+    its ``pinned_lu``, so solves of one matrix share its set-up.
     """
-    matrix = hierarchy.matrices[0]
     x, residuals = _projected_pcg(
-        matrix, rhs, hierarchy.vcycle, SOLVER_TOL, 10 * rhs.shape[0],
+        matrix, rhs, precondition, SOLVER_TOL, 10 * rhs.shape[0],
         None if guess is None else guess.values,
     )
     return ScalarField(mesh, x), residuals
@@ -430,36 +430,29 @@ class FreeBlockLU:
 
 
 def solve_dirichlet(
-    mesh: Mesh,
-    matrix: sp.spmatrix,
-    rhs: np.ndarray,
-    dirichlet_nodes: np.ndarray,
-    factor: FreeBlockLU | None = None,
+    mesh: Mesh, matrix: sp.spmatrix, rhs: np.ndarray, factor: FreeBlockLU | None = None,
 ) -> ScalarField:
-    """Sparse solve with prescribed values at ``dirichlet_nodes``; checks the residual.
+    """Sparse solve with prescribed values at the mesh's boundary nodes; checks the residual.
 
-    The rows of ``dirichlet_nodes`` are never read: those values are taken
-    from the rhs bit-exactly.  The free values come from iterative
-    refinement, ``x_f += LU^-1 (rhs_f - A_f x)`` from ``x_f = 0`` (Higham,
+    The boundary rows are never read: those values are taken from the rhs
+    bit-exactly.  The interior values come from iterative refinement,
+    ``x_f += LU^-1 (rhs_f - A_f x)`` from ``x_f = 0`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 12), with
     the LU held by ``factor``, which may belong to an earlier, nearby matrix
     (the chord method; Kelley, *Iterative Methods for Linear and Nonlinear
-    Equations*, 1995, §5.4).  When a step cuts the free-row residual by less
-    than 10x, that LU is dropped and the free block of ``matrix``, in CSR, is
-    factored in the mesh's nested-dissection order with diagonal pivots preferred
-    (George, SIAM J. Numer. Anal. 10(2), 1973); a fresh factor normally
-    needs one solve.  The loop stops once the free-row residual is at most
-    ``SOLVER_TOL * ||rhs||``, which equals the residual of the
+    Equations*, 1995, §5.4).  When a step cuts the interior-row residual by
+    less than 10x, that LU is dropped and the interior block of ``matrix``,
+    in CSR, is factored in the mesh's ``interior_order`` with diagonal pivots
+    preferred (George, SIAM J. Numer. Anal. 10(2), 1973); a fresh factor
+    normally needs one solve.  The loop stops once the interior-row residual
+    is at most ``SOLVER_TOL * ||rhs||``, which equals the residual of the
     ``dirichlet_system`` form, whose prescribed rows have none.
     """
     if factor is None:
         factor = FreeBlockLU()
+    boundary, free = mesh.boundary_nodes, mesh.interior_order
     x = np.zeros(matrix.shape[0])
-    x[dirichlet_nodes] = rhs[dirichlet_nodes]
-    order = mesh.dissection_order
-    is_free = np.ones(matrix.shape[0], dtype=bool)
-    is_free[dirichlet_nodes] = False
-    free = order[is_free[order]]
+    x[boundary] = rhs[boundary]
     b_norm = max(np.linalg.norm(rhs), 1e-300)
 
     def residual() -> tuple[np.ndarray, float]:
@@ -470,13 +463,10 @@ def solve_dirichlet(
     r, rel = residual()
     while not rel <= SOLVER_TOL:
         if factor.lu is None:
-            try:
-                factor.lu = spla.splu(
-                    matrix.tocsr()[free][:, free].tocsc(), permc_spec="NATURAL",
-                    options=dict(SymmetricMode=True),
-                )
-            except RuntimeError as exc:
-                raise SolverError(f"direct solve failed: {exc}", [np.inf]) from exc
+            factor.lu = _splu(
+                matrix.tocsr()[free][:, free].tocsc(), "direct solve failed",
+                permc_spec="NATURAL", options=dict(SymmetricMode=True),
+            )
             factor.fresh = True
         x[free] += factor.lu.solve(r)
         last = rel

@@ -20,8 +20,8 @@ data-on-the-same-mesh mode.
 
 The result of a field solve keeps the stiffness, not its multigrid
 hierarchy, which is dropped once the potential is found.  On first use it
-builds the two sparse maps of the data map's derivative and one sparse LU of
-the stiffness, which the auxiliary Neumann solves of all directions share.
+builds the two sparse maps of the data map's derivative and the pinned LU
+of the stiffness, which the auxiliary Neumann solves of all directions share.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fem, transport
 from .fem import ScalarField, VectorField
@@ -76,13 +77,13 @@ class DerivativeMaps(NamedTuple):
     ``(A h + advection @ phi) / M_L``, where ``phi`` solves the Neumann
     problem with right-hand side ``rhs @ h`` and ``A`` is the data operator.
     Both maps are stored by the mesh's seven diagonals, and their values are
-    read-only.  ``factor`` is the one-level hierarchy of the stiffness, whose
-    exact solve preconditions each direction's Neumann solve.
+    read-only.  ``factor`` is the pinned LU of the stiffness, whose exact
+    solve (``fem.pinned_solve``) preconditions each direction's Neumann solve.
     """
 
     rhs: sp.dia_matrix        # h -> load vector of -div(h E), h averaged per element
     advection: sp.dia_matrix  # phi -> dA[rot grad(phi)] @ sigma
-    factor: fem.Multigrid     # fem.one_level of the sigma-weighted stiffness
+    factor: spla.SuperLU      # fem.pinned_lu of the sigma-weighted stiffness
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class ForwardResult:
         the maps' temporaries reuse the memory its workspace frees.
         """
         mesh = self.sigma.mesh
-        factor = fem.one_level(self.stiffness)
+        factor = fem.pinned_lu(self.stiffness)
         load = -(mesh.area / 3.0) * mesh.dot_gradients(self.field.values)
         rhs = mesh.assemble(lambda t, i, k: load[t::2, i])
         rhs.data.setflags(write=False)
@@ -134,10 +135,10 @@ def compute_field(
     if gauge is None:
         gauge = gauge_field(mesh)
     hierarchy = fem.multigrid(mesh, sigma)
+    stiffness = hierarchy.matrices[0]
     weighted_gauge = VectorField(mesh, fem.element_means(sigma)[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
-    u, residuals = fem.solve_neumann(mesh, hierarchy, rhs, guess)
-    stiffness = hierarchy.matrices[0]
+    u, residuals = fem.solve_neumann(mesh, stiffness, rhs, hierarchy.vcycle, guess)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     # the advection assembly is the peak of a field solve: free its inputs
     # first, which lowered the peak RSS of a reconstruction that holds an LU

@@ -16,16 +16,17 @@ At a fixed sigma the derivative is ``DF(h) = M_L^-1 (A h + B phi)`` with
 ``C`` (h to the auxiliary right-hand side) and ``B`` (phi to the
 derivative of the operator along ``rot grad(phi)``, applied to sigma) are
 fixed sparse matrices.  ``forward.ForwardResult.derivative_maps`` builds
-``C``, ``B`` and a sparse LU of ``K`` once per field solve.  Each direction
-then costs three sparse products and a Neumann solve by CG preconditioned by
-that LU, which takes one or two steps where a multigrid V-cycle takes a dozen
-or, on stretched cells, a hundred.  The factor repays its cost from a few
-directions on.
+``C``, ``B`` and ``fem.pinned_lu`` of ``K`` once per field solve.  Each
+direction then costs three sparse products and a Neumann solve by CG
+preconditioned by that LU, which takes one or two steps where a multigrid
+V-cycle takes a dozen or, on stretched cells, a hundred.  The factor repays
+its cost from a few directions on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,7 +71,8 @@ def frechet_derivative(
 
     maps = base.derivative_maps
     # auxiliary Neumann problem: div(sigma grad(phi)) = -div(h E)
-    phi, _ = fem.solve_neumann(mesh, maps.factor, maps.rhs @ h.values)
+    precondition = partial(fem.pinned_solve, maps.factor)
+    phi, _ = fem.solve_neumann(mesh, base.stiffness, maps.rhs @ h.values, precondition)
     values = base.operator.matrix @ h.values + maps.advection @ phi.values
     values /= fem.lumped_mass(mesh)
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))

@@ -12,7 +12,8 @@ grid slices in element order: stencils (Trottenberg, Oosterlee & Schüller,
 +-(nx+1), +-(nx+2)`` (Saad, *Iterative Methods*, 2nd ed., 2003, §3.4).
 A mesh with even counts nests a mesh with half the cells per side, its
 ``coarse`` mesh, which it caches with the transfers between the two; a
-multigrid walks this chain of meshes.
+multigrid walks this chain of meshes.  A mesh also caches its mass, lumped
+mass and the nested-dissection order of its interior nodes.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _by_type(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Structured conforming triangulation of ``[x_min, x_max] x [y_min, y_max]``."""
 
@@ -294,8 +295,8 @@ class Mesh:
         return diag
 
     @cached_property
-    def dissection_order(self) -> np.ndarray:
-        """Nested-dissection permutation of the nodes, built once and read-only.
+    def interior_order(self) -> np.ndarray:
+        """The interior nodes in nested-dissection order, built once and read-only.
 
         The node grid is split at its middle line across the longer side; the
         two halves come first, each ordered the same way, and the line last.
@@ -328,6 +329,7 @@ class Mesh:
         local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         row, col = np.divmod(local, width[block])
         order = (j0[block] + row) * (self.nx + 1) + i0[block] + col
+        order = order[~np.isin(order, self.boundary_nodes)]
         order.setflags(write=False)
         return order
 

@@ -55,8 +55,7 @@ class ReconConfig:
             raise ValueError("max_iterations must be at least 1")
         if not (self.tolerance_update > 0.0 and self.tolerance_misfit > 0.0):
             raise ValueError("tolerances must be positive")
-        # a NaN fails the admissibility check of sweep 0, which names its node
-        _reject_nodes("sigma0", self.sigma0, np.isinf(self.sigma0.values))
+        _reject_nodes("sigma0", self.sigma0, ~np.isfinite(self.sigma0.values))
 
 
 def _reject_nodes(name: str, f: ScalarField, bad: np.ndarray) -> None:

@@ -149,4 +149,4 @@ def transport_solve(
     nodes = mesh.boundary_nodes
     rhs = fem.lumped_mass(mesh) * g.values
     rhs[nodes] = boundary_value.values[nodes]
-    return fem.solve_dirichlet(mesh, op.matrix, rhs, nodes, factor)
+    return fem.solve_dirichlet(mesh, op.matrix, rhs, factor)

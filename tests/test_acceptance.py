@@ -187,7 +187,8 @@ def test_criterion_9_solver_contracts(unit64):
     rhs = fem.assemble_weak_divergence_rhs(
         unit64, fem.VectorField(unit64, sigma_e[:, None] * gauge.values)
     )
-    u, _ = fem.solve_neumann(unit64, fem.multigrid(unit64, sigma), rhs)
+    hierarchy = fem.multigrid(unit64, sigma)
+    u, _ = fem.solve_neumann(unit64, hierarchy.matrices[0], rhs, hierarchy.vcycle)
     rhs = rhs - rhs.mean()
     res = stiffness @ u.values - rhs
     res -= res.mean()

@@ -212,11 +212,19 @@ def test_odd_mesh_has_no_coarse_mesh():
         build_mesh(9, 6).coarse
 
 
+def test_meshes_compare_and_hash_by_identity():
+    # comparing the array fields raised ValueError, and hashing them TypeError
+    m = build_mesh(4, 4)
+    assert m == m and m != build_mesh(4, 4)
+    cached = {m: 1}
+    assert cached[m] == 1 and build_mesh(4, 4) not in cached
+
+
 def test_mesh_caches_are_lazy_and_read_only():
     m = build_mesh(16, 12)
     # build_mesh builds none of them: the first assembly or multigrid does
     lazy = {"coarse", "prolongation", "restriction", "mass_matrix", "lumped_mass",
-            "dissection_order"}
+            "interior_order"}
     assert not lazy & set(vars(m))
     coarse = m.coarse
     assert m.coarse is coarse

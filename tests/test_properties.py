@@ -100,7 +100,8 @@ def test_neumann_matches_jacobi_reference(mesh, seed):
     sigma = smooth_conductivity(mesh, rng)
     a = fem.assemble_weighted_stiffness(mesh, sigma)
     rhs = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, rng.randn(mesh.n_elements, 2)))
-    u = fem.solve_neumann(mesh, fem.multigrid(mesh, sigma), rhs)[0].values
+    hierarchy = fem.multigrid(mesh, sigma)
+    u = fem.solve_neumann(mesh, hierarchy.matrices[0], rhs, hierarchy.vcycle)[0].values
 
     reference = jacobi_pcg(a, rhs)
     assert np.abs(u - reference).max() <= 1e-10 * np.abs(reference).max()
