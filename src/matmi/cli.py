@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -225,9 +224,11 @@ def _validate(config: RunConfig) -> None:
 def _write_atomic(path: str, content: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # an exclusive open of a fresh name, so that the file's mode follows the umask
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(content)
         os.replace(tmp, path)
     except BaseException:
@@ -325,15 +326,6 @@ def _write_keyvalue_csv(path: str, entries: dict[str, float | int | str]) -> Non
 # ---------------------------------------------------------------------------
 # data synthesis
 
-def _restrict_from_refined(fine: ScalarField, coarse: Mesh) -> ScalarField:
-    """Take nodal values at the coincident nodes of the 2x refined mesh."""
-    fine_mesh = fine.mesh
-    ii = np.arange(coarse.nx + 1) * 2
-    jj = np.arange(coarse.ny + 1) * 2
-    idx = (jj[:, None] * (fine_mesh.nx + 1) + ii[None, :]).ravel()
-    return ScalarField(coarse, fine.values[idx].copy())
-
-
 def synthesize_data(
     config: RunConfig, mesh: Mesh, truth: ScalarField,
 ) -> tuple[ScalarField, VectorField | None]:
@@ -347,7 +339,10 @@ def synthesize_data(
         return forward.forward_map(truth, result), result.field
     fine_mesh = replace(config, mesh_n=2 * config.mesh_n).build_mesh()
     fine_truth = _conductivity(config, fine_mesh, config.data_truth)
-    return _restrict_from_refined(forward.forward_map(fine_truth), mesh), None
+    fine = forward.forward_map(fine_truth).values
+    # every other node of every other row: the nodes the 2x mesh shares with ``mesh``
+    coincident = fine.reshape(fine_mesh.ny + 1, fine_mesh.nx + 1)[::2, ::2].ravel()
+    return ScalarField(mesh, coincident), None
 
 
 def _conductivity(config: RunConfig, mesh: Mesh, model: str) -> ScalarField:

@@ -304,7 +304,7 @@ def pinned_lu(matrix: sp.spmatrix) -> spla.SuperLU:
 
     Raises ``SolverError`` when SuperLU fails to factor it.
     """
-    return _splu(matrix.tocsr()[1:, 1:].tocsc(), "coarse multigrid factor failed",
+    return _splu(matrix.tocsr()[1:, 1:].tocsc(), "pinned stiffness factor failed",
                  permc_spec="MMD_AT_PLUS_A")
 
 

@@ -56,12 +56,12 @@ def frechet_derivative(
     directions are evaluated at the same conductivity; its data operator,
     derivative maps and stiffness factor are reused.  The auxiliary Neumann
     solve is CG preconditioned by that factor, to the same residual contract
-    as every Neumann solve.  Raises ``ValueError`` when ``base`` was solved at
-    another conductivity.
+    as every Neumann solve.  Raises ``ValueError``, before any solve, when
+    ``h`` is not finite at a node, and when ``base`` was solved at another
+    conductivity.
     """
     mesh = sigma.mesh
-    if h.mesh is not mesh:
-        raise ValueError("increment lives on a different mesh")
+    _check_direction(sigma, h)
     if base is None:
         base = forward.compute_field(sigma)
     elif base.sigma is not sigma and not (
@@ -78,15 +78,27 @@ def frechet_derivative(
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))
 
 
+def _check_direction(sigma: ScalarField, h: ScalarField) -> None:
+    """Raise ``ValueError`` if ``h`` lives off ``sigma``'s mesh or is not finite at a node."""
+    if h.mesh is not sigma.mesh:
+        raise ValueError("increment lives on a different mesh")
+    bad = ~np.isfinite(h.values)
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise ValueError(f"increment is not finite at node {node}: {h.values[node]}")
+
+
 def fd_validate(
     sigma: ScalarField, h: ScalarField, t_values: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
 ) -> np.ndarray:
     """Remainder norms ``r(t) = ||F(sigma + t h) - F(sigma) - t DF(h)||``.
 
     ``sigma + t h`` must stay admissible for every t.  For an exact
-    linearisation ``r(t)/t^2`` is approximately constant.
+    linearisation ``r(t)/t^2`` is approximately constant.  Raises
+    ``ValueError``, before any solve, when ``h`` is not finite at a node.
     """
     mesh = sigma.mesh
+    _check_direction(sigma, h)
     base = forward.compute_field(sigma)
     f0 = forward.forward_map(sigma, base)
     df = frechet_derivative(sigma, h, base).value

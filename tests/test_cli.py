@@ -605,6 +605,26 @@ def test_phantom_command(tmp_path):
     assert any(line.startswith("POINT_DATA") for line in vtk)
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_honour_the_umask(tmp_path, umask, mode):
+    cfg = write_config(tmp_path, BASE_CONFIG + "output.vtk = true\n")
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert main(["phantom", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    names = sorted(os.listdir(out))
+    assert names == ["phantom.csv", "phantom.vtk", "phantom_properties.csv"]
+    for name in names:
+        assert os.stat(out / name).st_mode & 0o777 == mode, name
+    # a failed rename leaves no temporary file behind
+    (out / "taken").mkdir()
+    with pytest.raises(OSError):
+        cli._write_atomic(str(out / "taken"), "x\n")
+    assert sorted(os.listdir(out)) == sorted(names + ["taken"])
+
+
 def test_python_m_matmi_runs_the_cli(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

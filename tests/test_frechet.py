@@ -119,6 +119,25 @@ def test_base_at_another_conductivity_rejected(bump32, mesh32):
                           frechet.frechet_derivative(bump32, h, base).value.values)
 
 
+@pytest.mark.filterwarnings("error")
+def test_nonfinite_direction_rejected_before_any_solve(bump32, mesh32, monkeypatch):
+    base = forward.compute_field(bump32)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a non-finite direction")
+
+    monkeypatch.setattr(fem, "_projected_pcg", no_solve)
+    for bad in (np.nan, np.inf):
+        values = perturbation(mesh32, np.random.RandomState(50)).values.copy()
+        values[40] = bad
+        h = ScalarField(mesh32, values)
+        for given in (base, None):
+            with pytest.raises(ValueError, match="increment is not finite at node 40"):
+                frechet.frechet_derivative(bump32, h, given)
+        with pytest.raises(ValueError, match="increment is not finite at node 40"):
+            frechet.fd_validate(bump32, h)
+
+
 def test_linearity_combination(bump32, mesh32):
     rng = np.random.RandomState(41)
     base = forward.compute_field(bump32)

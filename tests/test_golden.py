@@ -1,8 +1,10 @@
 """Byte-identity oracle: rerun the committed golden cases and compare every file.
 
 The cases and the command that regenerates them are in
-``tests/golden/regenerate.py``.  A mismatch names the file and gives the
-largest absolute and relative difference per numeric column.
+``tests/golden/regenerate.py``.  A mismatch names the file and each column,
+or each key of a ``key,value`` file, that changed: its first changed cell
+that is not a number, and the largest absolute and relative difference of
+its numbers.
 """
 
 import importlib.util
@@ -33,39 +35,47 @@ def number(cell):
         return np.nan
 
 
-def numeric_columns(text):
-    """Columns by header name for a CSV file, else one column of every token.
+def cells(text):
+    """What the entries of a file are called, and the cells of each by name.
 
-    Cells that are not numbers read as NaN; a column without numbers is left out.
+    A ``key,value`` file has one entry per key, any other CSV file one per
+    header column, and any other file one entry of every token.
     """
     lines = text.splitlines()
+    if lines[0] == "key,value":
+        return "key", {key: [value] for key, value in (line.split(",", 1) for line in lines[1:])}
     if "," in lines[0]:
         names = lines[0].split(",")
         rows = [line.split(",") for line in lines[1:]]
-        columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
-    else:
-        columns = {"all tokens": text.split()}
-    out = {name: np.array([number(c) for c in cells]) for name, cells in columns.items()}
-    return {name: values for name, values in out.items() if not np.isnan(values).all()}
+        return "column", {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    return "column", {"all tokens": text.split()}
 
 
 def describe_difference(path, expected, got):
+    """Name each entry that differs: its first changed cell that is not a
+    number, and the largest absolute and relative difference of its numbers."""
     lines = [f"{path} differs from the golden file"]
-    want, have = numeric_columns(expected), numeric_columns(got)
-    for name, a in want.items():
-        b = have.get(name)
-        if b is None or a.shape != b.shape:
-            lines.append(f"  column {name!r}: {a.shape} golden values, "
-                         f"{None if b is None else b.shape} now")
+    kind, want = cells(expected)
+    _, have = cells(got)
+    for name in [*want, *(name for name in have if name not in want)]:
+        a, b = want.get(name), have.get(name)
+        if a is None or b is None or len(a) != len(b):
+            lines.append(f"  {kind} {name!r}: {None if a is None else len(a)} golden cells, "
+                         f"{None if b is None else len(b)} now")
             continue
-        with np.errstate(invalid="ignore"):
-            diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
-        if not (diff != 0).any():
-            continue
+        x, y = np.array([number(c) for c in a]), np.array([number(c) for c in b])
+        text = np.isnan(x) | np.isnan(y)
+        changed = [i for i in np.flatnonzero(text) if a[i] != b[i]]
+        if changed:
+            i = changed[0]
+            row = "" if kind == "key" else f" row {i + 1}"
+            lines.append(f"  {kind} {name!r}{row}: {a[i]!r} golden, {b[i]!r} now")
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(diff != 0, diff / np.abs(a), 0.0)
-        lines.append(f"  column {name!r}: largest absolute difference {np.nanmax(diff):.3e}, "
-                     f"largest relative {np.nanmax(rel):.3e}")
+            diff = np.where(text, 0.0, np.abs(x - y))
+            rel = np.where(diff != 0, diff / np.abs(x), 0.0)
+        if (diff != 0).any():
+            lines.append(f"  {kind} {name!r}: largest absolute difference {np.nanmax(diff):.3e}, "
+                         f"largest relative {np.nanmax(rel):.3e}")
     return "\n".join(lines)
 
 
@@ -91,3 +101,20 @@ def test_golden_outputs_are_byte_identical(tmp_path):
         if got != want:
             failures.append(describe_difference(path, want.decode(), got.decode()))
     assert not failures, "\n".join(failures)
+
+
+def test_difference_is_named_per_key_and_per_changed_text_cell():
+    summary = "key,value\nstopping_reason,update_tolerance\niterations,8\nfitted_c,0.5\n"
+    moved = "key,value\nstopping_reason,max_iterations\niterations,8\nfitted_c,0.25\n"
+    assert describe_difference("summary.csv", summary, moved).splitlines() == [
+        "summary.csv differs from the golden file",
+        "  key 'stopping_reason': 'update_tolerance' golden, 'max_iterations' now",
+        "  key 'fitted_c': largest absolute difference 2.500e-01, largest relative 5.000e-01",
+    ]
+    study = "mesh_n,error,status\n8,1e-9,ok\n16,2e-9,ok\n"
+    failed = "mesh_n,error,status\n8,1e-9,ok\n16,nan,failed\n"
+    assert describe_difference("study.csv", study, failed).splitlines() == [
+        "study.csv differs from the golden file",
+        "  column 'error' row 2: '2e-9' golden, 'nan' now",
+        "  column 'status' row 2: 'ok' golden, 'failed' now",
+    ]
