@@ -13,9 +13,7 @@ returning the zero-mean representative.  Each coarse mesh weights each
 element by the sum of its four children's weights, which equals the Galerkin
 product ``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A
 Multigrid Tutorial*, 2nd ed., SIAM 2000, ch. 2, 3 and 10), and each damped-Jacobi
-sweep is one product with the level's iteration matrix, stored by its
-diagonals like the level (Saad, *Iterative Methods for Sparse Linear
-Systems*, 2nd ed., SIAM 2003, §3.4).  The coarsest level is solved
+sweep is one product with the level's own matrix.  The coarsest level is solved
 exactly by ``pinned_solve`` with its ``pinned_lu``, a sparse LU with node 0
 pinned; a run of Neumann solves with one matrix is preconditioned by that
 exact solve on the matrix itself, and CG then takes one or two steps.  A
@@ -217,49 +215,31 @@ class Multigrid:
     operator ``R_l matrices[l] P_l`` on the next nested grid (``R_l = P_l^T``
     as CSR), assembled from summed weights without the rounding-level
     couplings the product would store.  Every level is a five-diagonal
-    ``dia_matrix``, and so is the damped-Jacobi iteration matrix
-    ``smoothers[l] = I - w D_l^-1 A_l`` of each level above the coarsest, with
-    ``relaxation[l] = w D_l^-1``: a sweep ``x <- x + w D^-1 (r - A x)`` is
-    ``x <- S x + c`` with ``c = w D^-1 r`` formed once per visit.  The
-    coarsest level is solved exactly by ``pinned_solve`` with ``coarse_lu``.
+    ``dia_matrix``; each level above the coarsest is smoothed by damped-Jacobi
+    sweeps ``x <- x + relaxation[l] (r - A_l x)`` with
+    ``relaxation[l] = w D_l^-1``.  The coarsest level is solved exactly by
+    ``pinned_solve`` with ``coarse_lu``.
     """
 
     matrices: tuple[sp.dia_matrix, ...]
     prolongations: tuple[sp.csr_matrix, ...]   # level l + 1 -> level l
     restrictions: tuple[sp.csr_matrix, ...]    # their transposes, level l -> level l + 1
     relaxation: tuple[np.ndarray, ...]         # damped inverse diagonals above the coarsest
-    smoothers: tuple[sp.dia_matrix, ...]       # their Jacobi iteration matrices
     coarse_lu: spla.SuperLU
 
     def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One V(2,2) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
         if level == len(self.prolongations):
             return pinned_solve(self.coarse_lu, r)
-        smoother = self.smoothers[level]
-        c = self.relaxation[level] * r
-        x = c.copy()                      # the first sweep, from zero
+        a, relax = self.matrices[level], self.relaxation[level]
+        x = relax * r                     # the first sweep, from zero
         for _ in range(SMOOTHER_SWEEPS - 1):
-            x = smoother @ x
-            x += c
-        coarse_r = self.restrictions[level] @ (r - self.matrices[level] @ x)
+            x += relax * (r - a @ x)
+        coarse_r = self.restrictions[level] @ (r - a @ x)
         x += self.prolongations[level] @ self.vcycle(coarse_r - coarse_r.mean(), level + 1)
         for _ in range(SMOOTHER_SWEEPS):
-            x = smoother @ x
-            x += c
+            x += relax * (r - a @ x)
         return x
-
-
-def _jacobi_smoother(a: sp.dia_matrix, relax: np.ndarray) -> sp.dia_matrix:
-    """The damped-Jacobi iteration matrix ``I - diag(relax) A`` of a DIA level, as DIA."""
-    n = relax.size
-    minus_relax = -relax
-    # slot (d, j) holds entry (j - offset, j), whose row is scaled by relax[j - offset]
-    data = np.zeros_like(a.data)
-    for d, offset in enumerate(a.offsets):
-        lo, hi = max(offset, 0), n + min(offset, 0)
-        np.multiply(a.data[d, lo:hi], minus_relax[lo - offset:hi - offset], out=data[d, lo:hi])
-    data[a.offsets == 0] = 1.0 - SMOOTHER_WEIGHT
-    return sp.dia_matrix((data, a.offsets), shape=a.shape)
 
 
 def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
@@ -283,11 +263,9 @@ def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
         matrices.append(level.stiffness(weights))
     coarse_lu = pinned_lu(matrices[-1])
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
-    smoothers = tuple(map(_jacobi_smoother, matrices, relaxation))
     return Multigrid(
         matrices=tuple(matrices), prolongations=tuple(prolongations),
-        restrictions=tuple(restrictions), relaxation=relaxation, smoothers=smoothers,
-        coarse_lu=coarse_lu,
+        restrictions=tuple(restrictions), relaxation=relaxation, coarse_lu=coarse_lu,
     )
 
 

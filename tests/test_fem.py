@@ -410,12 +410,26 @@ def test_vcycle_is_symmetric_and_sweeps_are_damped_jacobi(nx, ny, bounds):
     v -= v.mean()
     uv, vu = u @ hierarchy.vcycle(v), v @ hierarchy.vcycle(u)
     assert abs(uv - vu) <= 1e-12 * abs(uv)
-    # one fused sweep x <- S x + w D^-1 r is x + w D^-1 (r - A x)
-    for a, smoother, relax in zip(hierarchy.matrices, hierarchy.smoothers, hierarchy.relaxation):
-        x, r = rng.randn(2, a.shape[0])
-        expected = x + relax * (r - a @ x)
-        fused = smoother @ x + relax * r
-        assert np.abs(fused - expected).max() <= 1e-13 * np.abs(expected).max()
+    matrices = hierarchy.matrices
+    assert len(hierarchy.relaxation) == len(matrices) - 1
+    for a, relax in zip(matrices, hierarchy.relaxation):
+        assert np.array_equal(relax, fem.SMOOTHER_WEIGHT / a.diagonal())
+
+    def plain_vcycle(r, level=0):
+        a = matrices[level]
+        if level == len(matrices) - 1:
+            return np.linalg.pinv(a.toarray()) @ r
+        x = np.zeros_like(r)
+        for _ in range(fem.SMOOTHER_SWEEPS):
+            x = x + fem.SMOOTHER_WEIGHT * (r - a @ x) / a.diagonal()
+        coarse_r = hierarchy.prolongations[level].T @ (r - a @ x)
+        x = x + hierarchy.prolongations[level] @ plain_vcycle(coarse_r - coarse_r.mean(), level + 1)
+        for _ in range(fem.SMOOTHER_SWEEPS):
+            x = x + fem.SMOOTHER_WEIGHT * (r - a @ x) / a.diagonal()
+        return x
+
+    expected = plain_vcycle(v)
+    assert np.abs(hierarchy.vcycle(v) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_neumann_odd_mesh_coarsest_level_is_fine():
