@@ -52,8 +52,11 @@ def cells(text):
 
 
 def describe_difference(path, expected, got):
-    """Name each entry that differs: its first changed cell that is not a
-    number, and the largest absolute and relative difference of its numbers."""
+    """Name each entry of the file that differs.
+
+    It gives the entry's first changed cell that is not a number, and the
+    largest absolute and relative difference of its numbers.
+    """
     lines = [f"{path} differs from the golden file"]
     kind, want = cells(expected)
     _, have = cells(got)
