@@ -53,7 +53,7 @@ def main():
         )
         c, _ = recon.fit_convergence_factor(rep)
         print(f"{n:>4} {div_err:>16.4e} {trans_err:>15.4e} "
-              f"{rep.rel_errors[-1]:>14.3e} {c:>9.4f}")
+              f"{rep.sweeps[-1].rel_error:>14.3e} {c:>9.4f}")
     print("\nboth error columns shrink at first order under mesh halving;")
     print("the reconstruction bottoms out at the linear-solver floor.")
 

@@ -18,8 +18,8 @@ from matmi.recon import ReconConfig
 
 def print_report(rep):
     print(f"  {'k':>3} {'update':>12} {'misfit':>12} {'rel error':>12}")
-    for k, u, m, r in zip(rep.iterations, rep.updates, rep.misfits, rep.rel_errors):
-        print(f"  {k:>3} {u:>12.3e} {m:>12.3e} {r:>12.3e}")
+    for s in rep.sweeps:
+        print(f"  {s.k:>3} {s.update:>12.3e} {s.misfit:>12.3e} {s.rel_error:>12.3e}")
     print(f"  stopped: {rep.stopping_reason} after {rep.n_iterations} transport solves")
 
 
@@ -39,7 +39,7 @@ def main():
     g_const = forward.forward_map(background)
     sigma, rep = recon.reconstruct(g_const, ReconConfig(sigma0=truth, truth=background))
     print_report(rep)
-    print(f"  final absolute error {rep.abs_errors[-1]:.3e}")
+    print(f"  final absolute error {rep.sweeps[-1].abs_error:.3e}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +33,7 @@ from . import fem, forward, recon
 from .fem import ScalarField, SolverError, VectorField
 from .mesh import MAX_ELEMENTS, Mesh, build_mesh
 from .phantoms import LAMBDA_FLOOR, Bump, PhantomSpec, make_phantom
-from .recon import AdmissibilityError, ReconConfig, ReconReport
+from .recon import AdmissibilityError, ReconConfig, ReconReport, Sweep
 
 __all__ = [
     "RunConfig", "ConfigError", "parse_config",
@@ -115,6 +117,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _choice(*options: str) -> Callable[[str], str]:
+    """A parser that accepts exactly one of ``options``."""
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {options}, got {text!r}")
+        return text
+    return parse
+
+
 # key -> (attribute, parser)
 _KEYS = {
     "mesh.n": ("mesh_n", int),
@@ -128,23 +139,16 @@ _KEYS = {
     "recon.max_iterations": ("max_iterations", int),
     "recon.tolerance_update": ("tolerance_update", _parse_float),
     "recon.tolerance_misfit": ("tolerance_misfit", _parse_float),
-    "recon.initial_model": ("initial_model", str),
-    "data.source": ("data_source", str),
+    "recon.initial_model": ("initial_model", _choice("background", "phantom")),
+    "data.source": ("data_source", _choice("synthesize", "file")),
     "data.file": ("data_file", str),
-    "data.truth": ("data_truth", str),
-    "data.mode": ("data_mode", str),
+    "data.truth": ("data_truth", _choice("phantom", "background")),
+    "data.mode": ("data_mode", _choice("in-crime", "fine-mesh")),
     "study.mesh_sizes": ("mesh_sizes", lambda s: tuple(int(v) for v in s.split())),
     "study.amplitude_scales": (
         "amplitude_scales", lambda s: tuple(_parse_float(v) for v in s.split()),
     ),
     "output.vtk": ("write_vtk", _parse_bool),
-}
-
-_CHOICES = {
-    "recon.initial_model": ("background", "phantom"),
-    "data.source": ("synthesize", "file"),
-    "data.truth": ("phantom", "background"),
-    "data.mode": ("in-crime", "fine-mesh"),
 }
 
 
@@ -169,10 +173,6 @@ def parse_config(text: str) -> RunConfig:
             values[attr] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        if key in _CHOICES and values[attr] not in _CHOICES[key]:
-            raise ConfigError(
-                f"line {lineno}: {key!r} must be one of {_CHOICES[key]}, got {value!r}"
-            )
     config = RunConfig(**values)
     _validate(config)
     return config
@@ -268,7 +268,9 @@ def write_scalar_csv(path: str, field: ScalarField) -> None:
 
 def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     if data.shape != (mesh.n_nodes, 3):
@@ -310,13 +312,7 @@ def write_vtk(path: str, fields: dict[str, ScalarField]) -> None:
 
 
 def write_report_csv(path: str, report: ReconReport) -> None:
-    rows = zip(
-        report.iterations, report.updates, report.misfits,
-        report.rel_errors, report.abs_errors, report.cg_iterations, report.transport_factors,
-    )
-    _write_atomic(path, _csv(
-        rows, "k,update,misfit,rel_error,abs_error,cg_iterations,transport_factors",
-    ))
+    _write_atomic(path, _csv(report.sweeps, ",".join(Sweep._fields)))
 
 
 def _write_keyvalue_csv(path: str, entries: dict[str, float | int | str]) -> None:
@@ -418,14 +414,15 @@ def cmd_invert(config: RunConfig, out: str) -> None:
     truth, sigma, report, c, r2, _ = _invert(config)
     write_scalar_csv(os.path.join(out, "sigma_reconstructed.csv"), sigma)
     write_report_csv(os.path.join(out, "report.csv"), report)
+    last = report.sweeps[-1]
     summary: dict[str, float | int | str] = {
         "stopping_reason": report.stopping_reason,
         "iterations": report.n_iterations,
-        "cg_iterations": sum(report.cg_iterations),
-        "transport_factors": sum(report.transport_factors),
-        "final_misfit": report.misfits[-1],
-        "final_rel_error": report.rel_errors[-1],
-        "final_abs_error": report.abs_errors[-1],
+        "cg_iterations": sum(s.cg_iterations for s in report.sweeps),
+        "transport_factors": sum(s.transport_factors for s in report.sweeps),
+        "final_misfit": last.misfit,
+        "final_rel_error": last.rel_error,
+        "final_abs_error": last.abs_error,
         "fitted_c": c,
         "fit_r_squared": r2,
     }
@@ -462,7 +459,7 @@ def cmd_study(config: RunConfig, out: str) -> None:
                     field = forward.compute_field(truth).field
                 row += [
                     fem.gradient_sup(truth), report.n_iterations,
-                    report.rel_errors[-1], report.abs_errors[-1], c, r2,
+                    report.sweeps[-1].rel_error, report.sweeps[-1].abs_error, c, r2,
                     forward.divergence_identity_error(field), "ok",
                 ]
             except (ConfigError, SolverError, AdmissibilityError) as exc:

@@ -56,13 +56,16 @@ def _reference_triangles(dx: float, dy: float) -> tuple[float, np.ndarray]:
     """Area and (2, 3, 2) P1 basis gradients of a cell's lower and upper triangle.
 
     A gradient is the opposite edge turned by 90 degrees over twice the area.
-    Raises ``ValueError`` when the area or a gradient is zero or not finite.
+    Raises ``ValueError`` when the area or a squared gradient is zero or not
+    finite: the squares bound the couplings ``grad phi_a . grad phi_b`` of
+    the stiffness, and each nonzero coupling is minus one of them.
     """
     twice_area = dx * dy
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         grads = np.array([[[-dy, 0.0], [dy, -dx], [-0.0, dx]],
                           [[-0.0, -dx], [dy, 0.0], [-dy, dx]]]) / twice_area
-    if not (0.0 < twice_area < np.inf and np.isfinite(grads).all()):
+        squares = np.einsum("tad,tad->ta", grads, grads)
+    if not (0.0 < twice_area < np.inf and ((0.0 < squares) & (squares < np.inf)).all()):
         raise ValueError(f"degenerate {dx} x {dy} cells with 2*area={twice_area}")
     grads.setflags(write=False)
     return 0.5 * twice_area, grads

@@ -48,7 +48,9 @@ def boundary_distance(mesh: Mesh, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def collar_taper(distance: np.ndarray, collar_width: float) -> np.ndarray:
     """Cubic smoothstep: exactly 0 within the collar, 1 beyond twice its width."""
-    t = np.clip(distance / collar_width - 1.0, 0.0, 1.0)
+    # a tiny width overflows the ratio to inf, which the clip takes to 1
+    with np.errstate(over="ignore"):
+        t = np.clip(distance / collar_width - 1.0, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 

@@ -18,6 +18,7 @@ divergence the convergence theory predicts for steep conductivities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .fem import ScalarField
 from .phantoms import LAMBDA_FLOOR
 
 __all__ = [
-    "ReconConfig", "ReconReport", "AdmissibilityError",
+    "ReconConfig", "ReconReport", "Sweep", "AdmissibilityError",
     "reconstruct", "fit_convergence_factor", "stability_check",
 ]
 
@@ -65,40 +66,36 @@ def _reject_nodes(name: str, f: ScalarField, bad: np.ndarray) -> None:
         raise ValueError(f"{name} is not finite at node {node}: {f.values[node]}")
 
 
-@dataclass
-class ReconReport:
-    """Per-iteration log of the fixed-point sweep.
+class Sweep(NamedTuple):
+    """Iterate sigma_k's row of the report and of ``report.csv``.
 
-    Row k describes iterate sigma_k: its misfit against the data and, when a
-    truth is available, its errors.  ``updates[k]`` is the L2 distance from
-    the previous iterate (zero for k = 0).  The solver work of row k is the
-    CG iterations of the field solve at sigma_k and the transport LU factors
-    built for the solve that produced it: 1 if built, 0 if the previous
-    sweep's was reused (and 0 for k = 0, which no solve produced).
+    ``misfit`` is the L2 distance of its data from ``g``, ``update`` its
+    distance from sigma_{k-1} (0 for k = 0), and the errors are NaN without
+    a truth.  ``cg_iterations`` counts the field solve at sigma_k, and
+    ``transport_factors`` the LU factors, 0 or 1, built for the solve that
+    produced it (0 for k = 0, which no solve produced).
     """
 
-    iterations: list[int] = field(default_factory=list)
-    updates: list[float] = field(default_factory=list)
-    misfits: list[float] = field(default_factory=list)
-    rel_errors: list[float] = field(default_factory=list)
-    abs_errors: list[float] = field(default_factory=list)
-    cg_iterations: list[int] = field(default_factory=list)
-    transport_factors: list[int] = field(default_factory=list)
-    stopping_reason: str = "max_iterations"
+    k: int
+    update: float
+    misfit: float
+    rel_error: float
+    abs_error: float
+    cg_iterations: int
+    transport_factors: int
 
-    def record(self, k, update, misfit, rel_error, abs_error, cg_iterations, transport_factors):
-        self.iterations.append(k)
-        self.updates.append(update)
-        self.misfits.append(misfit)
-        self.rel_errors.append(rel_error)
-        self.abs_errors.append(abs_error)
-        self.cg_iterations.append(cg_iterations)
-        self.transport_factors.append(transport_factors)
+
+@dataclass
+class ReconReport:
+    """Log of the fixed-point loop: one ``Sweep`` per iterate, and why it stopped."""
+
+    sweeps: list[Sweep] = field(default_factory=list)
+    stopping_reason: str = "max_iterations"
 
     @property
     def n_iterations(self) -> int:
-        """Number of transport solves performed."""
-        return max(self.iterations, default=0)
+        """Number of transport solves performed: the last sweep's ``k``."""
+        return self.sweeps[-1].k if self.sweeps else 0
 
 
 def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, ReconReport]:
@@ -147,7 +144,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
             0.0 if k == 0
             else fem.l2_norm(ScalarField(mesh, sigma.values - previous.values))
         )
-        report.record(k, update, misfit, rel_err, abs_err, cg_iterations, built)
+        report.sweeps.append(Sweep(k, update, misfit, rel_err, abs_err, cg_iterations, built))
 
         if misfit <= config.tolerance_misfit:
             report.stopping_reason = "misfit_tolerance"
@@ -175,8 +172,8 @@ def fit_convergence_factor(report: ReconReport) -> tuple[float, float]:
     least five usable error entries.
     """
     floor = 10 * SOLVER_FLOOR
-    errs = np.asarray(report.abs_errors, dtype=float)
-    ks = np.asarray(report.iterations, dtype=float)
+    errs = np.array([s.abs_error for s in report.sweeps], dtype=float)
+    ks = np.array([s.k for s in report.sweeps], dtype=float)
     usable = np.isfinite(errs) & (errs > floor)
     if usable.sum() < 5:
         raise ValueError(

@@ -49,7 +49,7 @@ def test_criterion_2_example3_reverse(unit64):
     sigma0 = make_phantom(single_bump_spec(), unit64)
     _, rep = recon.reconstruct(g, ReconConfig(sigma0=sigma0, truth=truth))
     elapsed = time.time() - t0
-    abs_error = rep.abs_errors[-1]
+    abs_error = rep.sweeps[-1].abs_error
     report(
         2, rep.n_iterations <= 2 and abs_error < 1e-7 and elapsed <= 2.0,
         f"reverse run: {rep.n_iterations} iterations (<= 2), "
@@ -66,7 +66,7 @@ def test_criterion_3_example1_reconstruction(unit64):
     )
     c, r2 = recon.fit_convergence_factor(rep)
     elapsed = time.time() - t0
-    reached = [k for k, e in zip(rep.iterations, rep.rel_errors) if e <= 1e-6]
+    reached = [s.k for s in rep.sweeps if s.rel_error <= 1e-6]
     ok = (
         bool(reached) and reached[0] <= 30
         and r2 > 0.98 and c < 1.0 and elapsed <= 30.0

@@ -65,7 +65,8 @@ def test_bad_value_rejected():
         parse_config("mesh.n = sixty-four\n")
     with pytest.raises(ConfigError, match="bump"):
         parse_config("phantom.bumps = 0.5 0.5 0.1\n")
-    with pytest.raises(ConfigError):
+    choice = r"'data.mode': expected one of \('in-crime', 'fine-mesh'\), got 'magic'"
+    with pytest.raises(ConfigError, match=choice):
         parse_config("data.mode = magic\n")
 
 
@@ -293,6 +294,20 @@ def test_malformed_data_file_rejected(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("content", ["", "x,y,value\n"], ids=["empty", "header-only"])
+def test_data_file_without_rows_fails_with_only_the_error(tmp_path, capsys, content):
+    data_file = tmp_path / "g.csv"
+    data_file.write_text(content)
+    cfg = write_config(tmp_path, BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {data_file}: expected 289 rows of x,y,value, got shape (0,)\n"
+    )
+
+
 def test_data_file_from_a_shifted_mesh_rejected(tmp_path, capsys):
     # a relative tolerance scales with the coordinates: at x = 1000 it passed a
     # file written on a mesh shifted by 0.006, 4.8% of a cell
@@ -363,6 +378,8 @@ def test_out_below_a_file_rejected_before_any_solve(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("domain", [
     "domain.x_max = 1e300\ndomain.y_max = 1e300\n",   # areas overflow
     "domain.x_max = 1e-320\n",                         # gradients overflow
+    "domain.x_max = 1e-155\n",                         # couplings overflow
+    "domain.x_max = 1e300\n",                          # couplings underflow
 ])
 def test_domain_outside_float_range_is_config_error(tmp_path, capsys, command, domain):
     cfg = write_config(tmp_path, "mesh.n = 8\n" + domain)

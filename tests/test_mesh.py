@@ -60,6 +60,8 @@ def test_rejects_element_counts_beyond_int32_indices(monkeypatch):
     (0.0, 1e300, 0.0, 1e300),     # areas overflow
     (0.0, 1e-320, 0.0, 1.0),      # subnormal areas: gradients overflow
     (-1e308, 1e308, 0.0, 1.0),    # the width overflows
+    (0.0, 1e-155, 0.0, 1.0),      # finite gradients whose couplings overflow
+    (0.0, 1e300, 0.0, 1.0),       # the x couplings underflow to zero: a singular stiffness
 ])
 def test_rejects_geometry_outside_float_range(bounds):
     with pytest.raises(ValueError, match="degenerate"):

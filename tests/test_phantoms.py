@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,16 @@ def test_taper_profile_is_smoothstep():
     d = np.array([0.0, 0.1, 0.15, 0.225, 0.3, 0.5])
     t = collar_taper(d, 0.15)
     np.testing.assert_allclose(t, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0], atol=1e-14)
+
+
+def test_tiny_collar_width_warns_nothing(mesh16):
+    # distance / 1e-320 overflows to inf off the boundary, where the taper is 1
+    spec = PhantomSpec(bumps=(Bump((0.5, 0.5), 0.1, 0.15),), collar_width=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = make_phantom(spec, mesh16)
+    expected = make_phantom(replace(spec, collar_width=1e-300), mesh16)
+    np.testing.assert_array_equal(field.values, expected.values)
 
 
 def test_random_specs_admissible(mesh16):

@@ -294,4 +294,4 @@ def test_in_crime_reconstruction_reaches_solver_floor(mesh):
     truth = make_phantom(spec, mesh)
     config = recon.ReconConfig(sigma0=fem.constant_field(mesh, 0.2), truth=truth)
     _, report = recon.reconstruct(forward.forward_map(truth), config)
-    assert report.rel_errors[-1] <= 1e-7
+    assert report.sweeps[-1].rel_error <= 1e-7

@@ -5,7 +5,7 @@ from matmi import cli, fem, forward, recon, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec, random_bump_spec
-from matmi.recon import ReconConfig, ReconReport
+from matmi.recon import ReconConfig, ReconReport, Sweep
 
 from conftest import perturbation
 
@@ -33,7 +33,7 @@ def test_constant_data_constant_start(mesh64):
                       truth=fem.constant_field(mesh64, 0.2))
     sigma, report = recon.reconstruct(g, cfg)
     assert report.n_iterations <= 1
-    assert report.abs_errors[-1] < 5e-8
+    assert report.sweeps[-1].abs_error < 5e-8
 
 
 def test_reverse_experiment(mesh64, bump64):
@@ -44,7 +44,7 @@ def test_reverse_experiment(mesh64, bump64):
     cfg = ReconConfig(sigma0=bump64, truth=truth)
     sigma, report = recon.reconstruct(g, cfg)
     assert report.n_iterations <= 2
-    assert report.abs_errors[-1] < 1e-7
+    assert report.sweeps[-1].abs_error < 1e-7
     assert report.stopping_reason in ("misfit_tolerance", "update_tolerance")
 
 
@@ -53,8 +53,8 @@ def test_single_bump_reconstruction(mesh64, bump64):
     cfg = ReconConfig(sigma0=fem.constant_field(mesh64, 0.2), truth=bump64)
     sigma, report = recon.reconstruct(g, cfg)
     assert report.n_iterations <= 30
-    assert min(report.rel_errors) <= 1e-6
-    assert_error_monotone(report.abs_errors)
+    assert min(s.rel_error for s in report.sweeps) <= 1e-6
+    assert_error_monotone([s.abs_error for s in report.sweeps])
 
 
 def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
@@ -71,14 +71,13 @@ def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
     del iterations[:]
     cfg = ReconConfig(sigma0=fem.constant_field(mesh32, 0.2), truth=bump32)
     sigma, report = recon.reconstruct(g, cfg)
-    assert report.cg_iterations == iterations
-    assert sum(report.cg_iterations) == sum(iterations)
+    assert [s.cg_iterations for s in report.sweeps] == iterations
     # one field solve per iterate, each after the first started from the last potential
-    assert len(iterations) == len(report.iterations)
+    assert len(iterations) == len(report.sweeps)
     assert iterations[-1] < iterations[0]
     # no solve produced sigma_0, the first builds the LU, and later ones reuse it
     # until a refinement step stalls
-    factors = report.transport_factors
+    factors = [s.transport_factors for s in report.sweeps]
     assert factors[:2] == [0, 1] and set(factors) <= {0, 1}
     assert sum(factors) < report.n_iterations
 
@@ -99,7 +98,7 @@ def test_contraction_uniform_factor(mesh32):
     g = forward.forward_map(truth)
     cfg = ReconConfig(sigma0=fem.constant_field(mesh32, 0.2), truth=truth)
     _, report = recon.reconstruct(g, cfg)
-    errs = np.asarray(report.abs_errors)
+    errs = np.array([s.abs_error for s in report.sweeps])
     usable = errs > recon.SOLVER_FLOOR * 10
     ratios = errs[usable][1:] / errs[usable][:-1]
     assert np.all(ratios < 1.0)
@@ -111,7 +110,7 @@ def test_admissibility_abort(mesh16):
     cfg = ReconConfig(sigma0=fem.constant_field(mesh16, 0.2))
     with pytest.raises(recon.AdmissibilityError) as err:
         recon.reconstruct(g, cfg)
-    assert err.value.report.misfits  # partial report attached
+    assert err.value.report.sweeps  # partial report attached
 
 
 def test_nan_initial_guess_rejected_before_any_solve(mesh16):
@@ -149,10 +148,7 @@ def test_mesh_mismatch(mesh16, mesh32):
 # convergence factor fit
 
 def geometric_report(c, n=10, e0=1.0):
-    report = ReconReport()
-    for k in range(n):
-        report.record(k, 0.0, 0.0, np.nan, e0 * c**k, 0, 0)
-    return report
+    return ReconReport([Sweep(k, 0.0, 0.0, np.nan, e0 * c**k, 0, 0) for k in range(n)])
 
 
 def test_fit_exact_geometric():
@@ -262,7 +258,7 @@ def fine_mesh_reconstruction(n, noise_seed=None):
         g = ScalarField(mesh, g.values * (1.0 + 0.01 * noise))
     cfg = ReconConfig(sigma0=fem.constant_field(mesh, config.background), truth=truth)
     _, report = recon.reconstruct(g, cfg)
-    return report.rel_errors[-1]
+    return report.sweeps[-1].rel_error
 
 
 def test_fine_mesh_error_rate_per_halving():
