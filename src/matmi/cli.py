@@ -8,7 +8,10 @@ Configs are flat key-value text with dotted section keys::
     recon.max_iterations = 200
     data.mode = in-crime
 
-Unknown keys are rejected with their line number.  Fields are written as CSV
+Unknown keys are rejected with their line number.  ``invert`` reads its data
+``g`` from ``data.file`` when that key is set, else synthesizes them.  Mesh
+sizes and the domain are checked by building every mesh the config names.
+Fields are written as CSV
 (node-ordered ``x,y,value`` with 17 significant digits, so reruns are
 byte-identical) and optionally as legacy ASCII VTK for external viewers.
 All files are written atomically (temp file plus rename).
@@ -31,8 +34,8 @@ import numpy as np
 
 from . import fem, forward, recon
 from .fem import ScalarField, SolverError, VectorField
-from .mesh import MAX_ELEMENTS, Mesh, build_mesh
-from .phantoms import LAMBDA_FLOOR, Bump, PhantomSpec, make_phantom
+from .mesh import Mesh, build_mesh
+from .phantoms import LAMBDA_FLOOR, Bump, PhantomSpec, make_phantom, single_bump_spec
 from .recon import AdmissibilityError, ReconConfig, ReconReport, Sweep
 
 __all__ = [
@@ -49,6 +52,12 @@ EXIT_SOLVER = 3
 #: squares stay finite below 1.3e154, less a margin for their sums and weights
 SIGMA_CEILING = 1e150
 
+#: largest peak conductivity times squared domain diagonal D accepted: a gauge
+#: load entry sums six ``area * sigma * E . grad(phi) <= peak * (D/4) * (d/2)``
+#: for cell diagonal d, and (n + 1) * d <= 2D, so the load's norm, which CG
+#: squares, is at most 1.5 * peak * D**2 over the (n + 1)**2 nodes
+LOAD_CEILING = 1e153
+
 
 class ConfigError(Exception):
     """Invalid outside input: the config, a file it names, or an option."""
@@ -61,15 +70,14 @@ class RunConfig:
     x_max: float = 1.0
     y_min: float = 0.0
     y_max: float = 1.0
-    background: float = 0.2
-    collar_width: float = 0.15
-    bumps: tuple[Bump, ...] = (Bump((0.4, 0.6), 0.1, 0.12),)
-    max_iterations: int = 200
-    tolerance_update: float = 1e-8
-    tolerance_misfit: float = 1e-10
+    background: float = PhantomSpec.background
+    collar_width: float = PhantomSpec.collar_width
+    bumps: tuple[Bump, ...] = single_bump_spec().bumps
+    max_iterations: int = ReconConfig.max_iterations
+    tolerance_update: float = ReconConfig.tolerance_update
+    tolerance_misfit: float = ReconConfig.tolerance_misfit
     initial_model: str = "background"   # background | phantom
-    data_source: str = "synthesize"     # synthesize | file
-    data_file: str = ""
+    data_file: str = ""                 # read g from here if set, else synthesize it
     data_truth: str = "phantom"         # phantom | background
     data_mode: str = "in-crime"         # in-crime | fine-mesh
     mesh_sizes: tuple[int, ...] = ()
@@ -81,12 +89,13 @@ class RunConfig:
             background=self.background, bumps=self.bumps, collar_width=self.collar_width,
         )
 
-    def build_mesh(self) -> Mesh:
-        n = self.mesh_n
+    def build_mesh(self, n: int | None = None, key: str = "mesh.n") -> Mesh:
+        """The mesh of ``n`` (default ``mesh.n``) cells a side; a rejection names ``key``."""
+        n = self.mesh_n if n is None else n
         try:
             return build_mesh(n, n, (self.x_min, self.x_max, self.y_min, self.y_max))
         except ValueError as exc:
-            raise ConfigError(f"domain.* with mesh.n = {n}: {exc}") from exc
+            raise ConfigError(f"domain.* with {key} = {n}: {exc}") from exc
 
 
 def _parse_float(text: str) -> float:
@@ -140,7 +149,6 @@ _KEYS = {
     "recon.tolerance_update": ("tolerance_update", _parse_float),
     "recon.tolerance_misfit": ("tolerance_misfit", _parse_float),
     "recon.initial_model": ("initial_model", _choice("background", "phantom")),
-    "data.source": ("data_source", _choice("synthesize", "file")),
     "data.file": ("data_file", str),
     "data.truth": ("data_truth", _choice("phantom", "background")),
     "data.mode": ("data_mode", _choice("in-crime", "fine-mesh")),
@@ -178,25 +186,13 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def _check_mesh_size(key: str, n: int, data_mode: str) -> None:
-    """Reject a mesh size below 1, or one whose sparse solves overflow their int32 indices."""
-    if n < 1:
-        raise ConfigError(f"{key} must be at least 1, got {n}")
-    # fine-mesh data are synthesized on the 2x mesh
-    finest = 2 * n if data_mode == "fine-mesh" else n
-    if 2 * finest * finest > MAX_ELEMENTS:
-        raise ConfigError(
-            f"{key} = {n} needs a {finest} x {finest} mesh, whose {2 * finest * finest} "
-            f"elements are more than the int32 indices of the sparse solves hold ({MAX_ELEMENTS})"
-        )
-
-
 def _validate(config: RunConfig) -> None:
+    # build_mesh checks a count before it allocates, and a Mesh holds O(n) data
     for key, sizes in (("mesh.n", (config.mesh_n,)), ("study.mesh_sizes", config.mesh_sizes)):
         for n in sizes:
-            _check_mesh_size(key, n, config.data_mode)
-    if not (config.x_min < config.x_max and config.y_min < config.y_max):
-        raise ConfigError("domain bounds are degenerate")
+            config.build_mesh(n, key)
+            if config.data_mode == "fine-mesh":
+                config.build_mesh(2 * n, f"2 x {key}")
     if not config.background >= LAMBDA_FLOOR:
         raise ConfigError(
             f"phantom.background must be at least the admissibility floor {LAMBDA_FLOOR}, "
@@ -208,14 +204,19 @@ def _validate(config: RunConfig) -> None:
         if config.background <= SIGMA_CEILING:
             key += " plus the positive amplitudes of phantom.bumps"
         raise ConfigError(f"{key} must be at most {SIGMA_CEILING:g}, got {peak:g}")
+    width, height = config.x_max - config.x_min, config.y_max - config.y_min
+    load = peak * (width * width + height * height)   # inf past the float range
+    if not load <= LOAD_CEILING:
+        raise ConfigError(
+            f"domain.*: the peak conductivity times the squared domain diagonal must be "
+            f"at most {LOAD_CEILING:g}, or the gauge load overflows, got {load:g}"
+        )
     if config.collar_width <= 0.0:
         raise ConfigError("phantom.collar_width must be positive")
     if config.max_iterations < 1:
         raise ConfigError("recon.max_iterations must be at least 1")
     if config.tolerance_update <= 0.0 or config.tolerance_misfit <= 0.0:
         raise ConfigError("recon tolerances must be positive")
-    if config.data_source == "file" and not config.data_file:
-        raise ConfigError("data.source = file requires data.file")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def synthesize_data(
     if config.data_mode == "in-crime":
         result = forward.compute_field(truth)
         return forward.forward_map(truth, result), result.field
-    fine_mesh = replace(config, mesh_n=2 * config.mesh_n).build_mesh()
+    fine_mesh = config.build_mesh(2 * config.mesh_n, "2 x mesh.n")
     fine_truth = _conductivity(config, fine_mesh, config.data_truth)
     fine = forward.forward_map(fine_truth).values
     # every other node of every other row: the nodes the 2x mesh shares with ``mesh``
@@ -363,7 +364,7 @@ def _invert(
     """
     mesh = config.build_mesh()
     truth = _conductivity(config, mesh, config.data_truth)
-    if config.data_source == "file":
+    if config.data_file:
         g, truth_field = read_scalar_csv(config.data_file, mesh), None
     else:
         g, truth_field = synthesize_data(config, mesh, truth)
@@ -449,11 +450,11 @@ def cmd_study(config: RunConfig, out: str) -> None:
             run = replace(
                 config, mesh_n=n,
                 bumps=tuple(replace(b, amplitude=b.amplitude * scale) for b in config.bumps),
-                data_source="synthesize", data_truth="phantom", initial_model="background",
+                data_file="", data_truth="phantom", initial_model="background",
             )
             row: list = [n, scale]
             try:
-                _validate(run)   # a scaled amplitude can pass the conductivity ceiling
+                _validate(run)   # a scaled amplitude can pass the conductivity or load ceiling
                 truth, _, report, c, r2, field = _invert(run, keep_truth_field=True)
                 if field is None:
                     field = forward.compute_field(truth).field

@@ -53,18 +53,14 @@ def rotate(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauge_field(mesh: Mesh, shift: tuple[float, float] | None = None) -> VectorField:
+def gauge_field(mesh: Mesh) -> VectorField:
     """Centered gauge with unit curl, sampled at element centroids.
 
-    ``shift = (a, b)`` overrides the centering: the field is then
-    ``0.5 * (-y + a, x + b)``.  The default centers both components on the
-    domain, which attains the minimal gauge norm.
+    Both components are centered on the domain, which attains the minimal
+    gauge norm.
     """
-    if shift is None:
-        a = 0.5 * (mesh.y_min + mesh.y_max)
-        b = -0.5 * (mesh.x_min + mesh.x_max)
-    else:
-        a, b = (float(s) for s in shift)
+    a = 0.5 * (mesh.y_min + mesh.y_max)
+    b = -0.5 * (mesh.x_min + mesh.x_max)
     c = mesh.element_centroids
     vals = 0.5 * np.column_stack([-c[:, 1] + a, c[:, 0] + b])
     return VectorField(mesh, vals)

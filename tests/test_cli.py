@@ -77,8 +77,6 @@ def test_numeric_validation():
         parse_config("recon.tolerance_misfit = -1\n")
     with pytest.raises(ConfigError):
         parse_config("domain.x_min = 2\ndomain.x_max = 1\n")
-    with pytest.raises(ConfigError):
-        parse_config("data.source = file\n")  # missing data.file
 
 
 @pytest.mark.parametrize("line", [
@@ -192,7 +190,7 @@ def test_report_counts_match_the_solver_calls(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     fwd_out = str(tmp_path / "fwd")
     assert main(["forward", "--config", cfg, "--out", fwd_out]) == 0
-    text = BASE_CONFIG + f"data.source = file\ndata.file = {fwd_out}/data.csv\n"
+    text = BASE_CONFIG + f"data.file = {fwd_out}/data.csv\n"
     cfg2 = write_config(tmp_path, text, name="run2.cfg")
 
     counted = {"cg": 0, "factors": 0}
@@ -248,7 +246,7 @@ def test_invert_from_file_roundtrip(tmp_path):
     fwd_out = str(tmp_path / "fwd")
     assert main(["forward", "--config", cfg, "--out", fwd_out]) == 0
     data_file = os.path.join(fwd_out, "data.csv")
-    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n"
+    text = BASE_CONFIG + f"data.file = {data_file}\n"
     cfg2 = write_config(tmp_path, text, name="run2.cfg")
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", cfg2, "--out", out]) == 0
@@ -260,17 +258,32 @@ def test_invert_from_file_roundtrip(tmp_path):
 
 
 def test_invert_missing_data_file(tmp_path):
-    text = BASE_CONFIG + "data.source = file\ndata.file = /nonexistent/g.csv\n"
+    text = BASE_CONFIG + "data.file = /nonexistent/g.csv\n"
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
     assert not os.path.exists(out)  # no partial outputs
 
 
+def test_data_file_alone_selects_file_data(tmp_path, capsys):
+    # the file was ignored unless data.source = file was also set: the run
+    # reconstructed from synthesized data and exited 0
+    cfg = write_config(tmp_path, "mesh.n = 8\ndata.file = /nonexistent/g.csv\n")
+    out = str(tmp_path / "out")
+    assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert "cannot read data file /nonexistent/g.csv" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_data_source_is_not_a_key():
+    with pytest.raises(ConfigError, match="line 2: unknown key 'data.source'"):
+        parse_config("mesh.n = 8\ndata.source = file\n")
+
+
 def test_data_file_directory_rejected(tmp_path, capsys):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
-    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_dir}\n"
+    text = BASE_CONFIG + f"data.file = {data_dir}\n"
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
@@ -286,7 +299,7 @@ def test_malformed_data_file_rejected(tmp_path, capsys):
     lines = data_file.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
     data_file.write_text("\n".join(lines) + "\n")
-    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n"
+    text = BASE_CONFIG + f"data.file = {data_file}\n"
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
@@ -298,7 +311,7 @@ def test_malformed_data_file_rejected(tmp_path, capsys):
 def test_data_file_without_rows_fails_with_only_the_error(tmp_path, capsys, content):
     data_file = tmp_path / "g.csv"
     data_file.write_text(content)
-    cfg = write_config(tmp_path, BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n")
+    cfg = write_config(tmp_path, BASE_CONFIG + f"data.file = {data_file}\n")
     out = str(tmp_path / "out")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -322,7 +335,7 @@ def test_data_file_from_a_shifted_mesh_rejected(tmp_path, capsys):
                  "--out", shifted]) == 0
     shifted_data = os.path.join(shifted, "data.csv")
     for source, code in ((data_file, cli.EXIT_OK), (shifted_data, cli.EXIT_CONFIG)):
-        run = text + f"recon.max_iterations = 2\ndata.source = file\ndata.file = {source}\n"
+        run = text + f"recon.max_iterations = 2\ndata.file = {source}\n"
         cfg = write_config(tmp_path, run)
         assert main(["invert", "--config", cfg, "--out", str(tmp_path / "inv")]) == code
     assert "do not match the mesh" in capsys.readouterr().err
@@ -339,7 +352,7 @@ def test_nonfinite_data_file_rejected(tmp_path, node):
     cli.write_scalar_csv(data_file, fem.ScalarField(mesh, values))
     with pytest.raises(ConfigError, match="non-finite"):
         cli.read_scalar_csv(data_file, mesh)
-    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n"
+    text = BASE_CONFIG + f"data.file = {data_file}\n"
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
@@ -353,7 +366,7 @@ def test_solver_failure_exit_code(tmp_path):
     bad = fem.constant_field(mesh, -1.0)
     data_file = str(tmp_path / "bad.csv")
     cli.write_scalar_csv(data_file, bad)
-    text = BASE_CONFIG + f"data.source = file\ndata.file = {data_file}\n"
+    text = BASE_CONFIG + f"data.file = {data_file}\n"
     cfg = write_config(tmp_path, text)
     assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
 
@@ -387,6 +400,23 @@ def test_domain_outside_float_range_is_config_error(tmp_path, capsys, command, d
     assert main([command, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
     assert "domain" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["phantom", "forward", "invert"])
+@pytest.mark.parametrize("x_max, code", [
+    *((x, cli.EXIT_OK) for x in ("1e20", "1e40", "1e60", "1e70")),
+    *((x, cli.EXIT_CONFIG) for x in ("1e80", "1e100", "1e150", "1e160")),
+])
+def test_domain_whose_gauge_load_overflows_is_config_error(tmp_path, capsys, command, x_max, code):
+    # past the ceiling, phantom exited 0; forward and invert warned of overflow in
+    # the norm of the gauge load, then exited 3 "CG residual is not finite after 0 iterations"
+    cfg = write_config(tmp_path, f"mesh.n = 8\ndomain.x_max = {x_max}\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", out]) == code
+    assert ("domain.*" in capsys.readouterr().err) == (code == cli.EXIT_CONFIG)
+    assert os.path.exists(out) == (code == cli.EXIT_OK)
 
 
 @pytest.mark.parametrize("bumps", [
@@ -478,7 +508,7 @@ def test_large_conductivity_below_ceiling_runs(tmp_path, command, background):
     ("study.mesh_sizes = 8 0\n", "study.mesh_sizes"),
 ])
 def test_mesh_size_beyond_int32_indices_rejected(text, key):
-    # parse_config builds no mesh, so nothing of this size is allocated
+    # parse_config builds each mesh, but build_mesh rejects the count before it allocates
     with pytest.raises(ConfigError, match=key):
         parse_config(text)
 
@@ -571,6 +601,16 @@ def test_study_row_scaled_past_the_ceiling_is_config_error(tmp_path):
         assert main(["study", "--config", cfg, "--out", out]) == 0
     lines = open(os.path.join(out, "study.csv")).read().splitlines()
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ok", "failed: ConfigError"]
+
+
+def test_study_on_a_rejected_domain_fails_at_parse(tmp_path, capsys):
+    # each row was written as "failed: ConfigError" and the study exited 0
+    text = "mesh.n = 8\ndomain.x_max = 1e-155\nstudy.mesh_sizes = 8 16\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["study", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert "domain.*" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "study.csv"))
 
 
 def test_fine_mesh_study_row_matches_invert_of_scaled_phantom(tmp_path):
@@ -735,7 +775,6 @@ KEY_VALUES = {
     "recon.tolerance_update": mostly(st.floats(-12.0, -2.0).map(lambda e: repr(10.0**e))),
     "recon.tolerance_misfit": mostly(st.floats(-12.0, -2.0).map(lambda e: repr(10.0**e))),
     "recon.initial_model": st.sampled_from(["background", "phantom", "", "other"]),
-    "data.source": st.sampled_from(["synthesize", "file", "", "other"]),
     "data.file": st.sampled_from(["", "/nonexistent/data.csv"]),
     "data.truth": st.sampled_from(["phantom", "background", "", "other"]),
     "data.mode": st.sampled_from(["in-crime", "fine-mesh", "", "other"]),

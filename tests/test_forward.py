@@ -28,7 +28,8 @@ def test_gauge_norm_is_centered_infimum(mesh64):
     # inf over shifts of ||(-y+a, x+b)|| is sqrt(1/12 + 1/12); the gauge carries 1/2
     gauge = forward.gauge_field(mesh64)
     assert fem.l2_norm_vec(gauge) <= 0.5 * np.sqrt(1.0 / 6.0)
-    shifted = forward.gauge_field(mesh64, shift=(0.9, -0.1))
+    # the gauge 0.5 * (-y + 0.9, x - 0.1), off center by 0.2 in each component
+    shifted = VectorField(mesh64, gauge.values + 0.2)
     assert fem.l2_norm_vec(shifted) > fem.l2_norm_vec(gauge)
 
 
@@ -78,7 +79,9 @@ def test_gauge_independence(bump32, mesh32):
     # shifting the gauge by a constant vector (the gradient of an affine
     # function) changes the potential but not the field
     base = forward.compute_field(bump32)
-    shifted = forward.compute_field(bump32, gauge=forward.gauge_field(mesh32, shift=(0.7, 0.3)))
+    # the gauge 0.5 * (-y + 0.7, x + 0.3), off center by (0.1, 0.4)
+    gauge = VectorField(mesh32, forward.gauge_field(mesh32).values + [0.1, 0.4])
+    shifted = forward.compute_field(bump32, gauge=gauge)
     scale = np.abs(base.field.values).max()
     assert np.abs(base.field.values - shifted.field.values).max() <= 1e-10 * scale
     assert np.abs(base.potential.values - shifted.potential.values).max() > 1e-6
