@@ -31,7 +31,7 @@ def manufactured_transport_error(n):
         sy = 0.1 * np.pi * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
         return (0.3 + 0.1 * np.sin(np.pi * x)) * sx + 0.2 * np.cos(np.pi * y) * sy + s
 
-    op = transport.assemble_advection(mesh, w)
+    op = transport.assemble_advection(w)
     solution = transport.transport_solve(op, fem.interpolate(mesh, data), sigma)
     diff = np.zeros(mesh.n_nodes)
     diff[mesh.interior_nodes] = (solution.values - sigma.values)[mesh.interior_nodes]

@@ -324,12 +324,12 @@ def _write_keyvalue_csv(path: str, entries: dict[str, float | int | str]) -> Non
 # data synthesis
 
 def synthesize_data(
-    config: RunConfig, mesh: Mesh, truth: ScalarField,
+    config: RunConfig, truth: ScalarField,
 ) -> tuple[ScalarField, VectorField | None]:
-    """In-crime data on ``mesh = config.build_mesh()``, or restriction of 2x fine-mesh data.
+    """The data on the truth's mesh: in-crime, or restricted from 2x fine-mesh data.
 
-    Also returns the truth's field E on ``mesh`` when the data came from it
-    (in-crime), else None.
+    Also returns the truth's field E when the data came from it (in-crime),
+    else None.
     """
     if config.data_mode == "in-crime":
         result = forward.compute_field(truth)
@@ -337,9 +337,9 @@ def synthesize_data(
     fine_mesh = config.build_mesh(2 * config.mesh_n, "2 x mesh.n")
     fine_truth = _conductivity(config, fine_mesh, config.data_truth)
     fine = forward.forward_map(fine_truth).values
-    # every other node of every other row: the nodes the 2x mesh shares with ``mesh``
+    # every other node of every other row: the nodes the 2x mesh shares with the truth's
     coincident = fine.reshape(fine_mesh.ny + 1, fine_mesh.nx + 1)[::2, ::2].ravel()
-    return ScalarField(mesh, coincident), None
+    return ScalarField(truth.mesh, coincident), None
 
 
 def _conductivity(config: RunConfig, mesh: Mesh, model: str) -> ScalarField:
@@ -367,7 +367,7 @@ def _invert(
     if config.data_file:
         g, truth_field = read_scalar_csv(config.data_file, mesh), None
     else:
-        g, truth_field = synthesize_data(config, mesh, truth)
+        g, truth_field = synthesize_data(config, truth)
     if not keep_truth_field:
         truth_field = None   # not held through the reconstruction
     rc = ReconConfig(

@@ -5,10 +5,11 @@ which integrates every product of elementwise constants exactly.  Each
 element is a translate of one of the mesh's two reference triangles, so
 every operator is a stencil on the grid (see ``mesh``): the stiffness is the
 reference couplings ``grad(phi_a) . grad(phi_b)`` times the grid of element
-weights ``area * sigma``, on the five diagonals 0, +-1, +-(nx + 1).
-The pure Neumann system keeps its constant null space; it is solved by
-conjugate gradients on the mean-zero complement, preconditioned by one
-geometric multigrid V(2,2)-cycle on the mesh's chain of ``coarse`` meshes,
+weights ``area * sigma``, on the five diagonals 0, +-1, +-(nx + 1); each
+builder reads the mesh from the field it is given.  The pure Neumann system
+keeps its constant null space; it is solved by conjugate gradients on the
+mean-zero complement, preconditioned by one geometric multigrid V(2,2)-cycle
+on the mesh's chain of ``coarse`` meshes and the transfers each caches,
 returning the zero-mean representative.  Each coarse mesh weights each
 element by the sum of its four children's weights, which equals the Galerkin
 product ``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A
@@ -115,26 +116,25 @@ def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix
     The result stores the nonzeros of the 5-point pattern, its columns ascending.
     Raises ``ValueError`` if any nodal coefficient is non-positive.
     """
-    return mesh.stiffness(_element_weights(mesh, sigma)).tocsr()
-
-
-def _element_weights(mesh: Mesh, sigma: ScalarField) -> np.ndarray:
-    """The element weights ``area * sigma`` of a positive conductivity on ``mesh``."""
     if sigma.mesh is not mesh:
         raise ValueError("fields live on different meshes")
+    return mesh.stiffness(_element_weights(sigma)).tocsr()
+
+
+def _element_weights(sigma: ScalarField) -> np.ndarray:
+    """The element weights ``area * sigma`` of a positive conductivity on its mesh."""
     nonpositive = ~(sigma.values > 0.0)
     if np.any(nonpositive):
         bad = int(np.argmax(nonpositive))
         raise ValueError(
             f"conductivity must be positive, node {bad} has value {sigma.values[bad]}"
         )
-    return element_means(sigma) * mesh.area
+    return element_means(sigma) * sigma.mesh.area
 
 
-def assemble_weak_divergence_rhs(mesh: Mesh, field: VectorField) -> np.ndarray:
-    """Load vector with entries ``-integral(field . grad(phi_i))``."""
-    if field.mesh is not mesh:
-        raise ValueError("field lives on a different mesh")
+def assemble_weak_divergence_rhs(field: VectorField) -> np.ndarray:
+    """Load vector with entries ``-integral(field . grad(phi_i))`` on the field's mesh."""
+    mesh = field.mesh
     return mesh.scatter(-mesh.area * mesh.dot_gradients(field.values))
 
 
@@ -211,61 +211,58 @@ COARSEST_CELLS = 8
 class Multigrid:
     """Geometric multigrid hierarchy of a Neumann stiffness matrix.
 
+    ``levels[0]`` is the fine mesh and ``levels[l + 1]`` is ``levels[l].coarse``.
     ``matrices[0]`` is the fine stiffness and ``matrices[l + 1]`` its Galerkin
-    operator ``R_l matrices[l] P_l`` on the next nested grid (``R_l = P_l^T``
-    as CSR), assembled from summed weights without the rounding-level
-    couplings the product would store.  Every level is a five-diagonal
-    ``dia_matrix``; each level above the coarsest is smoothed by damped-Jacobi
-    sweeps ``x <- x + relaxation[l] (r - A_l x)`` with
-    ``relaxation[l] = w D_l^-1``.  The coarsest level is solved exactly by
-    ``pinned_solve`` with ``coarse_lu``.
+    operator ``R_l matrices[l] P_l``, with the transfers ``P_l`` and
+    ``R_l = P_l^T`` that ``levels[l]`` caches, assembled from summed weights
+    without the rounding-level couplings the product would store.  Every
+    level is a five-diagonal ``dia_matrix``; each level above the coarsest is
+    smoothed by damped-Jacobi sweeps ``x <- x + relaxation[l] (r - A_l x)``
+    with ``relaxation[l] = w D_l^-1``.  The coarsest level is solved exactly
+    by ``pinned_solve`` with ``coarse_lu``.
     """
 
+    levels: tuple[Mesh, ...]
     matrices: tuple[sp.dia_matrix, ...]
-    prolongations: tuple[sp.csr_matrix, ...]   # level l + 1 -> level l
-    restrictions: tuple[sp.csr_matrix, ...]    # their transposes, level l -> level l + 1
     relaxation: tuple[np.ndarray, ...]         # damped inverse diagonals above the coarsest
     coarse_lu: spla.SuperLU
 
     def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One V(2,2) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
-        if level == len(self.prolongations):
+        if level == len(self.levels) - 1:
             return pinned_solve(self.coarse_lu, r)
-        a, relax = self.matrices[level], self.relaxation[level]
+        mesh, a, relax = self.levels[level], self.matrices[level], self.relaxation[level]
         x = relax * r                     # the first sweep, from zero
         for _ in range(SMOOTHER_SWEEPS - 1):
             x += relax * (r - a @ x)
-        coarse_r = self.restrictions[level] @ (r - a @ x)
-        x += self.prolongations[level] @ self.vcycle(coarse_r - coarse_r.mean(), level + 1)
+        coarse_r = mesh.restriction @ (r - a @ x)
+        x += mesh.prolongation @ self.vcycle(coarse_r - coarse_r.mean(), level + 1)
         for _ in range(SMOOTHER_SWEEPS):
             x += relax * (r - a @ x)
         return x
 
 
-def multigrid(mesh: Mesh, sigma: ScalarField) -> Multigrid:
+def multigrid(sigma: ScalarField) -> Multigrid:
     """Build the V-cycle hierarchy of the sigma-weighted stiffness on the nested meshes.
 
-    The mesh is coarsened while both cell counts are even and above
-    ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh itself.
-    Each mesh caches its coarse mesh and the transfers to it, so a build
-    only sums weights and applies the stencils.  Raises ``ValueError`` if
-    any nodal coefficient is non-positive.
+    The mesh of ``sigma`` is coarsened while both cell counts are even and
+    above ``COARSEST_CELLS``; for an odd count the coarsest level is the mesh
+    itself.  Each mesh caches its coarse mesh and the transfers to it, so a
+    build only sums weights and applies the stencils.  Raises ``ValueError``
+    if any nodal coefficient is non-positive.
     """
-    weights = _element_weights(mesh, sigma)
-    matrices = [mesh.stiffness(weights)]
-    prolongations, restrictions = [], []
-    level = mesh
+    level = sigma.mesh
+    weights = _element_weights(sigma)
+    levels, matrices = [level], [level.stiffness(weights)]
     while level.nx % 2 == 0 and level.ny % 2 == 0 and min(level.nx, level.ny) > COARSEST_CELLS:
-        prolongations.append(level.prolongation)
-        restrictions.append(level.restriction)
         weights = level.coarsen(weights)
         level = level.coarse
+        levels.append(level)
         matrices.append(level.stiffness(weights))
     coarse_lu = pinned_lu(matrices[-1])
     relaxation = tuple(SMOOTHER_WEIGHT / a.diagonal() for a in matrices[:-1])
     return Multigrid(
-        matrices=tuple(matrices), prolongations=tuple(prolongations),
-        restrictions=tuple(restrictions), relaxation=relaxation, coarse_lu=coarse_lu,
+        levels=tuple(levels), matrices=tuple(matrices), relaxation=relaxation, coarse_lu=coarse_lu,
     )
 
 

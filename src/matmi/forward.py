@@ -94,6 +94,13 @@ class ForwardResult:
     stiffness: sp.dia_matrix        # the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
 
+    def check_solved_at(self, sigma: ScalarField) -> None:
+        """Raise ``ValueError`` unless ``sigma`` is this field's conductivity, or equal to it."""
+        if self.sigma is not sigma and not (
+            self.sigma.mesh is sigma.mesh and np.array_equal(self.sigma.values, sigma.values)
+        ):
+            raise ValueError("field was solved at a different conductivity")
+
     @cached_property
     def derivative_maps(self) -> DerivativeMaps:
         """The maps of the derivative at ``sigma``, built on first use and read-only.
@@ -113,9 +120,7 @@ class ForwardResult:
         return DerivativeMaps(rhs, advection, factor)
 
 
-def compute_field(
-    sigma: ScalarField, gauge: VectorField | None = None, guess: ScalarField | None = None,
-) -> ForwardResult:
+def compute_field(sigma: ScalarField, guess: ScalarField | None = None) -> ForwardResult:
     """Solve the weak Neumann problem for the potential and form the field.
 
     The conductivity must be strictly positive at every node.  The returned
@@ -128,18 +133,17 @@ def compute_field(
     the stiffness that its directions' solves share, are built on first use.
     """
     mesh = sigma.mesh
-    if gauge is None:
-        gauge = gauge_field(mesh)
-    hierarchy = fem.multigrid(mesh, sigma)
+    gauge = gauge_field(mesh)
+    hierarchy = fem.multigrid(sigma)
     stiffness = hierarchy.matrices[0]
     weighted_gauge = VectorField(mesh, fem.element_means(sigma)[:, None] * gauge.values)
-    rhs = fem.assemble_weak_divergence_rhs(mesh, weighted_gauge)
+    rhs = fem.assemble_weak_divergence_rhs(weighted_gauge)
     u, residuals = fem.solve_neumann(mesh, stiffness, rhs, hierarchy.vcycle, guess)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     # the advection assembly is the peak of a field solve: free its inputs
     # first, which lowered the peak RSS of a reconstruction that holds an LU
     del gauge, weighted_gauge, rhs, hierarchy
-    operator = transport.assemble_advection(mesh, VectorField(mesh, rotate(field.values)))
+    operator = transport.assemble_advection(VectorField(mesh, rotate(field.values)))
     return ForwardResult(
         sigma=sigma, potential=u, field=field, field_norm=fem.l2_norm_vec(field),
         cg_iterations=len(residuals) - 1, stiffness=stiffness, operator=operator,
@@ -152,9 +156,11 @@ def forward_map(sigma: ScalarField, result: ForwardResult | None = None) -> Scal
     Applies the shared advection-reaction operator and the lumped-mass
     projection, so constants map to themselves exactly and the transport
     solve of the reconstruction inverts this map exactly on the same mesh.
+    Raises ``ValueError`` when ``result`` was solved at another conductivity.
     """
     if result is None:
         result = compute_field(sigma)
+    result.check_solved_at(sigma)
     return transport.apply_data_operator(result.operator, sigma)
 
 
@@ -177,7 +183,7 @@ def divergence_identity_error(field: VectorField) -> float:
     """
     mesh = field.mesh
     w = rotate(field.values)
-    b = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, w))
+    b = fem.assemble_weak_divergence_rhs(VectorField(mesh, w))
     # the edge opposite local vertex k has (w.n)|e| = -2|T| w.grad(phi_k); a
     # constant flux against a test function linear along the edge: half to each end
     b += mesh.boundary_facet_sum(-mesh.area * mesh.dot_gradients(w))

@@ -64,10 +64,7 @@ def frechet_derivative(
     _check_direction(sigma, h)
     if base is None:
         base = forward.compute_field(sigma)
-    elif base.sigma is not sigma and not (
-        base.sigma.mesh is mesh and np.array_equal(base.sigma.values, sigma.values)
-    ):
-        raise ValueError("base field was solved at a different conductivity")
+    base.check_solved_at(sigma)
 
     maps = base.derivative_maps
     # auxiliary Neumann problem: div(sigma grad(phi)) = -div(h E)

@@ -96,24 +96,16 @@ def make_phantom(spec: PhantomSpec, mesh: Mesh) -> ScalarField:
 
 def single_bump_spec() -> PhantomSpec:
     """Mild off-center bump; the standard smooth test model."""
-    return PhantomSpec(
-        background=0.2,
-        bumps=(Bump((0.4, 0.6), 0.1, 0.12),),
-        collar_width=0.15,
-    )
+    return PhantomSpec(bumps=(Bump((0.4, 0.6), 0.1, 0.12),))
 
 
 def three_bump_spec() -> PhantomSpec:
     """Steeper asymmetric three-bump model with a larger gradient."""
-    return PhantomSpec(
-        background=0.2,
-        bumps=(
-            Bump((0.35, 0.62), 0.16, 0.085),
-            Bump((0.65, 0.62), 0.16, 0.085),
-            Bump((0.5, 0.38), 0.13, 0.09),
-        ),
-        collar_width=0.15,
-    )
+    return PhantomSpec(bumps=(
+        Bump((0.35, 0.62), 0.16, 0.085),
+        Bump((0.65, 0.62), 0.16, 0.085),
+        Bump((0.5, 0.38), 0.13, 0.09),
+    ))
 
 
 def random_bump_spec(rng: np.random.RandomState, n_bumps: int = 2) -> PhantomSpec:
@@ -124,7 +116,7 @@ def random_bump_spec(rng: np.random.RandomState, n_bumps: int = 2) -> PhantomSpe
     the admissibility floor is redrawn from the same stream; one that meets
     it is returned as drawn.
     """
-    background = 0.2
+    background = PhantomSpec.background
     while True:
         bumps = []
         for _ in range(n_bumps):
@@ -133,4 +125,4 @@ def random_bump_spec(rng: np.random.RandomState, n_bumps: int = 2) -> PhantomSpe
             width = 0.08 + 0.08 * rng.rand()
             bumps.append(Bump(center, amplitude, width))
         if background + sum(min(b.amplitude, 0.0) for b in bumps) >= LAMBDA_FLOOR:
-            return PhantomSpec(background=background, bumps=tuple(bumps), collar_width=0.15)
+            return PhantomSpec(bumps=tuple(bumps))

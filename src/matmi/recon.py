@@ -57,6 +57,8 @@ class ReconConfig:
         if not (self.tolerance_update > 0.0 and self.tolerance_misfit > 0.0):
             raise ValueError("tolerances must be positive")
         _reject_nodes("sigma0", self.sigma0, ~np.isfinite(self.sigma0.values))
+        if self.truth is not None and self.truth.mesh is not self.sigma0.mesh:
+            raise ValueError("truth lives on a different mesh from sigma0")
 
 
 def _reject_nodes(name: str, f: ScalarField, bad: np.ndarray) -> None:

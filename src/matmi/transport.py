@@ -50,10 +50,9 @@ class AdvectionOperator:
     tau: np.ndarray             # per-element streamline time scale
 
 
-def assemble_advection(mesh: Mesh, w: VectorField) -> AdvectionOperator:
-    """Assemble the stabilized advection-reaction operator for velocity ``w``."""
-    if w.mesh is not mesh:
-        raise ValueError("velocity lives on a different mesh")
+def assemble_advection(w: VectorField) -> AdvectionOperator:
+    """Assemble the stabilized advection-reaction operator for velocity ``w`` on its mesh."""
+    mesh = w.mesh
     a = mesh.dot_gradients(w.values)
     speed = np.hypot(w.values[:, 0], w.values[:, 1])
     tau = mesh.element_diameter / (2.0 * speed + TAU_EPS)

@@ -184,10 +184,8 @@ def test_criterion_9_solver_contracts(unit64):
 
     gauge = forward.gauge_field(unit64)
     sigma_e = fem.element_means(sigma)
-    rhs = fem.assemble_weak_divergence_rhs(
-        unit64, fem.VectorField(unit64, sigma_e[:, None] * gauge.values)
-    )
-    hierarchy = fem.multigrid(unit64, sigma)
+    rhs = fem.assemble_weak_divergence_rhs(fem.VectorField(unit64, sigma_e[:, None] * gauge.values))
+    hierarchy = fem.multigrid(sigma)
     u, _ = fem.solve_neumann(unit64, hierarchy.matrices[0], rhs, hierarchy.vcycle)
     rhs = rhs - rhs.mean()
     res = stiffness @ u.values - rhs
@@ -197,7 +195,7 @@ def test_criterion_9_solver_contracts(unit64):
     from matmi import transport
     field = forward.compute_field(sigma)
     w = fem.VectorField(unit64, forward.rotate(field.field.values))
-    op = transport.assemble_advection(unit64, w)
+    op = transport.assemble_advection(w)
     g = transport.apply_data_operator(op, sigma)
     sol = transport.transport_solve(op, g, sigma)
     rhs_t = fem.lumped_mass(unit64) * g.values

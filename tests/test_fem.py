@@ -113,7 +113,7 @@ def test_multigrid_rejects_nonpositive_sigma_with_the_stiffness_message(mesh16):
     values = np.ones(mesh16.n_nodes)
     values[17] = 0.0
     with pytest.raises(ValueError, match="conductivity must be positive, node 17 has value 0.0"):
-        fem.multigrid(mesh16, ScalarField(mesh16, values))
+        fem.multigrid(ScalarField(mesh16, values))
 
 
 def test_stiffness_rejects_nan_sigma(mesh8):
@@ -139,14 +139,14 @@ def test_discrete_coercivity(mesh8):
 # weak divergence load vector
 
 def test_weak_divergence_zero_field(mesh8):
-    rhs = fem.assemble_weak_divergence_rhs(mesh8, VectorField(mesh8, np.zeros((mesh8.n_elements, 2))))
+    rhs = fem.assemble_weak_divergence_rhs(VectorField(mesh8, np.zeros((mesh8.n_elements, 2))))
     assert np.all(rhs == 0.0)
 
 
 def test_weak_divergence_entries_sum_to_zero(mesh16):
     rng = np.random.RandomState(3)
     field = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
-    rhs = fem.assemble_weak_divergence_rhs(mesh16, field)
+    rhs = fem.assemble_weak_divergence_rhs(field)
     assert abs(rhs.sum()) <= 1e-12 * np.abs(rhs).max()
 
 
@@ -154,15 +154,9 @@ def test_weak_divergence_gradient_identity(mesh16):
     # rhs from grad(affine v) equals -(stiffness sigma=1) @ v, by direct assembly
     v = fem.interpolate(mesh16, lambda x, y: 0.4 + 1.3 * x - 0.7 * y)
     field = fem.gradient_field(v)
-    rhs = fem.assemble_weak_divergence_rhs(mesh16, field)
+    rhs = fem.assemble_weak_divergence_rhs(field)
     a = fem.assemble_weighted_stiffness(mesh16, fem.constant_field(mesh16, 1.0))
     np.testing.assert_allclose(rhs, -(a @ v.values), atol=1e-12)
-
-
-def test_mesh_mismatch_rejected(mesh8, mesh16):
-    field = VectorField(mesh16, np.zeros((mesh16.n_elements, 2)))
-    with pytest.raises(ValueError):
-        fem.assemble_weak_divergence_rhs(mesh8, field)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +183,7 @@ def test_scatters_match_add_at(nx, ny, bounds, dyadic):
     field = VectorField(m, np.random.RandomState(nx).randn(m.n_elements, 2))
     contrib = -areas[:, None] * np.einsum("md,mkd->mk", field.values, g)
     rhs = add_at_reference(m.n_nodes, nodes, contrib.ravel())
-    assert_matches_reference(fem.assemble_weak_divergence_rhs(m, field), rhs, dyadic)
+    assert_matches_reference(fem.assemble_weak_divergence_rhs(field), rhs, dyadic)
     u = ScalarField(m, np.random.RandomState(ny).randn(m.n_nodes))
     gradient = np.einsum("mk,mkd->md", u.values[m.elements], g)
     assert_matches_reference(fem.gradient_field(u).values, gradient, dyadic)
@@ -233,7 +227,7 @@ def test_scalar_field_shape_checked(mesh8):
 
 def neumann_solve(mesh, sigma, rhs):
     """The Neumann solve of the sigma-weighted stiffness, preconditioned by its V-cycle."""
-    hierarchy = fem.multigrid(mesh, sigma)
+    hierarchy = fem.multigrid(sigma)
     return fem.solve_neumann(mesh, hierarchy.matrices[0], rhs, hierarchy.vcycle)
 
 
@@ -250,7 +244,7 @@ def test_neumann_system_row_sum_invariant(mesh16):
     assert relative_row_sums(a).max() <= 1e-12
     # the solver projects out the rhs mean, so a constant shift of the rhs
     # changes the solution only by rounding
-    hierarchy = fem.multigrid(mesh16, sigma)
+    hierarchy = fem.multigrid(sigma)
     u, _ = fem.solve_neumann(mesh16, a, rhs, hierarchy.vcycle)
     shifted, _ = fem.solve_neumann(mesh16, a, rhs + 3.0, hierarchy.vcycle)
     np.testing.assert_allclose(shifted.values, u.values, rtol=0.0,
@@ -263,7 +257,7 @@ def test_neumann_gradient_bound_centered_gauge(mesh64):
     from matmi.forward import gauge_field
 
     gauge = gauge_field(mesh64)
-    rhs = fem.assemble_weak_divergence_rhs(mesh64, gauge)
+    rhs = fem.assemble_weak_divergence_rhs(gauge)
     u, _ = neumann_solve(mesh64, fem.constant_field(mesh64, 1.0), rhs)
     grad_norm = fem.l2_norm_vec(fem.gradient_field(u))
     assert grad_norm <= 1.0 / np.sqrt(6.0)
@@ -275,7 +269,7 @@ def test_neumann_residual_and_mean(mesh32):
     sigma = ScalarField(mesh32, 0.1 + rng.rand(mesh32.n_nodes))
     a = fem.assemble_weighted_stiffness(mesh32, sigma)
     field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
-    rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
+    rhs = fem.assemble_weak_divergence_rhs(field)
     u, _ = neumann_solve(mesh32, sigma, rhs)
     b = rhs - rhs.mean()
     r = a @ u.values - b
@@ -289,7 +283,7 @@ def test_neumann_constant_shift_residual(mesh16):
     one = fem.constant_field(mesh16, 1.0)
     a = fem.assemble_weighted_stiffness(mesh16, one)
     field = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
-    rhs = fem.assemble_weak_divergence_rhs(mesh16, field)
+    rhs = fem.assemble_weak_divergence_rhs(field)
     u, _ = neumann_solve(mesh16, one, rhs)
     b = rhs - rhs.mean()
     r0 = np.linalg.norm(a @ u.values - b)
@@ -304,7 +298,7 @@ def test_neumann_discrete_energy_estimate():
     for _ in range(10):
         sigma = ScalarField(m, 0.1 + 9.9 * rng.rand(m.n_nodes))
         field = VectorField(m, rng.randn(m.n_elements, 2))
-        rhs = fem.assemble_weak_divergence_rhs(m, field)
+        rhs = fem.assemble_weak_divergence_rhs(field)
         u, _ = neumann_solve(m, sigma, rhs)
         bound = fem.l2_norm_vec(field) / sigma.values.min()
         assert fem.l2_norm_vec(fem.gradient_field(u)) <= bound * (1.0 + 1e-10)
@@ -312,11 +306,11 @@ def test_neumann_discrete_energy_estimate():
 
 def test_neumann_nonconvergence_raises(mesh32):
     # at n = 8 the coarsest level is the mesh itself and one step converges
-    hierarchy = fem.multigrid(mesh32, fem.constant_field(mesh32, 1.0))
+    hierarchy = fem.multigrid(fem.constant_field(mesh32, 1.0))
     a, vcycle = hierarchy.matrices[0], hierarchy.vcycle
     rng = np.random.RandomState(9)
     field = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
-    rhs = fem.assemble_weak_divergence_rhs(mesh32, field)
+    rhs = fem.assemble_weak_divergence_rhs(field)
     with pytest.raises(fem.SolverError) as err:
         fem._projected_pcg(a, rhs - rhs.mean(), vcycle, 1e-12, max_iter=2)
     assert err.value.residuals  # carries the residual history
@@ -335,7 +329,7 @@ def test_pcg_restarts_after_failed_residual_check():
 def test_pcg_stops_at_a_nonfinite_residual(mesh16):
     # a NaN residual never meets the tolerance; without the check CG ran its
     # whole 10 n cap on NaN before failing
-    hierarchy = fem.multigrid(mesh16, fem.constant_field(mesh16, 1.0))
+    hierarchy = fem.multigrid(fem.constant_field(mesh16, 1.0))
     rhs = np.full(mesh16.n_nodes, np.nan)
     with pytest.raises(fem.SolverError, match="not finite") as err:
         fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-12, 1000)
@@ -343,9 +337,9 @@ def test_pcg_stops_at_a_nonfinite_residual(mesh16):
 
 
 def neumann_problem(mesh, sigma):
-    hierarchy = fem.multigrid(mesh, sigma)
+    hierarchy = fem.multigrid(sigma)
     field = VectorField(mesh, fem.element_means(sigma)[:, None] * forward.gauge_field(mesh).values)
-    return hierarchy, fem.assemble_weak_divergence_rhs(mesh, field)
+    return hierarchy, fem.assemble_weak_divergence_rhs(field)
 
 
 def test_neumann_guess_meeting_tolerance_takes_no_iteration(mesh32, bump32):
@@ -376,8 +370,8 @@ def test_neumann_multigrid_iterations_bounded():
     mesh = build_mesh(128, 128)
     sigma = make_phantom(three_bump_spec(), mesh)
     field = VectorField(mesh, fem.element_means(sigma)[:, None] * forward.gauge_field(mesh).values)
-    rhs = fem.assemble_weak_divergence_rhs(mesh, field)
-    hierarchy = fem.multigrid(mesh, sigma)
+    rhs = fem.assemble_weak_divergence_rhs(field)
+    hierarchy = fem.multigrid(sigma)
     assert [m.shape[0] for m in hierarchy.matrices] == [129**2, 65**2, 33**2, 17**2, 9**2]
     _, residuals = fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-12, 1000)
     assert residuals[-1] <= 1e-12
@@ -390,7 +384,7 @@ def test_neumann_multigrid_iterations_bounded():
 def test_dia_level_product_matches_csr_stiffness_bitwise(nx, ny, bounds):
     m = build_mesh(nx, ny, bounds)
     sigma = smooth_conductivity(m, np.random.RandomState(nx))
-    a = fem.multigrid(m, sigma).matrices[0]
+    a = fem.multigrid(sigma).matrices[0]
     assert isinstance(a, sp.dia_matrix)
     assert np.array_equal(a.offsets, [-(nx + 1), -1, 0, 1, nx + 1])
     v = np.random.RandomState(ny).randn(m.n_nodes)
@@ -402,7 +396,7 @@ def test_dia_level_product_matches_csr_stiffness_bitwise(nx, ny, bounds):
 ])
 def test_vcycle_is_symmetric_and_sweeps_are_damped_jacobi(nx, ny, bounds):
     m = build_mesh(nx, ny, bounds)
-    hierarchy = fem.multigrid(m, smooth_conductivity(m, np.random.RandomState(nx)))
+    hierarchy = fem.multigrid(smooth_conductivity(m, np.random.RandomState(nx)))
     rng = np.random.RandomState(ny)
     # CG applies the V-cycle to mean-zero residuals only
     u, v = rng.randn(2, m.n_nodes)
@@ -410,7 +404,9 @@ def test_vcycle_is_symmetric_and_sweeps_are_damped_jacobi(nx, ny, bounds):
     v -= v.mean()
     uv, vu = u @ hierarchy.vcycle(v), v @ hierarchy.vcycle(u)
     assert abs(uv - vu) <= 1e-12 * abs(uv)
-    matrices = hierarchy.matrices
+    matrices, levels = hierarchy.matrices, hierarchy.levels
+    assert levels[0] is m and len(levels) == len(matrices)
+    assert all(fine.coarse is coarse for fine, coarse in zip(levels, levels[1:]))
     assert len(hierarchy.relaxation) == len(matrices) - 1
     for a, relax in zip(matrices, hierarchy.relaxation):
         assert np.array_equal(relax, fem.SMOOTHER_WEIGHT / a.diagonal())
@@ -422,8 +418,9 @@ def test_vcycle_is_symmetric_and_sweeps_are_damped_jacobi(nx, ny, bounds):
         x = np.zeros_like(r)
         for _ in range(fem.SMOOTHER_SWEEPS):
             x = x + fem.SMOOTHER_WEIGHT * (r - a @ x) / a.diagonal()
-        coarse_r = hierarchy.prolongations[level].T @ (r - a @ x)
-        x = x + hierarchy.prolongations[level] @ plain_vcycle(coarse_r - coarse_r.mean(), level + 1)
+        p = hierarchy.levels[level].prolongation
+        coarse_r = p.T @ (r - a @ x)
+        x = x + p @ plain_vcycle(coarse_r - coarse_r.mean(), level + 1)
         for _ in range(fem.SMOOTHER_SWEEPS):
             x = x + fem.SMOOTHER_WEIGHT * (r - a @ x) / a.diagonal()
         return x
@@ -435,7 +432,7 @@ def test_vcycle_is_symmetric_and_sweeps_are_damped_jacobi(nx, ny, bounds):
 def test_neumann_odd_mesh_coarsest_level_is_fine():
     mesh = build_mesh(9, 6, (-1.0, 2.0, 0.5, 1.5))
     sigma = ScalarField(mesh, 0.5 + np.random.RandomState(11).rand(mesh.n_nodes))
-    hierarchy = fem.multigrid(mesh, sigma)
+    hierarchy = fem.multigrid(sigma)
     assert len(hierarchy.matrices) == 1
     a = hierarchy.matrices[0]
     assert np.array_equal(a.toarray(), fem.assemble_weighted_stiffness(mesh, sigma).toarray())
@@ -459,15 +456,19 @@ def test_multigrid_builds_mesh_operators_once(monkeypatch):
     )
     mesh = build_mesh(64, 32, (0.0, 2.0, 0.0, 1.0))
     rng = np.random.RandomState(14)
-    first = fem.multigrid(mesh, smooth_conductivity(mesh, rng))
+    r = np.random.RandomState(15).randn(mesh.n_nodes)
+    r -= r.mean()
+    first = fem.multigrid(smooth_conductivity(mesh, rng))
+    first.vcycle(r)   # the V-cycle reads the transfers from the levels
     # 64 x 32 -> 32 x 16 -> 16 x 8: each coarse mesh built once, with the transfer to it
     assert built == {"meshes": 2, "transfers": 2}
-    second = fem.multigrid(mesh, smooth_conductivity(mesh, rng))
+    second = fem.multigrid(smooth_conductivity(mesh, rng))
+    second.vcycle(r)
     assert built == {"meshes": 2, "transfers": 2}
-    for p, q in zip(first.prolongations + first.restrictions,
-                    second.prolongations + second.restrictions):
+    for p, q in zip(first.levels, second.levels):
         assert p is q
-    assert len(first.matrices) == 3
+        assert p.prolongation is q.prolongation and p.restriction is q.restriction
+    assert len(first.matrices) == len(first.levels) == 3
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -478,7 +479,7 @@ def test_multigrid_singular_coarse_factor_is_solver_error(n):
     with np.errstate(divide="ignore"), pytest.raises(
         fem.SolverError, match="pinned stiffness factor failed",
     ):
-        fem.multigrid(mesh, tiny)
+        fem.multigrid(tiny)
     # the factor of the fine stiffness is built by the same helper
     with pytest.raises(fem.SolverError, match="pinned stiffness factor failed"):
         fem.pinned_lu(fem.assemble_weighted_stiffness(mesh, tiny))
@@ -569,7 +570,7 @@ def test_dirichlet_row_mask_matches_lil_reference(mesh16):
     # reference: the row replacement written out on a LIL matrix
     sigma = make_phantom(three_bump_spec(), mesh16)
     w = VectorField(mesh16, forward.rotate(forward.compute_field(sigma).field.values))
-    op = transport.assemble_advection(mesh16, w)
+    op = transport.assemble_advection(w)
     nodes = mesh16.boundary_nodes
     rhs = fem.lumped_mass(mesh16) * transport.apply_data_operator(op, sigma).values
     values = sigma.values[nodes]

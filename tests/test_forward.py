@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matmi import fem, forward, transport
+from matmi import fem, forward, frechet, recon, transport
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh, nested_interpolation
 from matmi.phantoms import make_phantom, random_bump_spec, single_bump_spec, three_bump_spec
@@ -50,7 +50,7 @@ def test_weak_divergence_free(bump32, mesh32):
     result = forward.compute_field(bump32)
     sigma_e = fem.element_means(bump32)
     weighted = VectorField(mesh32, sigma_e[:, None] * result.field.values)
-    residual = fem.assemble_weak_divergence_rhs(mesh32, weighted)
+    residual = fem.assemble_weak_divergence_rhs(weighted)
     assert np.abs(residual).max() <= 1e-10 * fem.l2_norm_vec(weighted)
 
 
@@ -70,18 +70,54 @@ def test_deterministic_bit_identical(bump32):
 
 def test_forward_map_applies_stored_operator(bump32, mesh32):
     field = forward.compute_field(bump32).field
-    op = transport.assemble_advection(mesh32, VectorField(mesh32, forward.rotate(field.values)))
+    op = transport.assemble_advection(VectorField(mesh32, forward.rotate(field.values)))
     expected = transport.apply_data_operator(op, bump32)
     assert np.array_equal(forward.forward_map(bump32).values, expected.values)
 
 
-def test_gauge_independence(bump32, mesh32):
+def test_forward_map_rejects_a_result_at_another_conductivity(bump32, mesh32):
+    # it returned the data of the result's conductivity, A(sigma_result) sigma
+    result = forward.compute_field(bump32)
+    for other in (ScalarField(mesh32, 1.01 * bump32.values),
+                  ScalarField(build_mesh(32, 32), bump32.values)):
+        with pytest.raises(ValueError, match="different conductivity"):
+            forward.forward_map(other, result)
+    # an equal conductivity in another array is the same result
+    same = ScalarField(mesh32, bump32.values.copy())
+    assert np.array_equal(forward.forward_map(same, result).values,
+                          forward.forward_map(bump32, result).values)
+
+
+def _operator(sigma):
+    return forward.compute_field(sigma).operator
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, b: transport.apply_data_operator(_operator(a), b), "field lives on a different mesh"),
+    (lambda a, b: transport.transport_solve(_operator(a), b, a), "fields live on a different mesh"),
+    (lambda a, b: transport.transport_solve(_operator(a), a, b), "fields live on a different mesh"),
+    (lambda a, b: recon.stability_check(a, b), "fields live on different meshes"),
+    (lambda a, b: frechet.frechet_derivative(a, b), "increment lives on a different mesh"),
+    (lambda a, b: frechet.fd_validate(a, b), "increment lives on a different mesh"),
+    (lambda a, b: fem.assemble_weighted_stiffness(a.mesh, b), "fields live on different meshes"),
+], ids=["apply_data_operator", "transport_solve-data", "transport_solve-boundary",
+        "stability_check", "frechet_derivative", "fd_validate", "assemble_weighted_stiffness"])
+def test_fields_from_another_mesh_rejected(call, message, mesh8):
+    # an equal mesh built again is another mesh: only the identity check tells them apart
+    here = fem.constant_field(mesh8, 0.5)
+    there = fem.constant_field(build_mesh(8, 8), 0.5)
+    with pytest.raises(ValueError, match=message):
+        call(here, there)
+
+
+def test_gauge_independence(bump32, mesh32, monkeypatch):
     # shifting the gauge by a constant vector (the gradient of an affine
     # function) changes the potential but not the field
     base = forward.compute_field(bump32)
     # the gauge 0.5 * (-y + 0.7, x + 0.3), off center by (0.1, 0.4)
     gauge = VectorField(mesh32, forward.gauge_field(mesh32).values + [0.1, 0.4])
-    shifted = forward.compute_field(bump32, gauge=gauge)
+    monkeypatch.setattr(forward, "gauge_field", lambda mesh: gauge)
+    shifted = forward.compute_field(bump32)
     scale = np.abs(base.field.values).max()
     assert np.abs(base.field.values - shifted.field.values).max() <= 1e-10 * scale
     assert np.abs(base.potential.values - shifted.potential.values).max() > 1e-6
@@ -174,7 +210,7 @@ def test_divergence_gauge_alone_exact_interior(mesh32):
     gauge = forward.gauge_field(mesh32)
     w = VectorField(mesh32, forward.rotate(gauge.values))
     p = nested_interpolation(32, 32, 8, 8)
-    b = p.T @ fem.assemble_weak_divergence_rhs(mesh32, w)
+    b = p.T @ fem.assemble_weak_divergence_rhs(w)
     diag = p.T @ fem.lumped_mass(mesh32)
     interior = build_mesh(8, 8).interior_nodes
     assert np.abs(b[interior] / diag[interior] - 1.0).max() <= 1e-13

@@ -73,7 +73,7 @@ def test_directions_solve_in_two_steps(nx, ny, bounds, monkeypatch):
     sigma = smooth_conductivity(mesh, np.random.RandomState(53))
     base = forward.compute_field(sigma)
     maps = base.derivative_maps
-    reference = fem.multigrid(mesh, sigma).vcycle
+    reference = fem.multigrid(sigma).vcycle
     xi = (mesh.nodes[:, 0] - mesh.x_min) / (mesh.x_max - mesh.x_min)
     iterations = []
     original = fem._projected_pcg

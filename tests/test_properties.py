@@ -99,8 +99,8 @@ def test_neumann_matches_jacobi_reference(mesh, seed):
     rng = np.random.RandomState(seed)
     sigma = smooth_conductivity(mesh, rng)
     a = fem.assemble_weighted_stiffness(mesh, sigma)
-    rhs = fem.assemble_weak_divergence_rhs(mesh, VectorField(mesh, rng.randn(mesh.n_elements, 2)))
-    hierarchy = fem.multigrid(mesh, sigma)
+    rhs = fem.assemble_weak_divergence_rhs(VectorField(mesh, rng.randn(mesh.n_elements, 2)))
+    hierarchy = fem.multigrid(sigma)
     u = fem.solve_neumann(mesh, hierarchy.matrices[0], rhs, hierarchy.vcycle)[0].values
 
     reference = jacobi_pcg(a, rhs)
@@ -142,13 +142,12 @@ def assert_five_point(a):
 @example(mesh=build_mesh(40, 24, (-1.0, 1.5, 2.0, 2.75)), seed=1)   # coarsens twice
 def test_assembled_levels_are_galerkin_products(mesh, seed):
     sigma = smooth_conductivity(mesh, np.random.RandomState(seed))
-    hierarchy = fem.multigrid(mesh, sigma)
+    hierarchy = fem.multigrid(sigma)
     for a in hierarchy.matrices:
         assert_five_point(a)
-    for a, coarse, p, r in zip(hierarchy.matrices, hierarchy.matrices[1:],
-                               hierarchy.prolongations, hierarchy.restrictions):
-        assert (r != p.T).nnz == 0
-        assert_galerkin(a, p, coarse)
+    for level, a, coarse in zip(hierarchy.levels, hierarchy.matrices, hierarchy.matrices[1:]):
+        assert (level.restriction != level.prolongation.T).nnz == 0
+        assert_galerkin(a, level.prolongation, coarse)
     # the mesh's own coarse mesh, which the hierarchy skips at 8 cells or fewer
     areas, _, _ = element_geometry(mesh)
     coarse = mesh.coarse.stiffness(mesh.coarsen(fem.element_means(sigma) * areas))

@@ -86,7 +86,7 @@ def test_fixed_point_exactness(mesh32, bump32):
     # if sigma_k equals the truth, the next transport solve returns the truth
     result = forward.compute_field(bump32)
     w = VectorField(mesh32, forward.rotate(result.field.values))
-    op = transport.assemble_advection(mesh32, w)
+    op = transport.assemble_advection(w)
     g = forward.forward_map(bump32, result)
     nxt = transport.transport_solve(op, g, bump32)
     err = fem.l2_norm(ScalarField(mesh32, nxt.values - bump32.values))
@@ -246,13 +246,22 @@ def test_qualitative_four_constant_bound(mesh32):
         assert ratio <= 4.0
 
 
+@pytest.mark.parametrize("bounds, n", [((0.0, 2.0, 0.0, 2.0), 16), ((0.0, 1.0, 0.0, 1.0), 8)])
+def test_truth_on_another_mesh_rejected(mesh16, bounds, n):
+    # a 16 x 16 truth on [0, 2]^2 ran and reported a wrong error; an 8 x 8 one
+    # failed in numpy broadcasting after the first field solve
+    truth = fem.constant_field(build_mesh(n, n, bounds), 0.2)
+    with pytest.raises(ValueError, match="truth lives on a different mesh"):
+        ReconConfig(sigma0=fem.constant_field(mesh16, 0.2), truth=truth)
+
+
 def fine_mesh_reconstruction(n, noise_seed=None):
     """Final relative error of the single bump from 2x fine-mesh data at ``n``,
     with 1% seeded multiplicative Gaussian noise on the data when a seed is given."""
     config = cli.RunConfig(mesh_n=n, data_mode="fine-mesh")
     mesh = config.build_mesh()
     truth = make_phantom(config.phantom_spec(), mesh)
-    g, _ = cli.synthesize_data(config, mesh, truth)
+    g, _ = cli.synthesize_data(config, truth)
     if noise_seed is not None:
         noise = np.random.default_rng(noise_seed).standard_normal(mesh.n_nodes)
         g = ScalarField(mesh, g.values * (1.0 + 0.01 * noise))

@@ -17,9 +17,7 @@ def velocity(mesh, fn):
 def test_zero_velocity_reduces_to_mass(mesh16):
     import scipy.sparse as sp
 
-    op = transport.assemble_advection(
-        mesh16, VectorField(mesh16, np.zeros((mesh16.n_elements, 2)))
-    )
+    op = transport.assemble_advection(VectorField(mesh16, np.zeros((mesh16.n_elements, 2))))
     diff = op.matrix - sp.diags(fem.lumped_mass(mesh16))
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -27,7 +25,7 @@ def test_zero_velocity_reduces_to_mass(mesh16):
 def test_constant_reproduced_exactly(mesh32):
     rng = np.random.RandomState(30)
     w = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
-    op = transport.assemble_advection(mesh32, w)
+    op = transport.assemble_advection(w)
     out = transport.apply_data_operator(op, fem.constant_field(mesh32, 0.7))
     assert np.abs(out.values - 0.7).max() <= 1e-12 * 0.7
 
@@ -38,7 +36,7 @@ def test_affine_transport_interior_exact(mesh32):
     # O(h) consistency the scheme guarantees in general)
     w = VectorField(mesh32, np.tile([1.0, 0.0], (mesh32.n_elements, 1)))
     sigma = fem.interpolate(mesh32, lambda x, y: x)
-    op = transport.assemble_advection(mesh32, w)
+    op = transport.assemble_advection(w)
     out = transport.apply_data_operator(op, sigma)
     expected = 1.0 + mesh32.nodes[:, 0]
     interior = mesh32.interior_nodes
@@ -74,7 +72,7 @@ def test_manufactured_monotone_refinement():
     errors = []
     for n in (16, 32, 64):
         mesh, sigma, w, g = manufactured_case(n)
-        op = transport.assemble_advection(mesh, w)
+        op = transport.assemble_advection(w)
         solution = transport.transport_solve(op, g, sigma)
         errors.append(interior_l2_error(mesh, solution, sigma))
     assert errors[1] <= errors[0] / 1.5
@@ -84,7 +82,7 @@ def test_manufactured_monotone_refinement():
 def test_constant_solution_exact(mesh32):
     rng = np.random.RandomState(31)
     w = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
-    op = transport.assemble_advection(mesh32, w)
+    op = transport.assemble_advection(w)
     c = fem.constant_field(mesh32, 0.7)
     solution = transport.transport_solve(op, c, c)
     assert np.abs(solution.values - 0.7).max() <= 1e-12
@@ -93,7 +91,7 @@ def test_constant_solution_exact(mesh32):
 def test_zero_data_zero_solution(mesh16):
     rng = np.random.RandomState(32)
     w = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
-    op = transport.assemble_advection(mesh16, w)
+    op = transport.assemble_advection(w)
     zero = fem.constant_field(mesh16, 0.0)
     solution = transport.transport_solve(op, zero, zero)
     assert np.abs(solution.values).max() <= 1e-14
@@ -103,7 +101,7 @@ def test_in_crime_consistency_oracle(mesh64, bump64):
     # same operator both ways: g := M^-1 D sigma, then solving recovers sigma
     result = forward.compute_field(bump64)
     w = VectorField(mesh64, forward.rotate(result.field.values))
-    op = transport.assemble_advection(mesh64, w)
+    op = transport.assemble_advection(w)
     g = transport.apply_data_operator(op, bump64)
     recovered = transport.transport_solve(op, g, bump64)
     err = fem.l2_norm(ScalarField(mesh64, recovered.values - bump64.values))
@@ -119,7 +117,7 @@ def test_solve_near_stagnation_point(mesh32):
     w = VectorField(mesh32, forward.rotate(result.field.values))
     speed = np.hypot(w.values[:, 0], w.values[:, 1])
     assert speed.min() < speed.max() / 5.0
-    op = transport.assemble_advection(mesh32, w)
+    op = transport.assemble_advection(w)
     g = transport.apply_data_operator(op, sigma)
     solution = transport.transport_solve(op, g, sigma)
     rhs = fem.lumped_mass(mesh32) * g.values
@@ -132,19 +130,13 @@ def test_solve_near_stagnation_point(mesh32):
     assert residual <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_mesh_mismatch_rejected(mesh16, mesh32):
-    w = VectorField(mesh32, np.zeros((mesh32.n_elements, 2)))
-    with pytest.raises(ValueError):
-        transport.assemble_advection(mesh16, w)
-
-
 def test_streamline_scale_bounded():
     # tau |w| <= h/2 even through the stagnation regularisation
     m = build_mesh(8, 8)
     rng = np.random.RandomState(33)
     w_vals = rng.randn(m.n_elements, 2)
     w_vals[0] = 0.0
-    op = transport.assemble_advection(m, VectorField(m, w_vals))
+    op = transport.assemble_advection(VectorField(m, w_vals))
     speed = np.hypot(w_vals[:, 0], w_vals[:, 1])
     assert np.all(op.tau * speed <= m.element_diameter / 2 + 1e-15)
     assert np.isfinite(op.tau).all()
@@ -161,7 +153,7 @@ def test_derivative_reads_stored_streamline_data():
         w_vals[3] = 0.0
         phi = rng.randn(m.n_nodes)
         s = rng.randn(m.n_nodes)
-        op = transport.assemble_advection(m, VectorField(m, w_vals))
+        op = transport.assemble_advection(VectorField(m, w_vals))
 
         areas, g, _ = element_geometry(m)
         dw_vals = forward.rotate(fem.gradient_field(ScalarField(m, phi)).values)
