@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 
 __all__ = [
-    "ScalarField", "VectorField", "SolverError",
+    "ScalarField", "VectorField", "SolverError", "check_mesh", "check_nodes",
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
@@ -68,6 +68,19 @@ class ScalarField:
             raise ValueError(
                 f"expected {self.mesh.n_nodes} coefficients, got {self.values.shape}"
             )
+
+
+def check_mesh(name: str, field: ScalarField, mesh: Mesh) -> None:
+    """Raise ``ValueError`` unless ``field`` lives on ``mesh`` itself, not an equal copy."""
+    if field.mesh is not mesh:
+        raise ValueError(f"{name} lives on a different mesh")
+
+
+def check_nodes(name: str, field: ScalarField, bad: np.ndarray, what: str = "not finite") -> None:
+    """Raise ``ValueError`` naming the first node where ``bad`` holds, and its value."""
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise ValueError(f"{name} is {what} at node {node}: {field.values[node]}")
 
 
 @dataclass(frozen=True)
@@ -114,21 +127,15 @@ def assemble_weighted_stiffness(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix
     ``sigma`` is evaluated per element as the vertex average, and the mesh's
     stiffness stencil is applied to the element weights ``area * sigma``.
     The result stores the nonzeros of the 5-point pattern, its columns ascending.
-    Raises ``ValueError`` if any nodal coefficient is non-positive.
+    Raises ``ValueError`` if ``sigma`` is on another mesh or not positive at a node.
     """
-    if sigma.mesh is not mesh:
-        raise ValueError("fields live on different meshes")
+    check_mesh("sigma", sigma, mesh)
     return mesh.stiffness(_element_weights(sigma)).tocsr()
 
 
 def _element_weights(sigma: ScalarField) -> np.ndarray:
     """The element weights ``area * sigma`` of a positive conductivity on its mesh."""
-    nonpositive = ~(sigma.values > 0.0)
-    if np.any(nonpositive):
-        bad = int(np.argmax(nonpositive))
-        raise ValueError(
-            f"conductivity must be positive, node {bad} has value {sigma.values[bad]}"
-        )
+    check_nodes("conductivity", sigma, ~(sigma.values > 0.0), "not positive")
     return element_means(sigma) * sigma.mesh.area
 
 

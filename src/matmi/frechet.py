@@ -57,11 +57,12 @@ def frechet_derivative(
     derivative maps and stiffness factor are reused.  The auxiliary Neumann
     solve is CG preconditioned by that factor, to the same residual contract
     as every Neumann solve.  Raises ``ValueError``, before any solve, when
-    ``h`` is not finite at a node, and when ``base`` was solved at another
-    conductivity.
+    ``h`` lives on another mesh than ``sigma`` or is not finite at a node,
+    and when ``base`` was solved at another conductivity.
     """
     mesh = sigma.mesh
-    _check_direction(sigma, h)
+    fem.check_mesh("increment", h, mesh)
+    fem.check_nodes("increment", h, ~np.isfinite(h.values))
     if base is None:
         base = forward.compute_field(sigma)
     base.check_solved_at(sigma)
@@ -75,16 +76,6 @@ def frechet_derivative(
     return DerivativeResult(potential=phi, value=ScalarField(mesh, values))
 
 
-def _check_direction(sigma: ScalarField, h: ScalarField) -> None:
-    """Raise ``ValueError`` if ``h`` lives off ``sigma``'s mesh or is not finite at a node."""
-    if h.mesh is not sigma.mesh:
-        raise ValueError("increment lives on a different mesh")
-    bad = ~np.isfinite(h.values)
-    if np.any(bad):
-        node = int(np.argmax(bad))
-        raise ValueError(f"increment is not finite at node {node}: {h.values[node]}")
-
-
 def fd_validate(
     sigma: ScalarField, h: ScalarField, t_values: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
 ) -> np.ndarray:
@@ -92,10 +83,11 @@ def fd_validate(
 
     ``sigma + t h`` must stay admissible for every t.  For an exact
     linearisation ``r(t)/t^2`` is approximately constant.  Raises
-    ``ValueError``, before any solve, when ``h`` is not finite at a node.
+    ``ValueError``, before any solve, when ``h`` is on another mesh or not finite at a node.
     """
     mesh = sigma.mesh
-    _check_direction(sigma, h)
+    fem.check_mesh("increment", h, mesh)
+    fem.check_nodes("increment", h, ~np.isfinite(h.values))
     base = forward.compute_field(sigma)
     f0 = forward.forward_map(sigma, base)
     df = frechet_derivative(sigma, h, base).value

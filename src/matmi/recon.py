@@ -45,6 +45,12 @@ class AdmissibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReconConfig:
+    """Initial guess, stopping rules and optional truth of a reconstruction.
+
+    Raises ``ValueError`` for a rule out of range, at the first node where
+    ``sigma0`` is not finite, and when ``truth`` lives on another mesh.
+    """
+
     sigma0: ScalarField
     max_iterations: int = 200
     tolerance_update: float = 1e-8
@@ -56,16 +62,9 @@ class ReconConfig:
             raise ValueError("max_iterations must be at least 1")
         if not (self.tolerance_update > 0.0 and self.tolerance_misfit > 0.0):
             raise ValueError("tolerances must be positive")
-        _reject_nodes("sigma0", self.sigma0, ~np.isfinite(self.sigma0.values))
-        if self.truth is not None and self.truth.mesh is not self.sigma0.mesh:
-            raise ValueError("truth lives on a different mesh from sigma0")
-
-
-def _reject_nodes(name: str, f: ScalarField, bad: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first node where ``bad`` holds."""
-    if np.any(bad):
-        node = int(np.argmax(bad))
-        raise ValueError(f"{name} is not finite at node {node}: {f.values[node]}")
+        fem.check_nodes("sigma0", self.sigma0, ~np.isfinite(self.sigma0.values))
+        if self.truth is not None:
+            fem.check_mesh("truth", self.truth, self.sigma0.mesh)
 
 
 class Sweep(NamedTuple):
@@ -89,7 +88,9 @@ class Sweep(NamedTuple):
 
 @dataclass
 class ReconReport:
-    """Log of the fixed-point loop: one ``Sweep`` per iterate, and why it stopped."""
+    """Log of the fixed-point loop: one ``Sweep`` per iterate, and why it stopped:
+    ``"misfit_tolerance"``, ``"update_tolerance"``, ``"max_iterations"`` or, in the
+    report an ``AdmissibilityError`` carries, ``"inadmissible_iterate"``."""
 
     sweeps: list[Sweep] = field(default_factory=list)
     stopping_reason: str = "max_iterations"
@@ -103,13 +104,13 @@ class ReconReport:
 def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, ReconReport]:
     """Run the fixed-point iteration until a stopping rule fires.
 
-    Raises ``ValueError`` naming the first node where ``g`` is not finite.
+    Raises ``ValueError``, before any solve, when ``config.sigma0`` is on another
+    mesh than ``g`` or ``g`` is not finite at a node.
     """
     mesh = g.mesh
     sigma0 = config.sigma0
-    if sigma0.mesh is not mesh:
-        raise ValueError("initial guess lives on a different mesh")
-    _reject_nodes("g", g, ~np.isfinite(g.values))
+    fem.check_mesh("sigma0", sigma0, mesh)
+    fem.check_nodes("g", g, ~np.isfinite(g.values))
     truth = config.truth
     truth_norm = fem.l2_norm(truth) if truth is not None else np.nan
 
@@ -129,6 +130,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
     for k in range(config.max_iterations + 1):
         if np.any(~(sigma.values >= LAMBDA_FLOOR)):
             bad = int(np.argmin(sigma.values))   # argmin finds a NaN first
+            report.stopping_reason = "inadmissible_iterate"
             raise AdmissibilityError(
                 f"iterate {k} fell to {sigma.values[bad]:.3e} at node {bad}, "
                 f"below the floor {LAMBDA_FLOOR}",
@@ -155,8 +157,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
             report.stopping_reason = "update_tolerance"
             return sigma, report
         if k == config.max_iterations:
-            report.stopping_reason = "max_iterations"
-            return sigma, report
+            break
 
         previous = sigma
         sigma = transport.transport_solve(op, g, sigma0, factor)
@@ -164,7 +165,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
         # the held LU outlives this operator: free it before the next field solve
         del op
 
-    return sigma, report  # pragma: no cover
+    return sigma, report
 
 
 def fit_convergence_factor(report: ReconReport) -> tuple[float, float]:
@@ -199,8 +200,7 @@ def stability_check(sigma1: ScalarField, sigma2: ScalarField) -> float:
     data difference sits at the solver floor.
     """
     mesh = sigma1.mesh
-    if sigma2.mesh is not mesh:
-        raise ValueError("fields live on different meshes")
+    fem.check_mesh("sigma2", sigma2, mesh)
     f1 = forward.forward_map(sigma1)
     f2 = forward.forward_map(sigma2)
     num = fem.l2_norm(ScalarField(mesh, sigma1.values - sigma2.values))

@@ -121,8 +121,7 @@ def advection_matrix_derivative(op: AdvectionOperator, s: np.ndarray) -> sp.dia_
 
 def apply_data_operator(op: AdvectionOperator, sigma: ScalarField) -> ScalarField:
     """Lumped-mass L2 representation of ``w . grad(sigma) + sigma``."""
-    if sigma.mesh is not op.mesh:
-        raise ValueError("field lives on a different mesh")
+    fem.check_mesh("sigma", sigma, op.mesh)
     vals = (op.matrix @ sigma.values) / fem.lumped_mass(op.mesh)
     return ScalarField(op.mesh, vals)
 
@@ -143,8 +142,8 @@ def transport_solve(
     (see ``fem.solve_dirichlet``).
     """
     mesh = op.mesh
-    if g.mesh is not mesh or boundary_value.mesh is not mesh:
-        raise ValueError("fields live on a different mesh")
+    fem.check_mesh("g", g, mesh)
+    fem.check_mesh("boundary_value", boundary_value, mesh)
     nodes = mesh.boundary_nodes
     rhs = fem.lumped_mass(mesh) * g.values
     rhs[nodes] = boundary_value.values[nodes]

@@ -3,7 +3,7 @@ import pytest
 
 from matmi import fem
 from matmi.mesh import build_mesh
-from matmi.phantoms import make_phantom, single_bump_spec
+from matmi.phantoms import boundary_distance, collar_taper, make_phantom, single_bump_spec
 
 
 @pytest.fixture(scope="session")
@@ -39,10 +39,7 @@ def bump64(mesh64):
 def perturbation(mesh, rng, n_bumps=3, amplitude=0.1, collar=0.15):
     """Random smooth collar-supported field (zero near the boundary)."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    d = np.minimum(np.minimum(x - mesh.x_min, mesh.x_max - x),
-                   np.minimum(y - mesh.y_min, mesh.y_max - y))
-    t = np.clip(d / collar - 1.0, 0.0, 1.0)
-    taper = t * t * (3.0 - 2.0 * t)
+    taper = collar_taper(boundary_distance(mesh, x, y), collar)
     values = np.zeros(mesh.n_nodes)
     for _ in range(n_bumps):
         cx, cy = 0.25 + 0.5 * rng.rand(2)

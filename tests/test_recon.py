@@ -111,6 +111,7 @@ def test_admissibility_abort(mesh16):
     with pytest.raises(recon.AdmissibilityError) as err:
         recon.reconstruct(g, cfg)
     assert err.value.report.sweeps  # partial report attached
+    assert err.value.report.stopping_reason == "inadmissible_iterate"
 
 
 def test_nan_initial_guess_rejected_before_any_solve(mesh16):
