@@ -34,7 +34,8 @@ def manufactured_transport_error(n):
     op = transport.assemble_advection(w)
     solution = transport.transport_solve(op, fem.interpolate(mesh, data), sigma)
     diff = np.zeros(mesh.n_nodes)
-    diff[mesh.interior_nodes] = (solution.values - sigma.values)[mesh.interior_nodes]
+    interior = mesh.interior_order
+    diff[interior] = (solution.values - sigma.values)[interior]
     return fem.l2_norm(fem.ScalarField(mesh, diff))
 
 

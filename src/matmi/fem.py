@@ -15,9 +15,13 @@ element by the sum of its four children's weights, which equals the Galerkin
 product ``P^T A P`` under full coarsening (Briggs, Henson & McCormick, *A
 Multigrid Tutorial*, 2nd ed., SIAM 2000, ch. 2, 3 and 10), and each damped-Jacobi
 sweep is one product with the level's own matrix.  The coarsest level is solved
-exactly by ``pinned_solve`` with its ``pinned_lu``, a sparse LU with node 0
-pinned; a run of Neumann solves with one matrix is preconditioned by that
-exact solve on the matrix itself, and CG then takes one or two steps.  A
+exactly by ``pinned_solve`` with its ``pinned_lu``: a sparse LU of the rows
+and columns other than node 0, whose solve is corrected in row 0 by the
+stored row and one precomputed solve, so every row of its residual sits at
+the LU's rounding.  A run of Neumann solves with one matrix is preconditioned
+by that exact solve on the matrix itself, and CG then meets ``SOLVER_TOL`` in
+one step, unless the LU's own rounding lies above it (on the unit square,
+from about n = 256 on), when it takes two.  A
 Dirichlet solve prescribes the boundary nodes: it reads only the interior
 rows, takes the boundary values from the rhs and refines the interior values
 from a held sparse LU of the CSR interior block, in the mesh's geometric
@@ -29,7 +33,7 @@ from one helper, which reports a SuperLU failure as ``SolverError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +46,7 @@ __all__ = [
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
-    "Multigrid", "multigrid", "pinned_lu", "pinned_solve", "solve_neumann",
+    "Multigrid", "multigrid", "PinnedLU", "pinned_lu", "pinned_solve", "solve_neumann",
     "FreeBlockLU", "solve_dirichlet",
     "l2_norm", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
@@ -232,7 +236,7 @@ class Multigrid:
     levels: tuple[Mesh, ...]
     matrices: tuple[sp.dia_matrix, ...]
     relaxation: tuple[np.ndarray, ...]         # damped inverse diagonals above the coarsest
-    coarse_lu: spla.SuperLU
+    coarse_lu: PinnedLU
 
     def vcycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One V(2,2) cycle from a zero guess: a symmetric approximation to ``A^+ r``."""
@@ -281,20 +285,53 @@ def _splu(matrix: sp.csc_matrix, failure: str, **options) -> spla.SuperLU:
         raise SolverError(f"{failure}: {exc}", [np.inf]) from exc
 
 
-def pinned_lu(matrix: sp.spmatrix) -> spla.SuperLU:
+class PinnedLU(NamedTuple):
+    """A Neumann stiffness ``A`` factored with node 0 pinned, and what corrects row 0.
+
+    ``lu`` factors ``A`` without row and column 0.  ``row_cols`` and
+    ``row_vals`` are the stored row 0 of ``A``, and ``green`` is the
+    zero-mean solution of ``A g = e_0 - 1/N`` by ``lu``.
+    """
+
+    lu: spla.SuperLU
+    row_cols: np.ndarray
+    row_vals: np.ndarray
+    green: np.ndarray
+
+
+def pinned_lu(matrix: sp.spmatrix) -> PinnedLU:
     """Sparse LU of a Neumann stiffness with node 0 pinned, in minimum-degree order.
 
-    Raises ``SolverError`` when SuperLU fails to factor it.
+    It comes with the stored row 0 and the solve ``green``, which
+    ``pinned_solve`` corrects that row by.  Raises ``SolverError`` when
+    SuperLU fails to factor it.
     """
-    return _splu(matrix.tocsr()[1:, 1:].tocsc(), "pinned stiffness factor failed",
-                 permc_spec="MMD_AT_PLUS_A")
+    a = matrix.tocsr()
+    lu = _splu(a[1:, 1:].tocsc(), "pinned stiffness factor failed", permc_spec="MMD_AT_PLUS_A")
+    end = a.indptr[1]
+    source = np.full(a.shape[0], -1.0 / a.shape[0])
+    source[0] += 1.0
+    return PinnedLU(lu, a.indices[:end].copy(), a.data[:end].copy(), _pinned(lu, source))
 
 
-def pinned_solve(lu: spla.SuperLU, r: np.ndarray) -> np.ndarray:
-    """The zero-mean solution of ``A x = r`` for a mean-zero ``r``, by ``lu = pinned_lu(A)``."""
+def _pinned(lu: spla.SuperLU, r: np.ndarray) -> np.ndarray:
+    """``lu``'s solve of rows 1.. of ``r`` with node 0 held at zero, shifted to mean zero."""
     x = np.zeros_like(r)
     x[1:] = lu.solve(r[1:])
     return x - x.mean()
+
+
+def pinned_solve(factor: PinnedLU, r: np.ndarray) -> np.ndarray:
+    """The zero-mean solution of ``A x = r`` for a mean-zero ``r``, by ``factor = pinned_lu(A)``.
+
+    The rows other than 0 are solved by the LU.  Row 0, which the LU leaves
+    out, would collect the row-sum rounding of the stored ``A``; its residual
+    ``r_0 - A_0 x`` is put back through ``green``, so that every row of the
+    projected residual sits at the LU's own rounding.
+    """
+    x = _pinned(factor.lu, r)
+    x += (r[0] - factor.row_vals @ x[factor.row_cols]) * factor.green
+    return x
 
 
 def _projected_pcg(

@@ -21,7 +21,8 @@ data-on-the-same-mesh mode.
 The result of a field solve keeps the stiffness, not its multigrid
 hierarchy, which is dropped once the potential is found.  On first use it
 builds the two sparse maps of the data map's derivative and the pinned LU
-of the stiffness, which the auxiliary Neumann solves of all directions share.
+of the stiffness (``fem.PinnedLU``), which the auxiliary Neumann solves of
+all directions share.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem, transport
 from .fem import ScalarField, VectorField
@@ -73,13 +73,15 @@ class DerivativeMaps(NamedTuple):
     ``(A h + advection @ phi) / M_L``, where ``phi`` solves the Neumann
     problem with right-hand side ``rhs @ h`` and ``A`` is the data operator.
     Both maps are stored by the mesh's seven diagonals, and their values are
-    read-only.  ``factor`` is the pinned LU of the stiffness, whose exact
-    solve (``fem.pinned_solve``) preconditions each direction's Neumann solve.
+    read-only.  ``factor`` is the pinned LU of the stiffness with its row-0
+    correction; its solve (``fem.pinned_solve``) is exact in every row, and
+    preconditions each direction's Neumann solve, which it normally ends in
+    one CG step.
     """
 
     rhs: sp.dia_matrix        # h -> load vector of -div(h E), h averaged per element
     advection: sp.dia_matrix  # phi -> dA[rot grad(phi)] @ sigma
-    factor: spla.SuperLU      # fem.pinned_lu of the sigma-weighted stiffness
+    factor: fem.PinnedLU      # fem.pinned_lu of the sigma-weighted stiffness
 
 
 @dataclass(frozen=True)

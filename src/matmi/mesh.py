@@ -180,11 +180,6 @@ class Mesh:
         nodes.setflags(write=False)
         return nodes
 
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        """Sorted indices of the other nodes."""
-        return np.setdiff1d(np.arange(self.n_nodes), self.boundary_nodes)
-
     def gather(self, values: np.ndarray) -> np.ndarray:
         """(n_elements, 3, ...) values at each element's vertices of an (n_nodes, ...) array."""
         nx, ny, rest = self.nx, self.ny, values.shape[1:]

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_forward_constant_phantom_data(tmp_path):
     assert np.abs(data.values - 0.2).max() <= 1e-10
     diag = dict(
         line.split(",") for line in
-        open(os.path.join(out, "diagnostics.csv")).read().splitlines()[1:]
+        Path(out, "diagnostics.csv").read_text().splitlines()[1:]
     )
     assert float(diag["field_norm"]) <= 0.40825
 
@@ -131,8 +132,8 @@ def test_rerun_byte_identical(tmp_path):
     assert main(["forward", "--config", cfg, "--out", out1]) == 0
     assert main(["forward", "--config", cfg, "--out", out2]) == 0
     for name in sorted(os.listdir(out1)):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2, name
 
 
@@ -173,13 +174,13 @@ def test_invert_synthesized(tmp_path):
     assert main(["invert", "--config", cfg, "--out", out]) == 0
     summary = dict(
         line.split(",") for line in
-        open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+        Path(out, "summary.csv").read_text().splitlines()[1:]
     )
     assert float(summary["final_rel_error"]) <= 1e-6
     assert int(summary["iterations"]) <= 30
     assert int(summary["cg_iterations"]) > 0
     assert 1 <= int(summary["transport_factors"]) <= int(summary["iterations"])
-    report = open(os.path.join(out, "report.csv")).read().splitlines()
+    report = Path(out, "report.csv").read_text().splitlines()
     assert report[0] == "k,update,misfit,rel_error,abs_error,cg_iterations,transport_factors"
     assert len(report) >= 3
 
@@ -202,7 +203,7 @@ def test_report_counts_match_the_solver_calls(tmp_path, monkeypatch):
         return x, residuals
 
     # the transport factor is of the free block; the multigrid's coarse one is smaller
-    free = build_mesh(16, 16).interior_nodes.size
+    free = build_mesh(16, 16).interior_order.size
 
     def counting_splu(matrix, *args, **kwargs):
         counted["factors"] += matrix.shape[0] == free
@@ -212,7 +213,7 @@ def test_report_counts_match_the_solver_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.fem.spla, "splu", counting_splu)
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", cfg2, "--out", out]) == 0
-    rows = open(os.path.join(out, "report.csv")).read().splitlines()
+    rows = Path(out, "report.csv").read_text().splitlines()
     header = rows[0].split(",")
     columns = np.array([row.split(",") for row in rows[1:]], dtype=float)
     cg = columns[:, header.index("cg_iterations")]
@@ -235,7 +236,7 @@ data.truth = background
     assert main(["invert", "--config", cfg, "--out", out]) == 0
     summary = dict(
         line.split(",") for line in
-        open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+        Path(out, "summary.csv").read_text().splitlines()[1:]
     )
     assert int(summary["iterations"]) <= 2
     assert float(summary["final_abs_error"]) < 1e-7
@@ -252,7 +253,7 @@ def test_invert_from_file_roundtrip(tmp_path):
     assert main(["invert", "--config", cfg2, "--out", out]) == 0
     summary = dict(
         line.split(",") for line in
-        open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+        Path(out, "summary.csv").read_text().splitlines()[1:]
     )
     assert float(summary["final_rel_error"]) <= 1e-6
 
@@ -345,7 +346,7 @@ def test_data_file_from_a_shifted_mesh_rejected(tmp_path, capsys):
 def test_nonfinite_data_file_rejected(tmp_path, node):
     mesh = build_mesh(16, 16)
     values = np.full(mesh.n_nodes, 0.2)
-    nodes = mesh.boundary_nodes if node == "boundary" else mesh.interior_nodes
+    nodes = mesh.boundary_nodes if node == "boundary" else np.sort(mesh.interior_order)
     values[nodes[3]] = np.nan
     data_file = str(tmp_path / "g.csv")
     from matmi import fem
@@ -460,7 +461,7 @@ def test_study_row_with_a_bump_width_without_a_float64_square_fails(tmp_path, wi
     text = f"mesh.n = 8\nphantom.bumps = 0.5 0.5 0.1 {width}\nstudy.amplitude_scales = 1 2\n"
     out = str(tmp_path / "out")
     assert main(["study", "--config", write_config(tmp_path, text), "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = Path(out, "study.csv").read_text().splitlines()
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["failed: ConfigError"] * 2
 
 
@@ -531,7 +532,7 @@ def test_in_crime_study_row_solves_the_truth_field_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG + "study.mesh_sizes = 8\n")
     out = str(tmp_path / "out")
     assert main(["study", "--config", cfg, "--out", out]) == 0
-    header, row = open(os.path.join(out, "study.csv")).read().splitlines()
+    header, row = Path(out, "study.csv").read_text().splitlines()
     sweeps = int(dict(zip(header.split(","), row.split(",")))["iterations"])
     # one truth solve for data and diagnostic, one field solve per iterate
     assert len(solved) == 1 + (sweeps + 1)
@@ -547,7 +548,7 @@ recon.max_iterations = 60
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["study", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = Path(out, "study.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert [r["status"] for r in rows] == ["ok"] * 3
@@ -565,7 +566,7 @@ recon.max_iterations = 80
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["study", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = Path(out, "study.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     grads = [float(r["gradient_sup"]) for r in rows]
@@ -585,7 +586,7 @@ study.amplitude_scales = 1.0 1.4
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["study", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = Path(out, "study.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert rows[0]["status"] == "ok"
@@ -599,7 +600,7 @@ def test_study_row_scaled_past_the_ceiling_is_config_error(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["study", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = Path(out, "study.csv").read_text().splitlines()
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["ok", "failed: ConfigError"]
 
 
@@ -623,7 +624,7 @@ study.amplitude_scales = 1 2
 """
     out = str(tmp_path / "study")
     assert main(["study", "--config", write_config(tmp_path, study_text), "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = Path(out, "study.csv").read_text().splitlines()
     header = lines[0].split(",")
     doubled = dict(zip(header, lines[2].split(",")))
 
@@ -637,7 +638,7 @@ data.mode = fine-mesh
     assert main(["invert", "--config", cfg, "--out", out]) == 0
     summary = dict(
         line.split(",") for line in
-        open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+        Path(out, "summary.csv").read_text().splitlines()[1:]
     )
     assert doubled["amplitude_scale"] == "2"
     assert doubled["iterations"] == summary["iterations"] == "10"
@@ -656,7 +657,7 @@ def test_phantom_command(tmp_path):
     assert main(["phantom", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "phantom.csv"))
     assert os.path.exists(os.path.join(out, "phantom_properties.csv"))
-    vtk = open(os.path.join(out, "phantom.vtk")).read().splitlines()
+    vtk = Path(out, "phantom.vtk").read_text().splitlines()
     assert vtk[0] == "# vtk DataFile Version 2.0"
     assert "DATASET UNSTRUCTURED_GRID" in vtk
     assert any(line.startswith("POINT_DATA") for line in vtk)
@@ -718,7 +719,7 @@ recon.tolerance_update = 1e-10
     assert main(["invert", "--config", cfg, "--out", out]) == 0
     summary = dict(
         line.split(",") for line in
-        open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+        Path(out, "summary.csv").read_text().splitlines()[1:]
     )
     # off-mesh data: the fixed point is no longer exact, errors stall at the
     # discretisation level rather than the solver floor
@@ -803,7 +804,7 @@ def assert_written_numbers_finite(out):
     study, the fit of an unfittable row and every column of a failed row.
     """
     for name in os.listdir(out):
-        lines = open(os.path.join(out, name)).read().splitlines()
+        lines = Path(out, name).read_text().splitlines()
         if name == "summary.csv":
             summary = dict(line.split(",", 1) for line in lines[1:])
             report = np.loadtxt(os.path.join(out, "report.csv"), delimiter=",",

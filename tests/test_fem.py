@@ -10,7 +10,7 @@ from matmi.mesh import build_mesh, nested_interpolation
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
 from conftest import (
-    add_at_assembly, element_blocks, element_geometry, smooth_conductivity,
+    add_at_assembly, element_blocks, element_geometry, perturbation, smooth_conductivity,
 )
 
 
@@ -485,6 +485,36 @@ def test_multigrid_singular_coarse_factor_is_solver_error(n):
         fem.pinned_lu(fem.assemble_weighted_stiffness(mesh, tiny))
 
 
+def test_pinned_solve_matches_the_pseudo_inverse():
+    mesh = build_mesh(12, 9, (-1.0, 2.0, 0.5, 1.5))
+    a = fem.assemble_weighted_stiffness(mesh, smooth_conductivity(mesh, np.random.RandomState(56)))
+    factor = fem.pinned_lu(a)
+    assert np.array_equal(factor.row_cols, a.indices[:a.indptr[1]])
+    assert np.array_equal(factor.row_vals, a.data[:a.indptr[1]])
+    r = np.random.RandomState(57).randn(mesh.n_nodes)
+    r -= r.mean()
+    expected = np.linalg.pinv(a.toarray()) @ r
+    got = fem.pinned_solve(factor, r)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert abs(got.mean()) <= 1e-15 * np.abs(got).max()
+
+
+def test_pinned_solve_is_exact_in_the_pinned_row():
+    # row 0 is left out of the LU; uncorrected, it collected the row-sum
+    # rounding of the stiffness, up to 3e-11 of |r| on these right-hand sides
+    mesh = build_mesh(128, 128)
+    sigma = make_phantom(three_bump_spec(), mesh)
+    base = forward.compute_field(sigma)
+    maps = base.derivative_maps
+    rng = np.random.RandomState(58)
+    for _ in range(5):
+        r = maps.rhs @ perturbation(mesh, rng).values
+        r -= r.mean()
+        residual = r - base.stiffness @ fem.pinned_solve(maps.factor, r)
+        residual -= residual.mean()
+        assert np.linalg.norm(residual) <= fem.SOLVER_TOL * np.linalg.norm(r)
+
+
 def assert_interpolates_affine_exactly(nx, ny, cx, cy, bounds):
     fine = build_mesh(nx, ny, bounds)
     coarse = build_mesh(cx, cy, bounds)
@@ -600,7 +630,8 @@ def test_dissection_order_is_read_only_permutation(nx, ny):
     order = mesh.interior_order
     assert order is mesh.interior_order
     assert not order.flags.writeable
-    assert np.array_equal(np.sort(order), mesh.interior_nodes)
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
+    assert np.array_equal(np.sort(order), interior)
 
 
 def transport_system(mesh, spec):

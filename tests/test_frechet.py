@@ -4,7 +4,7 @@ import pytest
 from matmi import fem, forward, frechet, transport
 from matmi.fem import ScalarField
 from matmi.mesh import build_mesh
-from matmi.phantoms import make_phantom, single_bump_spec
+from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
 from conftest import perturbation, smooth_conductivity
 
@@ -92,6 +92,28 @@ def test_directions_solve_in_two_steps(nx, ny, bounds, monkeypatch):
         expected = (base.operator.matrix @ h.values + maps.advection @ phi) / fem.lumped_mass(mesh)
         assert np.abs(df - expected).max() <= 1e-12 * np.abs(expected).max()
     assert len(iterations) == 3 and max(iterations) <= 2
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_directions_solve_in_one_step(n, monkeypatch):
+    # the pinned factor's solve is exact in its pinned row too, so one CG step
+    # meets SOLVER_TOL; with that row's rounding left in, most directions took two
+    mesh = build_mesh(n, n)
+    sigma = make_phantom(three_bump_spec(), mesh)
+    base = forward.compute_field(sigma)
+    iterations = []
+    original = fem._projected_pcg
+
+    def counting(*args):
+        x, residuals = original(*args)
+        iterations.append(len(residuals) - 1)
+        return x, residuals
+
+    monkeypatch.setattr(fem, "_projected_pcg", counting)
+    rng = np.random.RandomState(59)
+    for _ in range(5):
+        frechet.frechet_derivative(sigma, perturbation(mesh, rng), base)
+    assert iterations == [1] * 5
 
 
 def test_solve_at_the_rounding_floor_fails_fast():

@@ -138,7 +138,7 @@ def test_boundary_nodes_by_grid_index(bounds):
     on_edge = (x == x_min) | (x == x_max) | (y == y_min) | (y == y_max)
     assert len(m.boundary_nodes) == 2 * (128 + 96)
     assert np.array_equal(m.boundary_nodes, np.flatnonzero(on_edge))
-    assert np.array_equal(m.interior_nodes, np.flatnonzero(~on_edge))
+    assert np.array_equal(np.sort(m.interior_order), np.flatnonzero(~on_edge))
 
 
 def test_conforming_interior_edges():

@@ -272,6 +272,19 @@ def test_frechet_remainder_is_quadratic(mesh, seed):
     assert 3.2 <= r[0] / r[1] <= 4.8
 
 
+@PROPERTY_SETTINGS
+@given(mesh=rectangles().filter(lambda m: cell_aspect(m) <= 4.0), seed=st.integers(0, 2**32 - 1))
+def test_pinned_solve_meets_the_solver_tolerance(mesh, seed):
+    # one exact solve, its pinned row included, is within the residual contract
+    rng = np.random.RandomState(seed)
+    a = fem.assemble_weighted_stiffness(mesh, smooth_conductivity(mesh, rng))
+    r = fem.assemble_weak_divergence_rhs(VectorField(mesh, rng.randn(mesh.n_elements, 2)))
+    r -= r.mean()
+    residual = r - a @ fem.pinned_solve(fem.pinned_lu(a), r)
+    residual -= residual.mean()
+    assert np.linalg.norm(residual) <= fem.SOLVER_TOL * np.linalg.norm(r)
+
+
 @st.composite
 def reconstruction_rectangles(draw):
     """Meshes of 8 to 40 cells a side, sides log-uniform in [0.2, 5], cells at most 4:1."""

@@ -39,7 +39,7 @@ def test_affine_transport_interior_exact(mesh32):
     op = transport.assemble_advection(w)
     out = transport.apply_data_operator(op, sigma)
     expected = 1.0 + mesh32.nodes[:, 0]
-    interior = mesh32.interior_nodes
+    interior = mesh32.interior_order
     assert np.abs(out.values[interior] - expected[interior]).max() <= 1e-12
 
 
@@ -63,7 +63,7 @@ def manufactured_case(n):
 
 def interior_l2_error(mesh, a, b):
     diff = np.zeros(mesh.n_nodes)
-    interior = mesh.interior_nodes
+    interior = mesh.interior_order
     diff[interior] = (a.values - b.values)[interior]
     return fem.l2_norm(ScalarField(mesh, diff))
 
