@@ -271,12 +271,15 @@ def read_scalar_csv(path: str, mesh: Mesh) -> ScalarField:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    if data.shape != (mesh.n_nodes, 3):
+    # a file without rows reads as one empty column
+    rows, columns = data.shape if data.size else (0, 0)
+    if (rows, columns) != (mesh.n_nodes, 3):
         raise ConfigError(
-            f"{path}: expected {mesh.n_nodes} rows of x,y,value, got shape {data.shape}"
+            f"{path}: expected {mesh.n_nodes} rows x 3 columns of x,y,value, "
+            f"got {rows} rows x {columns} columns"
         )
     # a millionth of a cell: a relative tolerance grows with an offset domain's coordinates
     if not np.allclose(data[:, :2], mesh.nodes, rtol=0.0, atol=1e-6 * min(mesh.dx, mesh.dy)):

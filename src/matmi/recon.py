@@ -8,9 +8,10 @@ Each sweep alternates a field solve with a transport solve:
 
 The data misfit ``g - F(sigma_k)`` reuses the operator assembled for the
 transport step, so checking it costs nothing extra.  The iterates contract,
-so each sweep's systems are close to the last one's: the field solve starts
-from the last potential, and the transport solve refines from the last LU
-until a step stalls (``fem.solve_dirichlet``).  Iterates that fall
+so each sweep's systems and solutions are close to the last one's: the
+field solve starts from the last potential, and the transport solve refines
+from the current iterate with the last LU until a step stalls
+(``fem.solve_dirichlet``).  Iterates that fall
 below the admissibility floor abort the run; clamping would hide the
 divergence the convergence theory predicts for steep conductivities.
 """
@@ -160,7 +161,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
             break
 
         previous = sigma
-        sigma = transport.transport_solve(op, g, sigma0, factor)
+        sigma = transport.transport_solve(op, g, sigma0, factor, guess=sigma)
         built = int(factor.fresh)
         # the held LU outlives this operator: free it before the next field solve
         del op

@@ -131,6 +131,7 @@ def transport_solve(
     g: ScalarField,
     boundary_value: ScalarField,
     factor: fem.FreeBlockLU | None = None,
+    guess: ScalarField | None = None,
 ) -> ScalarField:
     """Solve the update equation with strong Dirichlet data on the whole boundary.
 
@@ -138,8 +139,9 @@ def transport_solve(
     ``M_lumped * g`` (matching the data map's projection convention); the
     boundary entries of the rhs carry ``boundary_value``, which
     ``fem.solve_dirichlet`` prescribes without reading the boundary rows.
-    ``factor`` holds the LU that the solve refines from and leaves behind
-    (see ``fem.solve_dirichlet``).
+    ``factor`` holds the LU that the solve refines with and leaves behind,
+    and the refinement starts from the interior values of ``guess`` when
+    given, from zero otherwise (see ``fem.solve_dirichlet``).
     """
     mesh = op.mesh
     fem.check_mesh("g", g, mesh)
@@ -147,4 +149,4 @@ def transport_solve(
     nodes = mesh.boundary_nodes
     rhs = fem.lumped_mass(mesh) * g.values
     rhs[nodes] = boundary_value.values[nodes]
-    return fem.solve_dirichlet(mesh, op.matrix, rhs, factor)
+    return fem.solve_dirichlet(mesh, op.matrix, rhs, factor, guess)

@@ -8,8 +8,10 @@ compares the files with the committed ones byte for byte.
     python tests/golden/regenerate.py
 
 rewrites the committed files and ``VERSIONS``, the numpy and scipy versions
-that produced them.  Regenerate only when a change is meant to move output
-bits, and state the largest difference it made.
+that produced them.  Before it overwrites, it prints each file it changes
+with ``describe_difference`` and the file's largest absolute and relative
+difference.  Regenerate only when a change is meant to move output bits, and
+state the largest difference it made.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import os
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 import scipy
@@ -87,10 +90,108 @@ def generate(out: str) -> None:
     _frechet(os.path.join(out, "frechet"))
 
 
-def main() -> None:
+def number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
+def cells(text):
+    """What the entries of a file are called, and the cells of each by name.
+
+    A ``key,value`` file has one entry per key, any other CSV file one per
+    header column, and any other file one entry of every token.
+    """
+    lines = text.splitlines()
+    if lines[0] == "key,value":
+        return "key", {key: [value] for key, value in (line.split(",", 1) for line in lines[1:])}
+    if "," in lines[0]:
+        names = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        return "column", {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    return "column", {"all tokens": text.split()}
+
+
+def _differences(a, b):
+    """Of two equally long lists of cells: the changed cells that are not both
+    numbers, and the absolute and relative differences of the numbers."""
+    x, y = np.array([number(c) for c in a]), np.array([number(c) for c in b])
+    text = np.isnan(x) | np.isnan(y)
+    changed = [i for i in np.flatnonzero(text) if a[i] != b[i]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.where(text, 0.0, np.abs(x - y))
+        rel = np.where(diff != 0, diff / np.abs(x), 0.0)
+    return changed, diff, rel
+
+
+def describe_difference(path, expected, got):
+    """Name each entry of the file that differs.
+
+    It gives the entry's first changed cell that is not a number, and the
+    largest absolute and relative difference of its numbers.
+    """
+    lines = [f"{path} differs from the golden file"]
+    kind, want = cells(expected)
+    _, have = cells(got)
+    for name in [*want, *(name for name in have if name not in want)]:
+        a, b = want.get(name), have.get(name)
+        if a is None or b is None or len(a) != len(b):
+            lines.append(f"  {kind} {name!r}: {None if a is None else len(a)} golden cells, "
+                         f"{None if b is None else len(b)} now")
+            continue
+        changed, diff, rel = _differences(a, b)
+        if changed:
+            i = changed[0]
+            row = "" if kind == "key" else f" row {i + 1}"
+            lines.append(f"  {kind} {name!r}{row}: {a[i]!r} golden, {b[i]!r} now")
+        if (diff != 0).any():
+            lines.append(f"  {kind} {name!r}: largest absolute difference {np.nanmax(diff):.3e}, "
+                         f"largest relative {np.nanmax(rel):.3e}")
+    return "\n".join(lines)
+
+
+def largest_difference(expected, got):
+    """The largest absolute and relative difference of the numbers of a file's
+    entries that kept their name and length."""
+    _, want = cells(expected)
+    _, have = cells(got)
+    largest = np.zeros(2)
+    for name, a in want.items():
+        b = have.get(name)
+        if b is not None and len(a) == len(b):
+            _, diff, rel = _differences(a, b)
+            largest = np.fmax(largest, [diff.max(initial=0.0), rel.max(initial=0.0)])
+    return tuple(largest)
+
+
+def report(old, new):
+    """Print how each file under the case directories of ``new`` differs from ``old``."""
     for name in [*CASES, "frechet"]:
-        shutil.rmtree(os.path.join(HERE, name), ignore_errors=True)
-    generate(HERE)
+        files = set()
+        for root in (old, new):
+            if os.path.isdir(os.path.join(root, name)):
+                files.update(os.listdir(os.path.join(root, name)))
+        for path in sorted(os.path.join(name, f) for f in files):
+            before, after = (os.path.join(root, path) for root in (old, new))
+            if not os.path.exists(before) or not os.path.exists(after):
+                print(f"{path}: {'added' if os.path.exists(after) else 'removed'}")
+                continue
+            with open(before) as a, open(after) as b:
+                expected, got = a.read(), b.read()
+            if expected != got:
+                print(describe_difference(path, expected, got))
+                print("  the file: largest absolute difference {:.3e}, "
+                      "largest relative {:.3e}".format(*largest_difference(expected, got)))
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as fresh:
+        generate(fresh)
+        report(HERE, fresh)
+        for name in [*CASES, "frechet"]:
+            shutil.rmtree(os.path.join(HERE, name), ignore_errors=True)
+            shutil.move(os.path.join(fresh, name), os.path.join(HERE, name))
     with open(os.path.join(HERE, "VERSIONS"), "w") as handle:
         handle.write(versions())
 

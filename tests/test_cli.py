@@ -318,8 +318,23 @@ def test_data_file_without_rows_fails_with_only_the_error(tmp_path, capsys, cont
         warnings.simplefilter("error")
         assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"error: {data_file}: expected 289 rows of x,y,value, got shape (0,)\n"
+        f"error: {data_file}: expected 289 rows x 3 columns of x,y,value, "
+        "got 0 rows x 0 columns\n"
     )
+
+
+def test_one_column_data_file_names_its_columns(tmp_path, capsys):
+    # four rows on the four nodes of mesh.n = 1, but one value each
+    data_file = tmp_path / "g.csv"
+    data_file.write_text("value\n0.1\n0.2\n0.3\n0.4\n")
+    cfg = write_config(tmp_path, f"mesh.n = 1\ndata.file = {data_file}\n")
+    out = str(tmp_path / "out")
+    assert main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {data_file}: expected 4 rows x 3 columns of x,y,value, "
+        "got 4 rows x 1 columns\n"
+    )
+    assert not os.path.exists(out)
 
 
 def test_data_file_from_a_shifted_mesh_rejected(tmp_path, capsys):

@@ -753,3 +753,59 @@ def test_unrelated_factor_is_replaced_once(mesh32, monkeypatch):
     assert len(factors) == 1 and held.fresh
     # the stalled refinement is discarded: the new factor solves from zero
     np.testing.assert_array_equal(got, fresh)
+
+
+def random_dirichlet_system(mesh, seed):
+    """A regular random operator, and a random rhs that carries the boundary values."""
+    rng = np.random.RandomState(seed)
+    sigma = ScalarField(mesh, 0.5 + rng.rand(mesh.n_nodes))
+    a = fem.assemble_weighted_stiffness(mesh, sigma) + 0.3 * fem.mass_matrix(mesh)
+    return a.tocsr(), rng.randn(mesh.n_nodes)
+
+
+def test_warm_and_cold_starts_meet_the_same_residual_bound(mesh16):
+    matrix, rhs = random_dirichlet_system(mesh16, 14)
+    cold = fem.solve_dirichlet(mesh16, matrix, rhs).values
+    # near the solution in every node, boundary included
+    noise = np.random.RandomState(15).randn(mesh16.n_nodes)
+    warm = fem.solve_dirichlet(mesh16, matrix, rhs, guess=ScalarField(mesh16, cold + 1e-3 * noise))
+    free, nodes = mesh16.interior_order, mesh16.boundary_nodes
+    for x in (cold, warm.values):
+        assert np.linalg.norm((rhs - matrix @ x)[free]) <= fem.SOLVER_TOL * np.linalg.norm(rhs)
+        np.testing.assert_array_equal(x[nodes], rhs[nodes])
+
+
+def test_guess_that_meets_the_contract_builds_no_factor(mesh16):
+    matrix, rhs = random_dirichlet_system(mesh16, 16)
+    solution = fem.solve_dirichlet(mesh16, matrix, rhs)
+    held = fem.FreeBlockLU()
+    got = fem.solve_dirichlet(mesh16, matrix, rhs, held, guess=solution)
+    assert held.lu is None and not held.fresh
+    np.testing.assert_array_equal(got.values, solution.values)
+
+
+def test_guess_on_another_mesh_rejected_before_any_factor(mesh16, monkeypatch):
+    matrix, rhs = random_dirichlet_system(mesh16, 17)
+
+    def splu(*args, **kwargs):
+        raise AssertionError("factored before the guess was checked")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    guess = fem.constant_field(build_mesh(16, 16), 0.2)
+    with pytest.raises(ValueError, match="^guess lives on a different mesh$"):
+        fem.solve_dirichlet(mesh16, matrix, rhs, guess=guess)
+
+
+def test_stalled_factor_restarts_from_the_guess(mesh32, monkeypatch):
+    ops, g, start = sweep_operators(mesh32, 2)
+    # the iterate that the second operator was built from
+    guess = transport.transport_solve(ops[0], g, start)
+    fresh = transport.transport_solve(ops[1], g, start, guess=guess).values
+    held = fem.FreeBlockLU()
+    n_free = mesh32.n_nodes - len(mesh32.boundary_nodes)
+    held.lu = spla.splu(sp.identity(n_free, format="csc"))
+    factors = count_factors(monkeypatch)
+    got = transport.transport_solve(ops[1], g, start, held, guess=guess).values
+    assert len(factors) == 1 and held.fresh
+    # the stalled refinement is discarded: the new factor refines from the guess
+    np.testing.assert_array_equal(got, fresh)

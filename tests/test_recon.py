@@ -82,6 +82,35 @@ def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
     assert sum(factors) < report.n_iterations
 
 
+def test_transport_refines_from_the_current_iterate(mesh32, bump32, monkeypatch):
+    # each sweep's transport solve starts from the iterate its operator was
+    # built from: the held LU then needs fewer steps (39 solves from zero, 20 here)
+    solves = []
+    original = fem._splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, r):
+            solves.append(r.size)
+            return self.lu.solve(r)
+
+    def splu(matrix, failure, **options):
+        lu = original(matrix, failure, **options)
+        # the transport factor is of the free block; the pinned ones leave out node 0
+        return CountingLU(lu) if matrix.shape[0] == mesh32.interior_order.size else lu
+
+    monkeypatch.setattr(fem, "_splu", splu)
+    g = forward.forward_map(bump32)
+    cfg = ReconConfig(sigma0=fem.constant_field(mesh32, 0.2), truth=bump32)
+    _, report = recon.reconstruct(g, cfg)
+    # the sweeps and factors of the start from zero
+    assert report.n_iterations == 9
+    assert sum(s.transport_factors for s in report.sweeps) == 2
+    assert 0 < len(solves) <= 24
+
+
 def test_fixed_point_exactness(mesh32, bump32):
     # if sigma_k equals the truth, the next transport solve returns the truth
     result = forward.compute_field(bump32)
