@@ -32,7 +32,7 @@ def manufactured_transport_error(n):
         return (0.3 + 0.1 * np.sin(np.pi * x)) * sx + 0.2 * np.cos(np.pi * y) * sy + s
 
     op = transport.assemble_advection(w)
-    solution = transport.transport_solve(op, fem.interpolate(mesh, data), sigma)
+    solution, _ = transport.transport_solve(op, fem.interpolate(mesh, data), sigma)
     diff = np.zeros(mesh.n_nodes)
     interior = mesh.interior_order
     diff[interior] = (solution.values - sigma.values)[interior]

@@ -40,7 +40,8 @@ from .recon import AdmissibilityError, ReconConfig, ReconReport, Sweep
 
 __all__ = [
     "RunConfig", "ConfigError", "parse_config",
-    "cmd_forward", "cmd_invert", "cmd_study", "cmd_phantom", "main",
+    "write_scalar_csv", "read_scalar_csv", "write_vector_csv", "write_vtk", "write_report_csv",
+    "synthesize_data", "cmd_forward", "cmd_invert", "cmd_study", "cmd_phantom", "main",
 ]
 
 EXIT_OK = 0

@@ -28,7 +28,7 @@ from a guess when given, with a held sparse LU of the CSR interior block, in
 the mesh's geometric nested-dissection order (A. George, "Nested dissection
 of a regular finite element mesh", SIAM J. Numer. Anal. 10(2), 1973).  Every
 sparse LU comes from one helper, which reports a SuperLU failure as
-``SolverError``.
+``SolverError``.  Both solves return their field with a ``SolveStats``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ __all__ = [
     "constant_field", "interpolate", "element_means", "gradient_field",
     "assemble_weighted_stiffness", "assemble_weak_divergence_rhs",
     "mass_matrix", "lumped_mass", "dirichlet_system",
-    "Multigrid", "multigrid", "PinnedLU", "pinned_lu", "pinned_solve", "solve_neumann",
-    "FreeBlockLU", "solve_dirichlet",
+    "Multigrid", "multigrid", "PinnedLU", "pinned_lu", "pinned_solve",
+    "SolveStats", "solve_neumann", "FreeBlockLU", "solve_dirichlet",
     "l2_norm", "l2_norm_vec", "w1inf_norm", "gradient_sup",
 ]
 
@@ -416,14 +416,22 @@ def _projected_pcg(
     )
 
 
+class SolveStats(NamedTuple):
+    """How a linear solve stopped."""
+
+    steps: int          # CG iterations, or refinement LU solves, a stalled held LU's included
+    residual: float     # the relative residual that the stopping test last read
+    factors: int        # LU factors built
+
+
 def solve_neumann(
     mesh: Mesh, matrix: sp.spmatrix, rhs: np.ndarray,
     precondition: Callable[[np.ndarray], np.ndarray], guess: ScalarField | None = None,
-) -> tuple[ScalarField, list[float]]:
+) -> tuple[ScalarField, SolveStats]:
     """Solve the singular Neumann system of ``matrix``.
 
-    Returns the zero-mean representative and the CG residual history, whose
-    length less one is the iteration count.  The mean of the rhs is
+    Returns the zero-mean representative and its ``SolveStats``: the CG
+    iterations, the last relative residual, and no factors.  The mean of the rhs is
     projected out, which makes the system consistent.  CG starts from
     ``guess`` when given, and applies ``precondition`` to each mean-zero
     residual: a ``Multigrid.vcycle`` of ``matrix``, or ``pinned_solve`` with
@@ -433,7 +441,7 @@ def solve_neumann(
         matrix, rhs, precondition, SOLVER_TOL, 10 * rhs.shape[0],
         None if guess is None else guess.values,
     )
-    return ScalarField(mesh, x), residuals
+    return ScalarField(mesh, x), SolveStats(len(residuals) - 1, residuals[-1], 0)
 
 
 class FreeBlockLU:
@@ -441,18 +449,18 @@ class FreeBlockLU:
 
     A caller that solves a run of nearby matrices passes one holder to each
     solve.  ``lu`` is the factor the last solve ended with (None before the
-    first), and ``fresh`` says whether that solve built it.
+    first).  Holding it here lets a solve free an LU that stalls before it
+    builds the next one, so the two are never alive together.
     """
 
     def __init__(self) -> None:
         self.lu: spla.SuperLU | None = None
-        self.fresh = False
 
 
 def solve_dirichlet(
     mesh: Mesh, matrix: sp.spmatrix, rhs: np.ndarray, factor: FreeBlockLU | None = None,
     guess: ScalarField | None = None,
-) -> ScalarField:
+) -> tuple[ScalarField, SolveStats]:
     """Sparse solve with prescribed values at the mesh's boundary nodes; checks the residual.
 
     The boundary rows are never read: those values are taken from the rhs
@@ -476,7 +484,7 @@ def solve_dirichlet(
     n = 32 to 256, so the interior rows meet only that multiple of
     ``SOLVER_TOL`` relative to their own rhs.  Raises ``ValueError``
     if ``guess`` lives on another mesh, and ``SolverError`` if the residual
-    is not met.
+    is not met.  Returns the field and its ``SolveStats``.
     """
     if guess is not None:
         check_mesh("guess", guess, mesh)
@@ -492,7 +500,7 @@ def solve_dirichlet(
         r = rhs[free] - (matrix @ x)[free]
         return r, np.linalg.norm(r) / b_norm
 
-    factor.fresh = False
+    steps = factors = 0
     r, rel = residual()
     while not rel <= SOLVER_TOL:
         if factor.lu is None:
@@ -500,13 +508,14 @@ def solve_dirichlet(
                 matrix.tocsr()[free][:, free].tocsc(), "direct solve failed",
                 permc_spec="NATURAL", options=dict(SymmetricMode=True),
             )
-            factor.fresh = True
+            factors += 1
         x[free] += factor.lu.solve(r)
+        steps += 1
         last = rel
         r, rel = residual()
         if rel <= SOLVER_TOL or rel <= last / 10.0:
             continue
-        if factor.fresh:
+        if factors:   # the factor this solve built stalls too: fail below
             break
         # the held LU stalls on this matrix: free it before the new one is built
         factor.lu = None
@@ -514,4 +523,4 @@ def solve_dirichlet(
         r, rel = residual()
     if not rel <= SOLVER_TOL:
         raise SolverError(f"direct solve residual {rel:.3e} exceeds {SOLVER_TOL}", [rel])
-    return ScalarField(mesh, x)
+    return ScalarField(mesh, x), SolveStats(steps, rel, factors)

@@ -86,13 +86,13 @@ class DerivativeMaps(NamedTuple):
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Field solve output, with the operators built from it."""
+    """Field solve output: how its solve stopped, and the operators built from it."""
 
     sigma: ScalarField              # the conductivity the field was solved at
     potential: ScalarField          # zero-mean Neumann potential u
     field: VectorField              # E = gauge + grad(u), elementwise
     field_norm: float               # area-weighted L2 norm of E
-    cg_iterations: int              # CG iterations of the potential's solve
+    stats: fem.SolveStats           # how the potential's CG solve stopped
     stiffness: sp.dia_matrix        # the sigma-weighted stiffness
     operator: transport.AdvectionOperator  # data operator for velocity E x B0
 
@@ -140,7 +140,7 @@ def compute_field(sigma: ScalarField, guess: ScalarField | None = None) -> Forwa
     stiffness = hierarchy.matrices[0]
     weighted_gauge = VectorField(mesh, fem.element_means(sigma)[:, None] * gauge.values)
     rhs = fem.assemble_weak_divergence_rhs(weighted_gauge)
-    u, residuals = fem.solve_neumann(mesh, stiffness, rhs, hierarchy.vcycle, guess)
+    u, stats = fem.solve_neumann(mesh, stiffness, rhs, hierarchy.vcycle, guess)
     field = VectorField(mesh, gauge.values + fem.gradient_field(u).values)
     # the advection assembly is the peak of a field solve: free its inputs
     # first, which lowered the peak RSS of a reconstruction that holds an LU
@@ -148,7 +148,7 @@ def compute_field(sigma: ScalarField, guess: ScalarField | None = None) -> Forwa
     operator = transport.assemble_advection(VectorField(mesh, rotate(field.values)))
     return ForwardResult(
         sigma=sigma, potential=u, field=field, field_norm=fem.l2_norm_vec(field),
-        cg_iterations=len(residuals) - 1, stiffness=stiffness, operator=operator,
+        stats=stats, stiffness=stiffness, operator=operator,
     )
 
 

@@ -73,9 +73,9 @@ class Sweep(NamedTuple):
 
     ``misfit`` is the L2 distance of its data from ``g``, ``update`` its
     distance from sigma_{k-1} (0 for k = 0), and the errors are NaN without
-    a truth.  ``cg_iterations`` counts the field solve at sigma_k, and
-    ``transport_factors`` the LU factors, 0 or 1, built for the solve that
-    produced it (0 for k = 0, which no solve produced).
+    a truth.  ``cg_iterations`` is the ``SolveStats.steps`` of the field
+    solve at sigma_k, and ``transport_factors`` the ``factors``, 0 or 1, of
+    the transport solve that produced it (0 for k = 0, which no solve produced).
     """
 
     k: int
@@ -139,7 +139,7 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
             )
         result = forward.compute_field(sigma, guess=potential)
         # the stiffness and the field are freed before the transport solve
-        op, potential, cg_iterations = result.operator, result.potential, result.cg_iterations
+        op, potential, cg_iterations = result.operator, result.potential, result.stats.steps
         del result
         predicted = transport.apply_data_operator(op, sigma)
         misfit = fem.l2_norm(ScalarField(mesh, g.values - predicted.values))
@@ -161,8 +161,8 @@ def reconstruct(g: ScalarField, config: ReconConfig) -> tuple[ScalarField, Recon
             break
 
         previous = sigma
-        sigma = transport.transport_solve(op, g, sigma0, factor, guess=sigma)
-        built = int(factor.fresh)
+        sigma, stats = transport.transport_solve(op, g, sigma0, factor, guess=sigma)
+        built = stats.factors
         # the held LU outlives this operator: free it before the next field solve
         del op
 

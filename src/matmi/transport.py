@@ -132,7 +132,7 @@ def transport_solve(
     boundary_value: ScalarField,
     factor: fem.FreeBlockLU | None = None,
     guess: ScalarField | None = None,
-) -> ScalarField:
+) -> tuple[ScalarField, fem.SolveStats]:
     """Solve the update equation with strong Dirichlet data on the whole boundary.
 
     Interior rows come from the assembled operator with right-hand side
@@ -141,7 +141,7 @@ def transport_solve(
     ``fem.solve_dirichlet`` prescribes without reading the boundary rows.
     ``factor`` holds the LU that the solve refines with and leaves behind,
     and the refinement starts from the interior values of ``guess`` when
-    given, from zero otherwise (see ``fem.solve_dirichlet``).
+    given, from zero otherwise.  Returns ``fem.solve_dirichlet``'s field and stats.
     """
     mesh = op.mesh
     fem.check_mesh("g", g, mesh)

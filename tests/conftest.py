@@ -36,6 +36,20 @@ def bump64(mesh64):
     return make_phantom(single_bump_spec(), mesh64)
 
 
+def record_stats(monkeypatch, name):
+    """Wrap the public solve ``fem.<name>``; its calls append their ``SolveStats`` to the list returned."""
+    stats = []
+    solve = getattr(fem, name)
+
+    def recording(*args, **kwargs):
+        field, record = solve(*args, **kwargs)
+        stats.append(record)
+        return field, record
+
+    monkeypatch.setattr(fem, name, recording)
+    return stats
+
+
 def perturbation(mesh, rng, n_bumps=3, amplitude=0.1, collar=0.15):
     """Random smooth collar-supported field (zero near the boundary)."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]

@@ -197,7 +197,7 @@ def test_criterion_9_solver_contracts(unit64):
     w = fem.VectorField(unit64, forward.rotate(field.field.values))
     op = transport.assemble_advection(w)
     g = transport.apply_data_operator(op, sigma)
-    sol = transport.transport_solve(op, g, sigma)
+    sol, _ = transport.transport_solve(op, g, sigma)
     rhs_t = fem.lumped_mass(unit64) * g.values
     rhs_t[unit64.boundary_nodes] = sigma.values[unit64.boundary_nodes]
     mat, _ = fem.dirichlet_system(

@@ -15,6 +15,8 @@ from matmi.cli import ConfigError, RunConfig, parse_config, main
 from matmi.fem import ScalarField, VectorField
 from matmi.mesh import build_mesh
 
+from conftest import record_stats
+
 
 BASE_CONFIG = """
 mesh.n = 16
@@ -187,30 +189,15 @@ def test_invert_synthesized(tmp_path):
 
 def test_report_counts_match_the_solver_calls(tmp_path, monkeypatch):
     # the per-sweep columns of report.csv add up to the CG iterations and LU
-    # factors the solvers did; file data, so the run does no other solve
+    # factors that the public solves report; file data, so the run does no other solve
     cfg = write_config(tmp_path)
     fwd_out = str(tmp_path / "fwd")
     assert main(["forward", "--config", cfg, "--out", fwd_out]) == 0
     text = BASE_CONFIG + f"data.file = {fwd_out}/data.csv\n"
     cfg2 = write_config(tmp_path, text, name="run2.cfg")
 
-    counted = {"cg": 0, "factors": 0}
-    pcg, splu = cli.fem._projected_pcg, cli.fem.spla.splu
-
-    def counting_pcg(*args, **kwargs):
-        x, residuals = pcg(*args, **kwargs)
-        counted["cg"] += len(residuals) - 1
-        return x, residuals
-
-    # the transport factor is of the free block; the multigrid's coarse one is smaller
-    free = build_mesh(16, 16).interior_order.size
-
-    def counting_splu(matrix, *args, **kwargs):
-        counted["factors"] += matrix.shape[0] == free
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(cli.fem, "_projected_pcg", counting_pcg)
-    monkeypatch.setattr(cli.fem.spla, "splu", counting_splu)
+    neumann = record_stats(monkeypatch, "solve_neumann")
+    dirichlet = record_stats(monkeypatch, "solve_dirichlet")
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", cfg2, "--out", out]) == 0
     rows = Path(out, "report.csv").read_text().splitlines()
@@ -218,9 +205,11 @@ def test_report_counts_match_the_solver_calls(tmp_path, monkeypatch):
     columns = np.array([row.split(",") for row in rows[1:]], dtype=float)
     cg = columns[:, header.index("cg_iterations")]
     factors = columns[:, header.index("transport_factors")]
-    assert counted["cg"] > 0 and counted["factors"] >= 1
-    assert cg.sum() == counted["cg"]
-    assert factors.sum() == counted["factors"]
+    counted_cg = sum(s.steps for s in neumann)
+    counted_factors = sum(s.factors for s in dirichlet)
+    assert counted_cg > 0 and counted_factors >= 1
+    assert cg.sum() == counted_cg
+    assert factors.sum() == counted_factors
     assert factors[0] == 0 and factors[1] == 1
 
 

@@ -345,11 +345,11 @@ def neumann_problem(mesh, sigma):
 def test_neumann_guess_meeting_tolerance_takes_no_iteration(mesh32, bump32):
     hierarchy, rhs = neumann_problem(mesh32, bump32)
     tight, _ = fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-14, 1000)
-    u, residuals = fem.solve_neumann(
+    u, stats = fem.solve_neumann(
         mesh32, hierarchy.matrices[0], rhs, hierarchy.vcycle, ScalarField(mesh32, tight),
     )
-    assert len(residuals) - 1 == 0
-    assert residuals[0] <= fem.SOLVER_TOL
+    assert stats.steps == 0
+    assert stats.residual <= fem.SOLVER_TOL
     # the guess comes back as given, up to the projection onto mean zero
     assert np.abs(u.values - tight).max() <= 1e-15 * np.abs(tight).max()
 
@@ -362,7 +362,23 @@ def test_warm_and_cold_field_solves_agree(mesh32, bump32):
     assert abs(warm.potential.values.mean()) <= 1e-15 * np.abs(warm.potential.values).max()
     diff = np.abs(warm.potential.values - cold.potential.values).max()
     assert diff <= 1e-11 * np.abs(cold.potential.values).max()
-    assert warm.cg_iterations < cold.cg_iterations
+    assert warm.stats.steps < cold.stats.steps
+
+
+def test_neumann_stats_read_the_solvers_residual_history(mesh32, bump32):
+    # the record is the history's length less one and its last entry, bit for bit
+    hierarchy, rhs = neumann_problem(mesh32, bump32)
+    a, vcycle = hierarchy.matrices[0], hierarchy.vcycle
+    start = forward.compute_field(fem.constant_field(mesh32, 0.2)).potential
+    for guess in (None, start):
+        x0 = None if guess is None else guess.values
+        _, history = fem._projected_pcg(a, rhs, vcycle, fem.SOLVER_TOL, 10 * rhs.shape[0], x0)
+        _, stats = fem.solve_neumann(mesh32, a, rhs, vcycle, guess)
+        assert stats.steps == len(history) - 1 > 0
+        assert stats.residual == history[-1]
+        assert stats.factors == 0
+    _, stats = fem.solve_neumann(mesh32, a, np.zeros_like(rhs), vcycle)
+    assert stats == (0, 0.0, 0)
 
 
 def test_neumann_multigrid_iterations_bounded():
@@ -373,9 +389,9 @@ def test_neumann_multigrid_iterations_bounded():
     rhs = fem.assemble_weak_divergence_rhs(field)
     hierarchy = fem.multigrid(sigma)
     assert [m.shape[0] for m in hierarchy.matrices] == [129**2, 65**2, 33**2, 17**2, 9**2]
-    _, residuals = fem._projected_pcg(hierarchy.matrices[0], rhs, hierarchy.vcycle, 1e-12, 1000)
-    assert residuals[-1] <= 1e-12
-    assert len(residuals) - 1 <= 15
+    _, stats = fem.solve_neumann(mesh, hierarchy.matrices[0], rhs, hierarchy.vcycle)
+    assert stats.residual <= 1e-12
+    assert stats.steps <= 15
 
 
 @pytest.mark.parametrize("nx, ny, bounds", [
@@ -437,8 +453,8 @@ def test_neumann_odd_mesh_coarsest_level_is_fine():
     a = hierarchy.matrices[0]
     assert np.array_equal(a.toarray(), fem.assemble_weighted_stiffness(mesh, sigma).toarray())
     rhs = np.random.RandomState(12).randn(mesh.n_nodes)
-    _, residuals = fem._projected_pcg(a, rhs, hierarchy.vcycle, 1e-12, 10)
-    assert len(residuals) - 1 == 1
+    _, stats = fem.solve_neumann(mesh, a, rhs, hierarchy.vcycle)
+    assert stats.steps == 1
 
 
 def test_multigrid_builds_mesh_operators_once(monkeypatch):
@@ -554,7 +570,7 @@ def test_nested_interpolation_any_ratio_affine_exactly(nx, ny, cx, cy, bounds):
 def test_dirichlet_identity_system(mesh8):
     rng = np.random.RandomState(10)
     rhs = rng.randn(mesh8.n_nodes)
-    u = fem.solve_dirichlet(mesh8, sp.identity(mesh8.n_nodes, format="csr"), rhs)
+    u, _ = fem.solve_dirichlet(mesh8, sp.identity(mesh8.n_nodes, format="csr"), rhs)
     np.testing.assert_array_equal(u.values, rhs)
 
 
@@ -592,7 +608,7 @@ def test_dirichlet_boundary_values_bit_exact(mesh16):
     bvals = rng.randn(len(mesh16.boundary_nodes))
     matrix, rhs = fem.dirichlet_system(a.tocsr(), rng.randn(mesh16.n_nodes),
                                        mesh16.boundary_nodes, bvals)
-    u = fem.solve_dirichlet(mesh16, matrix, rhs)
+    u, _ = fem.solve_dirichlet(mesh16, matrix, rhs)
     np.testing.assert_array_equal(u.values[mesh16.boundary_nodes], bvals)
 
 
@@ -618,8 +634,8 @@ def test_dirichlet_row_mask_matches_lil_reference(mesh16):
     assert np.array_equal(matrix.data, ref.data)
     assert np.array_equal(out_rhs, ref_rhs)
     assert np.array_equal(
-        fem.solve_dirichlet(mesh16, matrix, out_rhs).values,
-        fem.solve_dirichlet(mesh16, ref, ref_rhs).values,
+        fem.solve_dirichlet(mesh16, matrix, out_rhs)[0].values,
+        fem.solve_dirichlet(mesh16, ref, ref_rhs)[0].values,
     )
 
 
@@ -653,50 +669,39 @@ def test_dirichlet_reads_only_free_rows(mesh16):
     nodes = mesh16.boundary_nodes
     assert (op.matrix.tocsr()[nodes] != matrix[nodes]).nnz > 0
     assert np.array_equal(
-        fem.solve_dirichlet(mesh16, op.matrix, rhs).values,
-        fem.solve_dirichlet(mesh16, matrix, rhs).values,
+        fem.solve_dirichlet(mesh16, op.matrix, rhs)[0].values,
+        fem.solve_dirichlet(mesh16, matrix, rhs)[0].values,
     )
 
 
-def test_dirichlet_free_block_fill_bounded(monkeypatch):
+def test_dirichlet_free_block_fill_bounded():
     op, g, boundary, _, _ = transport_system(build_mesh(128, 128), single_bump_spec())
-    factors = []
-
-    def splu(*args, **kwargs):
-        factors.append(original(*args, **kwargs))
-        return factors[-1]
-
-    original = spla.splu
-    monkeypatch.setattr(spla, "splu", splu)
-    transport.transport_solve(op, g, boundary)
-    assert len(factors) == 1
+    held = fem.FreeBlockLU()
+    _, stats = transport.transport_solve(op, g, boundary, held)
+    assert stats.factors == 1
     # COLAMD on the full row-replaced matrix fills 1.74M
-    assert factors[0].L.nnz + factors[0].U.nnz <= 1.1e6
+    assert held.lu.L.nnz + held.lu.U.nnz <= 1.1e6
 
 
 def test_dirichlet_free_block_matches_full_solve():
     mesh = build_mesh(64, 64)
     op, g, boundary, matrix, rhs = transport_system(mesh, three_bump_spec())
-    x = transport.transport_solve(op, g, boundary).values
+    x = transport.transport_solve(op, g, boundary)[0].values
     reference = spla.spsolve(matrix.tocsc(), rhs)
     assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 7), (6, 1)])
-def test_dirichlet_mesh_without_interior_node(nx, ny, monkeypatch):
+def test_dirichlet_mesh_without_interior_node(nx, ny):
     # every node is a boundary node: the boundary values come back, nothing is factored
     mesh = build_mesh(nx, ny)
     op = forward.compute_field(fem.constant_field(mesh, 0.5)).operator
     rng = np.random.RandomState(13)
     g = ScalarField(mesh, rng.randn(mesh.n_nodes))
     boundary = ScalarField(mesh, rng.randn(mesh.n_nodes))
-
-    def splu(*args, **kwargs):
-        raise AssertionError("no free block to factor")
-
-    monkeypatch.setattr(spla, "splu", splu)
-    u = transport.transport_solve(op, g, boundary)
+    u, stats = transport.transport_solve(op, g, boundary)
     np.testing.assert_array_equal(u.values, boundary.values)
+    assert stats == (0, 0.0, 0)
 
 
 def sweep_operators(mesh, n_sweeps):
@@ -707,34 +712,55 @@ def sweep_operators(mesh, n_sweeps):
     sigma, ops = start, []
     for _ in range(n_sweeps):
         ops.append(forward.compute_field(sigma).operator)
-        sigma = transport.transport_solve(ops[-1], g, start)
+        sigma, _ = transport.transport_solve(ops[-1], g, start)
     return ops, g, start
 
 
-def count_factors(monkeypatch):
-    factors = []
-    original = spla.splu
+class CountingLU:
+    """A factor that counts the solves applied with it."""
 
-    def splu(*args, **kwargs):
-        factors.append(None)
-        return original(*args, **kwargs)
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
 
-    monkeypatch.setattr(spla, "splu", splu)
-    return factors
+    def solve(self, r):
+        self.solves += 1
+        return self.lu.solve(r)
 
 
-def test_refinement_from_the_previous_sweeps_factor(mesh32, monkeypatch):
+def transport_rhs(mesh, g, boundary):
+    """The rhs that ``transport_solve`` passes on: ``M_L g``, with the boundary values."""
+    rhs = fem.lumped_mass(mesh) * g.values
+    rhs[mesh.boundary_nodes] = boundary.values[mesh.boundary_nodes]
+    return rhs
+
+
+@pytest.mark.parametrize("source", [1, 2], ids=["previous-sweep", "same-matrix"])
+def test_dirichlet_stats_count_the_solves_and_read_the_residual(mesh32, source):
+    # a real factor, of the matrix or of the sweep before, seated behind a counting proxy
+    ops, g, start = sweep_operators(mesh32, 3)
+    held = fem.FreeBlockLU()
+    transport.transport_solve(ops[source], g, start, held)
+    held.lu = counting = CountingLU(held.lu)
+    x, stats = transport.transport_solve(ops[2], g, start, held)
+    assert stats.steps == counting.solves > 0
+    assert stats.factors == 0 and held.lu is counting
+    rhs = transport_rhs(mesh32, g, start)
+    r = (rhs - ops[2].matrix @ x.values)[mesh32.interior_order]
+    assert stats.residual == np.linalg.norm(r) / np.linalg.norm(rhs)
+    assert stats.residual <= fem.SOLVER_TOL
+
+
+def test_refinement_from_the_previous_sweeps_factor(mesh32):
     ops, g, start = sweep_operators(mesh32, 3)
     held = fem.FreeBlockLU()
     transport.transport_solve(ops[1], g, start, held)
-    factors = count_factors(monkeypatch)
-    refined = transport.transport_solve(ops[2], g, start, held).values
-    assert factors == [] and not held.fresh   # refined from the stale LU, none built
-    fresh = transport.transport_solve(ops[2], g, start).values
+    refined, stats = transport.transport_solve(ops[2], g, start, held)
+    assert stats.factors == 0   # refined from the stale LU, none built
+    refined = refined.values
+    fresh = transport.transport_solve(ops[2], g, start)[0].values
 
     nodes = mesh32.boundary_nodes
-    rhs = fem.lumped_mass(mesh32) * g.values
-    rhs[nodes] = start.values[nodes]
+    rhs = transport_rhs(mesh32, g, start)
     matrix, _ = fem.dirichlet_system(ops[2].matrix, rhs, nodes, start.values[nodes])
     assert np.linalg.norm(matrix @ refined - rhs) <= fem.SOLVER_TOL * np.linalg.norm(rhs)
     np.testing.assert_array_equal(refined[nodes], start.values[nodes])
@@ -742,17 +768,25 @@ def test_refinement_from_the_previous_sweeps_factor(mesh32, monkeypatch):
     assert np.abs(refined - fresh).max() <= 1e-9 * np.abs(fresh).max()
 
 
-def test_unrelated_factor_is_replaced_once(mesh32, monkeypatch):
-    ops, g, start = sweep_operators(mesh32, 1)
-    fresh = transport.transport_solve(ops[0], g, start).values
+def stalling_factor(mesh):
+    """A held identity LU of the free block, which stalls on a transport matrix."""
     held = fem.FreeBlockLU()
-    n_free = mesh32.n_nodes - len(mesh32.boundary_nodes)
-    held.lu = spla.splu(sp.identity(n_free, format="csc"))
-    factors = count_factors(monkeypatch)
-    got = transport.transport_solve(ops[0], g, start, held).values
-    assert len(factors) == 1 and held.fresh
+    n_free = mesh.n_nodes - len(mesh.boundary_nodes)
+    held.lu = CountingLU(spla.splu(sp.identity(n_free, format="csc")))
+    return held
+
+
+def test_unrelated_factor_is_replaced_once(mesh32):
+    ops, g, start = sweep_operators(mesh32, 1)
+    fresh, fresh_stats = transport.transport_solve(ops[0], g, start)
+    held = stalling_factor(mesh32)
+    stalled = held.lu
+    got, stats = transport.transport_solve(ops[0], g, start, held)
+    # one step of the held LU, then the new factor's steps
+    assert stats.factors == 1 and stalled.solves == 1
+    assert stats.steps == stalled.solves + fresh_stats.steps
     # the stalled refinement is discarded: the new factor solves from zero
-    np.testing.assert_array_equal(got, fresh)
+    np.testing.assert_array_equal(got.values, fresh.values)
 
 
 def random_dirichlet_system(mesh, seed):
@@ -765,10 +799,11 @@ def random_dirichlet_system(mesh, seed):
 
 def test_warm_and_cold_starts_meet_the_same_residual_bound(mesh16):
     matrix, rhs = random_dirichlet_system(mesh16, 14)
-    cold = fem.solve_dirichlet(mesh16, matrix, rhs).values
+    cold = fem.solve_dirichlet(mesh16, matrix, rhs)[0].values
     # near the solution in every node, boundary included
     noise = np.random.RandomState(15).randn(mesh16.n_nodes)
-    warm = fem.solve_dirichlet(mesh16, matrix, rhs, guess=ScalarField(mesh16, cold + 1e-3 * noise))
+    guess = ScalarField(mesh16, cold + 1e-3 * noise)
+    warm, _ = fem.solve_dirichlet(mesh16, matrix, rhs, guess=guess)
     free, nodes = mesh16.interior_order, mesh16.boundary_nodes
     for x in (cold, warm.values):
         assert np.linalg.norm((rhs - matrix @ x)[free]) <= fem.SOLVER_TOL * np.linalg.norm(rhs)
@@ -777,10 +812,11 @@ def test_warm_and_cold_starts_meet_the_same_residual_bound(mesh16):
 
 def test_guess_that_meets_the_contract_builds_no_factor(mesh16):
     matrix, rhs = random_dirichlet_system(mesh16, 16)
-    solution = fem.solve_dirichlet(mesh16, matrix, rhs)
+    solution, _ = fem.solve_dirichlet(mesh16, matrix, rhs)
     held = fem.FreeBlockLU()
-    got = fem.solve_dirichlet(mesh16, matrix, rhs, held, guess=solution)
-    assert held.lu is None and not held.fresh
+    got, stats = fem.solve_dirichlet(mesh16, matrix, rhs, held, guess=solution)
+    assert held.lu is None and stats.steps == stats.factors == 0
+    assert stats.residual <= fem.SOLVER_TOL
     np.testing.assert_array_equal(got.values, solution.values)
 
 
@@ -796,16 +832,15 @@ def test_guess_on_another_mesh_rejected_before_any_factor(mesh16, monkeypatch):
         fem.solve_dirichlet(mesh16, matrix, rhs, guess=guess)
 
 
-def test_stalled_factor_restarts_from_the_guess(mesh32, monkeypatch):
+def test_stalled_factor_restarts_from_the_guess(mesh32):
     ops, g, start = sweep_operators(mesh32, 2)
     # the iterate that the second operator was built from
-    guess = transport.transport_solve(ops[0], g, start)
-    fresh = transport.transport_solve(ops[1], g, start, guess=guess).values
-    held = fem.FreeBlockLU()
-    n_free = mesh32.n_nodes - len(mesh32.boundary_nodes)
-    held.lu = spla.splu(sp.identity(n_free, format="csc"))
-    factors = count_factors(monkeypatch)
-    got = transport.transport_solve(ops[1], g, start, held, guess=guess).values
-    assert len(factors) == 1 and held.fresh
+    guess, _ = transport.transport_solve(ops[0], g, start)
+    fresh, fresh_stats = transport.transport_solve(ops[1], g, start, guess=guess)
+    held = stalling_factor(mesh32)
+    stalled = held.lu
+    got, stats = transport.transport_solve(ops[1], g, start, held, guess=guess)
+    assert stats.factors == 1 and stalled.solves == 1
+    assert stats.steps == stalled.solves + fresh_stats.steps
     # the stalled refinement is discarded: the new factor refines from the guess
-    np.testing.assert_array_equal(got, fresh)
+    np.testing.assert_array_equal(got.values, fresh.values)

@@ -6,7 +6,7 @@ from matmi.fem import ScalarField
 from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec
 
-from conftest import perturbation, smooth_conductivity
+from conftest import perturbation, record_stats, smooth_conductivity
 
 
 def test_constant_sigma_constant_h(mesh32):
@@ -75,23 +75,15 @@ def test_directions_solve_in_two_steps(nx, ny, bounds, monkeypatch):
     maps = base.derivative_maps
     reference = fem.multigrid(sigma).vcycle
     xi = (mesh.nodes[:, 0] - mesh.x_min) / (mesh.x_max - mesh.x_min)
-    iterations = []
-    original = fem._projected_pcg
-
-    def counting(*args):
-        x, residuals = original(*args)
-        iterations.append(len(residuals) - 1)
-        return x, residuals
-
-    monkeypatch.setattr(fem, "_projected_pcg", counting)
+    solves = record_stats(monkeypatch, "solve_neumann")
     for k in (1, 2, 3):
         h = ScalarField(mesh, sigma.values * np.sin(2 * np.pi * k * xi) / 2)
         df = frechet.frechet_derivative(sigma, h, base).value.values
-        phi, _ = original(base.stiffness, maps.rhs @ h.values, reference, 1e-13,
-                          10 * mesh.n_nodes)
+        phi, _ = fem._projected_pcg(base.stiffness, maps.rhs @ h.values, reference, 1e-13,
+                                    10 * mesh.n_nodes)
         expected = (base.operator.matrix @ h.values + maps.advection @ phi) / fem.lumped_mass(mesh)
         assert np.abs(df - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert len(iterations) == 3 and max(iterations) <= 2
+    assert len(solves) == 3 and max(s.steps for s in solves) <= 2
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -101,19 +93,11 @@ def test_directions_solve_in_one_step(n, monkeypatch):
     mesh = build_mesh(n, n)
     sigma = make_phantom(three_bump_spec(), mesh)
     base = forward.compute_field(sigma)
-    iterations = []
-    original = fem._projected_pcg
-
-    def counting(*args):
-        x, residuals = original(*args)
-        iterations.append(len(residuals) - 1)
-        return x, residuals
-
-    monkeypatch.setattr(fem, "_projected_pcg", counting)
+    solves = record_stats(monkeypatch, "solve_neumann")
     rng = np.random.RandomState(59)
     for _ in range(5):
         frechet.frechet_derivative(sigma, perturbation(mesh, rng), base)
-    assert iterations == [1] * 5
+    assert [s.steps for s in solves] == [1] * 5
 
 
 def test_solve_at_the_rounding_floor_fails_fast():

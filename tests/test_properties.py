@@ -185,7 +185,7 @@ def test_transport_solve_matches_full_system(mesh, seed):
     noise = rng.uniform(0.9, 1.1, mesh.n_nodes)
     g = ScalarField(mesh, transport.apply_data_operator(op, sigma).values * noise)
     boundary = smooth_conductivity(mesh, rng)
-    x = transport.transport_solve(op, g, boundary).values
+    x = transport.transport_solve(op, g, boundary)[0].values
 
     nodes = mesh.boundary_nodes
     matrix, rhs = fem.dirichlet_system(

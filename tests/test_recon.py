@@ -7,7 +7,7 @@ from matmi.mesh import build_mesh
 from matmi.phantoms import make_phantom, single_bump_spec, three_bump_spec, random_bump_spec
 from matmi.recon import ReconConfig, ReconReport, Sweep
 
-from conftest import perturbation
+from conftest import perturbation, record_stats
 
 
 def assert_error_monotone(abs_errors):
@@ -58,19 +58,12 @@ def test_single_bump_reconstruction(mesh64, bump64):
 
 
 def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
-    iterations = []
-    original = fem._projected_pcg
-
-    def counting(*args, **kwargs):
-        x, residuals = original(*args, **kwargs)
-        iterations.append(len(residuals) - 1)
-        return x, residuals
-
-    monkeypatch.setattr(fem, "_projected_pcg", counting)
     g = forward.forward_map(bump32)
-    del iterations[:]
+    neumann = record_stats(monkeypatch, "solve_neumann")
+    dirichlet = record_stats(monkeypatch, "solve_dirichlet")
     cfg = ReconConfig(sigma0=fem.constant_field(mesh32, 0.2), truth=bump32)
     sigma, report = recon.reconstruct(g, cfg)
+    iterations = [s.steps for s in neumann]
     assert [s.cg_iterations for s in report.sweeps] == iterations
     # one field solve per iterate, each after the first started from the last potential
     assert len(iterations) == len(report.sweeps)
@@ -78,6 +71,7 @@ def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
     # no solve produced sigma_0, the first builds the LU, and later ones reuse it
     # until a refinement step stalls
     factors = [s.transport_factors for s in report.sweeps]
+    assert factors == [0] + [s.factors for s in dirichlet]
     assert factors[:2] == [0, 1] and set(factors) <= {0, 1}
     assert sum(factors) < report.n_iterations
 
@@ -85,30 +79,14 @@ def test_report_records_each_sweeps_solver_work(mesh32, bump32, monkeypatch):
 def test_transport_refines_from_the_current_iterate(mesh32, bump32, monkeypatch):
     # each sweep's transport solve starts from the iterate its operator was
     # built from: the held LU then needs fewer steps (39 solves from zero, 20 here)
-    solves = []
-    original = fem._splu
-
-    class CountingLU:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, r):
-            solves.append(r.size)
-            return self.lu.solve(r)
-
-    def splu(matrix, failure, **options):
-        lu = original(matrix, failure, **options)
-        # the transport factor is of the free block; the pinned ones leave out node 0
-        return CountingLU(lu) if matrix.shape[0] == mesh32.interior_order.size else lu
-
-    monkeypatch.setattr(fem, "_splu", splu)
     g = forward.forward_map(bump32)
+    transport_solves = record_stats(monkeypatch, "solve_dirichlet")
     cfg = ReconConfig(sigma0=fem.constant_field(mesh32, 0.2), truth=bump32)
     _, report = recon.reconstruct(g, cfg)
     # the sweeps and factors of the start from zero
     assert report.n_iterations == 9
     assert sum(s.transport_factors for s in report.sweeps) == 2
-    assert 0 < len(solves) <= 24
+    assert 0 < sum(s.steps for s in transport_solves) <= 24
 
 
 def test_fixed_point_exactness(mesh32, bump32):
@@ -117,7 +95,7 @@ def test_fixed_point_exactness(mesh32, bump32):
     w = VectorField(mesh32, forward.rotate(result.field.values))
     op = transport.assemble_advection(w)
     g = forward.forward_map(bump32, result)
-    nxt = transport.transport_solve(op, g, bump32)
+    nxt, _ = transport.transport_solve(op, g, bump32)
     err = fem.l2_norm(ScalarField(mesh32, nxt.values - bump32.values))
     assert err <= 1e-10 * fem.l2_norm(bump32)
 

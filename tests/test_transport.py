@@ -73,7 +73,7 @@ def test_manufactured_monotone_refinement():
     for n in (16, 32, 64):
         mesh, sigma, w, g = manufactured_case(n)
         op = transport.assemble_advection(w)
-        solution = transport.transport_solve(op, g, sigma)
+        solution, _ = transport.transport_solve(op, g, sigma)
         errors.append(interior_l2_error(mesh, solution, sigma))
     assert errors[1] <= errors[0] / 1.5
     assert errors[2] <= errors[1] / 1.5
@@ -84,7 +84,7 @@ def test_constant_solution_exact(mesh32):
     w = VectorField(mesh32, rng.randn(mesh32.n_elements, 2))
     op = transport.assemble_advection(w)
     c = fem.constant_field(mesh32, 0.7)
-    solution = transport.transport_solve(op, c, c)
+    solution, _ = transport.transport_solve(op, c, c)
     assert np.abs(solution.values - 0.7).max() <= 1e-12
 
 
@@ -93,7 +93,7 @@ def test_zero_data_zero_solution(mesh16):
     w = VectorField(mesh16, rng.randn(mesh16.n_elements, 2))
     op = transport.assemble_advection(w)
     zero = fem.constant_field(mesh16, 0.0)
-    solution = transport.transport_solve(op, zero, zero)
+    solution, _ = transport.transport_solve(op, zero, zero)
     assert np.abs(solution.values).max() <= 1e-14
 
 
@@ -103,7 +103,7 @@ def test_in_crime_consistency_oracle(mesh64, bump64):
     w = VectorField(mesh64, forward.rotate(result.field.values))
     op = transport.assemble_advection(w)
     g = transport.apply_data_operator(op, bump64)
-    recovered = transport.transport_solve(op, g, bump64)
+    recovered, _ = transport.transport_solve(op, g, bump64)
     err = fem.l2_norm(ScalarField(mesh64, recovered.values - bump64.values))
     assert err <= 1e-10 * fem.l2_norm(bump64)
 
@@ -119,7 +119,7 @@ def test_solve_near_stagnation_point(mesh32):
     assert speed.min() < speed.max() / 5.0
     op = transport.assemble_advection(w)
     g = transport.apply_data_operator(op, sigma)
-    solution = transport.transport_solve(op, g, sigma)
+    solution, _ = transport.transport_solve(op, g, sigma)
     rhs = fem.lumped_mass(mesh32) * g.values
     rhs[mesh32.boundary_nodes] = sigma.values[mesh32.boundary_nodes]
     system_matrix, _ = fem.dirichlet_system(
